@@ -9,6 +9,7 @@ Library layout:
 - :mod:`signlasso.conditions` - recovery-condition and event diagnostics
 - :mod:`signlasso.concentration` - moment and tail-bound numerics
 - :mod:`signlasso.harness` - seeded Monte-Carlo experiments with CSV output
+- :mod:`signlasso.schema` - JSON loading and writing driven by the dataclass fields
 - :mod:`signlasso.cli` - the ``signlasso`` command
 """
 

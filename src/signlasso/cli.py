@@ -15,13 +15,11 @@ simulate: 0 sweep completed (replicate failures are logged, not fatal),
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .conditions import (
     AssumptionConstants,
@@ -32,7 +30,6 @@ from .conditions import (
 from .errors import ConfigError, SignLassoError, SingularBlockError
 from .fileio import read_counts_csv, read_matrix_csv, read_vector_csv
 from .harness import (
-    DesignSpec,
     ExperimentConfig,
     parse_beta_tilde_mode,
     run_experiment,
@@ -42,22 +39,11 @@ from .harness import (
 )
 from .model import CoefVector, DesignMatrix
 from .prelim import MleConfig, fit_mle, oracle_perturbation
+from .schema import from_json, jsonable, read_json, write_json
 from .solver import SolverConfig, fit
 from .working import build_working_problem
 
 logger = logging.getLogger("signlasso")
-
-_CONSTANT_KEYS = {
-    "max_row_norm",
-    "max_col_norm",
-    "min_eigen_active",
-    "max_eigen_cross12",
-    "max_eigen_cross21",
-    "max_eigen_inactive",
-    "min_beta_scaled",
-    "c1",
-    "tau",
-}
 
 
 def _setup_logging() -> None:
@@ -78,9 +64,17 @@ def _emit(path: Path) -> None:
 
 def _resolve_beta_tilde(mode: str, X: DesignMatrix, counts, beta_star, seed: int) -> CoefVector:
     """Resolve --beta-tilde: a CSV path, 'mle', or 'oracle:SCALE'."""
-    if mode not in ("mle",) and not mode.startswith("oracle:") and Path(mode).exists():
+    if mode != "mle" and not mode.startswith("oracle:"):
+        if not Path(mode).exists():
+            raise ConfigError(
+                "beta-tilde",
+                f"{mode!r} is neither a mode ('mle' or 'oracle:SCALE') nor an existing file",
+            )
         return CoefVector(read_vector_csv(mode))
-    kind, scale = parse_beta_tilde_mode(mode)
+    try:
+        kind, scale = parse_beta_tilde_mode(mode)
+    except ValueError as exc:
+        raise ConfigError("beta-tilde", str(exc)) from exc
     if kind == "mle":
         result = fit_mle(X, counts, MleConfig())
         if not result.converged:
@@ -94,112 +88,17 @@ def _resolve_beta_tilde(mode: str, X: DesignMatrix, counts, beta_star, seed: int
 def _load_constants(path: str | None) -> AssumptionConstants:
     if path is None:
         return AssumptionConstants()
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError("constants", "must be a JSON object")
-    unknown = set(raw) - _CONSTANT_KEYS
-    if unknown:
-        raise ConfigError("constants", f"unknown keys {sorted(unknown)}")
-    return AssumptionConstants(**raw)
+    return from_json(AssumptionConstants, read_json(path), "constants")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse and validate an experiment JSON file with field-path diagnostics."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(str(path), "top-level value must be an object")
-
-    def require(name, types, what):
-        if name not in raw:
-            raise ConfigError(name, "is required")
-        value = raw[name]
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise ConfigError(name, f"must be {what}")
-        return value
-
-    design_raw = require("design", dict, "an object")
-    try:
-        design = DesignSpec(**design_raw)
-    except (TypeError, ValueError, SignLassoError) as exc:
-        raise ConfigError("design", str(exc)) from exc
-
-    beta_raw = require("beta_star", list, "a list of numbers")
-    try:
-        beta_star = CoefVector(np.asarray(beta_raw, dtype=float))
-    except ValueError as exc:
-        raise ConfigError("beta_star", str(exc)) from exc
-
-    n_grid = require("n_grid", list, "a list of integers")
-    for k, value in enumerate(n_grid):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"n_grid[{k}]", "must be an integer")
-
-    numbers = {}
-    for name in ("c1", "c2", "alpha_coef"):
-        numbers[name] = float(require(name, (int, float), "a number"))
-    replicates = require("replicates", int, "an integer")
-    seed = require("seed", int, "an integer")
-
-    beta_tilde_mode = raw.get("beta_tilde_mode", "oracle:1.0")
-    if not isinstance(beta_tilde_mode, str):
-        raise ConfigError("beta_tilde_mode", "must be a string")
-    try:
-        parse_beta_tilde_mode(beta_tilde_mode)
-    except ValueError as exc:
-        raise ConfigError("beta_tilde_mode", str(exc)) from exc
-
-    constants = None
-    if raw.get("constants") is not None:
-        if not isinstance(raw["constants"], dict):
-            raise ConfigError("constants", "must be an object")
-        unknown = set(raw["constants"]) - _CONSTANT_KEYS
-        if unknown:
-            raise ConfigError("constants", f"unknown keys {sorted(unknown)}")
-        try:
-            constants = AssumptionConstants(**raw["constants"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("constants", str(exc)) from exc
-
-    extra = {}
-    for name, kind in (
-        ("tau", (int, float)),
-        ("redraw_design", bool),
-        ("max_sweeps", int),
-        ("solver_tol", (int, float)),
-        ("kkt_tol", (int, float)),
-    ):
-        if name in raw:
-            if not isinstance(raw[name], kind) or (
-                kind is int and isinstance(raw[name], bool)
-            ):
-                raise ConfigError(name, f"must be of type {kind}")
-            extra[name] = raw[name]
-
-    known = {
-        "design", "beta_star", "n_grid", "c1", "c2", "alpha_coef", "replicates",
-        "seed", "beta_tilde_mode", "constants", "tau", "redraw_design",
-        "max_sweeps", "solver_tol", "kkt_tol",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "is not a recognized field")
-
-    return ExperimentConfig(
-        design=design,
-        beta_star=beta_star,
-        n_grid=tuple(n_grid),
-        c1=numbers["c1"],
-        c2=numbers["c2"],
-        alpha_coef=numbers["alpha_coef"],
-        replicates=replicates,
-        seed=seed,
-        beta_tilde_mode=beta_tilde_mode,
-        constants=constants,
-        **extra,
-    )
+    raw = read_json(path)
+    # The reference reports always use the top-level tau.
+    constants = raw.get("constants") if isinstance(raw, dict) else None
+    if isinstance(constants, dict) and "tau" in constants:
+        raise ConfigError("constants.tau", "is not read by simulate; set the top-level tau")
+    return from_json(ExperimentConfig, raw)
 
 
 def cmd_fit(args) -> int:
@@ -212,11 +111,20 @@ def cmd_fit(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = result.to_dict()
-    payload["alpha"] = args.alpha
-    payload["beta_tilde"] = beta_tilde.values.tolist()
+    # fit.json puts support and signs after beta_hat, and the KKT report last.
+    fitted = jsonable(result)
+    kkt = fitted.pop("kkt_report")
+    payload = {
+        "beta_hat": fitted.pop("beta_hat"),
+        "support": result.beta_hat.support,
+        "signs": result.beta_hat.signs(),
+        **fitted,
+        "kkt": kkt,
+        "alpha": args.alpha,
+        "beta_tilde": beta_tilde,
+    }
     target = out_dir / "fit.json"
-    target.write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(target, payload)
     _emit(target)
     return 0 if result.converged else 2
 
@@ -234,14 +142,9 @@ def cmd_check(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "alpha": args.alpha,
-        "conditions": report.to_dict(),
-        "events": diag.to_dict(),
-        "constants": constants.to_dict(),
-    }
+    payload = {"alpha": args.alpha, "conditions": report, "events": diag, "constants": constants}
     target = out_dir / "report.json"
-    target.write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(target, payload)
     _emit(target)
     return 0 if report.all_passed else 3
 
@@ -249,12 +152,8 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     config = load_experiment_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     if args.alpha is not None:
-        from dataclasses import replace
-
         config = replace(config, alpha_coef=args.alpha)
 
     result = run_experiment(config, threads=args.threads)
@@ -326,13 +225,13 @@ def main(argv=None) -> int:
         logger.error("singular active block: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, SignLassoError) as exc:
+    except SignLassoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

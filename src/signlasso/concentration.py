@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import RangeError
 from .model import CoefVector, DesignMatrix, _as_readonly, intensities
-from .conditions import _split_support
+from .conditions import _permute_and_split
 
 # Exact-integer guard: partition counts beyond this exceed what the float
 # moment formulas downstream can represent faithfully.
@@ -111,22 +111,18 @@ class PopulationGram:
 
 def population_gram(X: DesignMatrix, beta_star: CoefVector, support) -> PopulationGram:
     """Blocked Gram built from the true intensities exp(x_i beta_star)."""
-    active, inactive = _split_support(support, X.p)
     lam = intensities(X, beta_star)
     x_star = X.values * np.sqrt(lam)[:, None]
-    C_full = x_star.T @ x_star / X.n
-    perm = np.concatenate([active, inactive])
-    C = C_full[np.ix_(perm, perm)]
-    q = active.size
+    perm, q, (C, C11, C12, C21, C22) = _permute_and_split(x_star.T @ x_star / X.n, support)
     return PopulationGram(
         C_star=C,
-        C11_star=C[:q, :q],
-        C12_star=C[:q, q:],
-        C21_star=C[q:, :q],
-        C22_star=C[q:, q:],
+        C11_star=C11,
+        C12_star=C12,
+        C21_star=C21,
+        C22_star=C22,
         q=q,
-        active_idx=active,
-        inactive_idx=inactive,
+        active_idx=perm[:q],
+        inactive_idx=perm[q:],
         lambda_star=lam,
         lambda_bar=float(max(1.0, np.max(lam))),
         lambda_bar_source="true_coefficients",

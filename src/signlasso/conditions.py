@@ -9,30 +9,17 @@ penalized estimator to recover the true sign pattern.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import EmptySupportError, SingularBlockError
+from .errors import ConfigError, EmptySupportError, SingularBlockError
 from .model import CoefVector, DesignMatrix, _as_readonly
 from .working import WorkingProblem
 
 # Smallest active-block eigenvalue treated as invertible.
 SINGULAR_TOL = 1e-12
-
-
-def _split_support(support, p: int):
-    active = np.unique(np.asarray(support, dtype=np.int64))
-    if active.size == 0:
-        raise EmptySupportError("support must contain at least one index")
-    if active.min() < 0 or active.max() >= p:
-        raise ValueError(f"support indices must lie in [0, {p})")
-    mask = np.zeros(p, dtype=bool)
-    mask[active] = True
-    inactive = np.flatnonzero(~mask)
-    return active, inactive
 
 
 @dataclass(frozen=True)
@@ -67,27 +54,43 @@ class BlockedGram:
         return self.C.shape[0]
 
 
+def _permute_and_split(C_full: np.ndarray, support):
+    """Reorder a p x p Gram so the support comes first, and cut it into blocks.
+
+    Returns ``(perm, q, (C, C11, C12, C21, C22))``: ``perm[:q]`` are the active
+    and ``perm[q:]`` the inactive coordinates, ``C`` is ``C_full`` in that
+    order and the four blocks are its contiguous sub-blocks.
+    """
+    p = C_full.shape[0]
+    active = np.unique(np.asarray(support, dtype=np.int64))
+    if active.size == 0:
+        raise EmptySupportError("support must contain at least one index")
+    if active.min() < 0 or active.max() >= p:
+        raise ValueError(f"support indices must lie in [0, {p})")
+    mask = np.zeros(p, dtype=bool)
+    mask[active] = True
+    perm = np.concatenate([active, np.flatnonzero(~mask)])
+    C = C_full[np.ix_(perm, perm)]
+    q = active.size
+    return perm, q, (C, C[:q, :q], C[:q, q:], C[q:, :q], C[q:, q:])
+
+
 def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
     """Split C and W of a working problem by the given active index set."""
-    active, inactive = _split_support(support, problem.p)
-    perm = np.concatenate([active, inactive])
-    C_full = problem.gram()
-    W_full = problem.noise()
-    C = C_full[np.ix_(perm, perm)]
-    W = W_full[perm]
-    q = active.size
+    perm, q, (C, C11, C12, C21, C22) = _permute_and_split(problem.gram(), support)
+    W = problem.noise()[perm]
     return BlockedGram(
         C=C,
-        C11=C[:q, :q],
-        C12=C[:q, q:],
-        C21=C[q:, :q],
-        C22=C[q:, q:],
+        C11=C11,
+        C12=C12,
+        C21=C21,
+        C22=C22,
         W=W,
         W1=W[:q],
         W2=W[q:],
         q=q,
-        active_idx=active,
-        inactive_idx=inactive,
+        active_idx=perm[:q],
+        inactive_idx=perm[q:],
     )
 
 
@@ -136,20 +139,7 @@ class AssumptionConstants:
 
     def __post_init__(self):
         if not 0.0 < self.c1 <= 1.0:
-            raise ValueError("c1 must lie in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_row_norm": self.max_row_norm,
-            "max_col_norm": self.max_col_norm,
-            "min_eigen_active": self.min_eigen_active,
-            "max_eigen_cross12": self.max_eigen_cross12,
-            "max_eigen_cross21": self.max_eigen_cross21,
-            "max_eigen_inactive": self.max_eigen_inactive,
-            "min_beta_scaled": self.min_beta_scaled,
-            "c1": self.c1,
-            "tau": self.tau,
-        }
+            raise ConfigError("c1", "must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -173,26 +163,10 @@ class ConditionReport:
     beta_min_scaled: float
     irrep_margin: float
     passes: dict = field(default_factory=dict)
+    all_passed: bool = field(init=False)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(self.passes.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "lambda_min_C11": self.lambda_min_C11,
-            "lambda_max_C12": self.lambda_max_C12,
-            "lambda_max_C21": self.lambda_max_C21,
-            "lambda_max_C22": self.lambda_max_C22,
-            "row_norm_max": self.row_norm_max,
-            "col_norm_max": self.col_norm_max,
-            "beta_min_scaled": self.beta_min_scaled,
-            "irrep_margin": self.irrep_margin,
-            "passes": dict(self.passes),
-            "all_passed": self.all_passed,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "all_passed", all(self.passes.values()))
 
 
 def irrepresentable_vector(bg: BlockedGram, beta_star: CoefVector) -> np.ndarray:
@@ -279,7 +253,8 @@ class PropositionDiagnostics:
     the candidate minimizer supported on the active set; its signs match
     beta*'s and it satisfies the optimality conditions whenever both events
     hold.  ``an_margin``/``bn_margin`` are the smallest componentwise slacks
-    (positive means the event holds with room).
+    (positive means the event holds with room); ``bn_margin`` is infinite,
+    written as null, when every coordinate is active.
     """
 
     R1: np.ndarray
@@ -290,30 +265,13 @@ class PropositionDiagnostics:
     d: np.ndarray
     An_holds: bool
     Bn_holds: bool
-    beta_check: CoefVector
     an_margin: float
     bn_margin: float
+    beta_check: CoefVector
 
     def __post_init__(self):
         for name in ("R1", "R2", "xi", "b", "zeta", "d"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-
-    def to_dict(self) -> dict:
-        return {
-            "R1": self.R1.tolist(),
-            "R2": self.R2.tolist(),
-            "xi": self.xi.tolist(),
-            "b": self.b.tolist(),
-            "zeta": self.zeta.tolist(),
-            "d": self.d.tolist(),
-            "An_holds": self.An_holds,
-            "Bn_holds": self.Bn_holds,
-            "an_margin": self.an_margin,
-            # Vacuous inactive event (full support) has infinite slack; emit
-            # null so the JSON stays strict.
-            "bn_margin": self.bn_margin if math.isfinite(self.bn_margin) else None,
-            "beta_check": self.beta_check.values.tolist(),
-        }
 
 
 def proposition_diagnostics(

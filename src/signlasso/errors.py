@@ -37,9 +37,10 @@ class BadGeneratorError(SignLassoError):
     """Unknown design-matrix generator name."""
 
 
-class ConfigError(SignLassoError):
-    """Invalid experiment configuration; message carries the offending field path."""
+class ConfigError(SignLassoError, ValueError):
+    """An invalid input value; the message carries the offending field path."""
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")

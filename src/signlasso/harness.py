@@ -12,12 +12,10 @@ on a thread pool and are merged in (n, replicate) order.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +37,7 @@ from .errors import (
 from .fileio import format_float, read_matrix_csv
 from .model import CoefVector, DesignMatrix, simulate
 from .prelim import MleConfig, fit_mle, oracle_perturbation
+from .schema import write_json
 from .solver import SolverConfig, fit
 from .working import build_working_problem
 
@@ -93,7 +92,7 @@ class DesignSpec:
     scale: float = 1.0
     rho: float = 0.0
     row_norm_cap: float | None = None
-    path: str | None = None
+    path: str | None = field(default=None, metadata={"omit_if_none": True})
 
     def __post_init__(self):
         if self.kind not in GENERATORS and self.kind != "file":
@@ -107,13 +106,6 @@ class DesignSpec:
             raise ValueError("scale must be positive")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "scale": self.scale, "rho": self.rho,
-               "row_norm_cap": self.row_norm_cap}
-        if self.path is not None:
-            out["path"] = self.path
-        return out
 
 
 def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
@@ -207,7 +199,16 @@ class ExperimentConfig:
             raise ConfigError("alpha_coef", "must be nonnegative")
         if self.beta_star.q < 1:
             raise ConfigError("beta_star", "needs at least one nonzero coefficient")
-        parse_beta_tilde_mode(self.beta_tilde_mode)  # validate eagerly
+        try:
+            parse_beta_tilde_mode(self.beta_tilde_mode)
+        except ValueError as exc:
+            raise ConfigError("beta_tilde_mode", str(exc)) from exc
+        try:
+            # The largest n has the largest penalty, so one build checks all.
+            self.solver_config(grid[-1])
+        except ConfigError as exc:
+            name = {"alpha": "alpha_coef", "tol": "solver_tol"}.get(exc.field, exc.field)
+            raise ConfigError(name, exc.message) from exc
 
     @property
     def p(self) -> int:
@@ -223,25 +224,6 @@ class ExperimentConfig:
             tol=self.solver_tol,
             kkt_tol=self.kkt_tol,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "design": self.design.to_dict(),
-            "beta_star": self.beta_star.values.tolist(),
-            "n_grid": list(self.n_grid),
-            "c1": self.c1,
-            "c2": self.c2,
-            "alpha_coef": self.alpha_coef,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "beta_tilde_mode": self.beta_tilde_mode,
-            "tau": self.tau,
-            "redraw_design": self.redraw_design,
-            "max_sweeps": self.max_sweeps,
-            "solver_tol": self.solver_tol,
-            "kkt_tol": self.kkt_tol,
-            "constants": self.constants.to_dict() if self.constants else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -339,9 +321,7 @@ def _reference_report(config: ExperimentConfig, design: DesignMatrix) -> Conditi
     problem = build_working_problem(
         design, config.beta_star, np.zeros(design.n, dtype=np.int64)
     )
-    constants = config.constants or AssumptionConstants(tau=config.tau)
-    if constants.tau != config.tau:
-        constants = replace(constants, tau=config.tau)
+    constants = replace(config.constants or AssumptionConstants(), tau=config.tau)
     return check_assumptions(design, problem, config.beta_star, constants)
 
 
@@ -531,19 +511,18 @@ def write_report_json(result: ExperimentResult, path) -> None:
 
     from . import __version__
 
-    payload = {
-        "config": result.config.to_dict(),
+    write_json(path, {
+        "config": result.config,
         "versions": {
             "signlasso": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
         "conditions": {
-            str(n): report.to_dict() for n, report in result.condition_reports.items()
+            str(n): report for n, report in result.condition_reports.items()
         },
         "failures": [
             {"n": n, "replicate": r, "error": message}
             for n, r, message in result.failures
         ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    })

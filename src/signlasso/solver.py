@@ -12,11 +12,12 @@ All internal formulas follow this single convention to avoid factor drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .model import CoefVector, _as_readonly
 from .working import WorkingProblem
 
@@ -34,12 +35,14 @@ class SolverConfig:
     kkt_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError("alpha", f"must be finite and nonnegative, got {self.alpha}")
         if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be positive")
-        if self.tol <= 0 or self.kkt_tol <= 0:
-            raise ValueError("tol and kkt_tol must be positive")
+            raise ConfigError("max_sweeps", f"must be positive, got {self.max_sweeps}")
+        for name in ("tol", "kkt_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(name, f"must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,8 @@ class KktReport:
     ``correlations`` holds g = x_work^T (y_work - x_work beta).  Active
     coordinates carry the stationarity residual |g_j - (alpha/2) sign(beta_j)|,
     inactive ones the subgradient slack |g_j| - alpha/2 (negative when strictly
-    interior).  ``passed`` applies the tolerance coordinatewise.
+    interior; NaN where inapplicable).  ``passed`` applies the tolerance
+    coordinatewise.
     """
 
     alpha: float
@@ -59,32 +63,14 @@ class KktReport:
     stationarity_residual: np.ndarray
     subgradient_slack: np.ndarray
     passed: np.ndarray
+    all_passed: bool = field(init=False)
 
     def __post_init__(self):
         for name in ("correlations", "stationarity_residual", "subgradient_slack"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
         for name in ("is_active", "passed"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name), dtype=bool))
-
-    @property
-    def all_passed(self) -> bool:
-        return bool(np.all(self.passed))
-
-    def to_dict(self) -> dict:
-        def listed(values):
-            # Inapplicable entries are NaN internally; emit null for strict JSON.
-            return [None if np.isnan(v) else float(v) for v in values]
-
-        return {
-            "alpha": self.alpha,
-            "kkt_tol": self.kkt_tol,
-            "correlations": self.correlations.tolist(),
-            "is_active": self.is_active.tolist(),
-            "stationarity_residual": listed(self.stationarity_residual),
-            "subgradient_slack": listed(self.subgradient_slack),
-            "passed": self.passed.tolist(),
-            "all_passed": self.all_passed,
-        }
+        object.__setattr__(self, "all_passed", bool(np.all(self.passed)))
 
 
 @dataclass(frozen=True)
@@ -94,17 +80,6 @@ class FitResult:
     kkt_report: KktReport
     converged: bool
     objective: float
-
-    def to_dict(self) -> dict:
-        return {
-            "beta_hat": self.beta_hat.values.tolist(),
-            "support": self.beta_hat.support.tolist(),
-            "signs": self.beta_hat.signs().tolist(),
-            "sweeps_used": self.sweeps_used,
-            "converged": self.converged,
-            "objective": self.objective,
-            "kkt": self.kkt_report.to_dict(),
-        }
 
 
 def objective_value(problem: WorkingProblem, beta_values: np.ndarray, alpha: float) -> float:

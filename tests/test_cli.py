@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import signlasso
+from signlasso import AssumptionConstants, CoefVector, DesignSpec, ExperimentConfig
 from signlasso.cli import main
+from signlasso.schema import from_json, jsonable
 from signlasso.fileio import (
     write_counts_csv,
     write_matrix_csv,
@@ -242,6 +244,84 @@ def test_simulate_reports_field_path_on_bad_type(tmp_path, capsys):
     code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "replicates" in capsys.readouterr().err
+
+
+def _simulate_argv(tmp_path, **overrides):
+    config = _experiment_config(tmp_path, **overrides)
+    return ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+def _check_argv(data, *extra):
+    return [
+        "check", "--x", str(data["x"]), "--y", str(data["y"]),
+        "--beta-star", str(data["beta_star"]), "--out", str(data["out"]), *extra,
+    ]
+
+
+def _constants_file(tmp_path, constants):
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(constants))
+    return str(path)
+
+
+BAD_INPUTS = {
+    "tau": lambda tmp, data: _simulate_argv(tmp, tau=float("nan")),
+    "alpha_coef": lambda tmp, data: _simulate_argv(tmp, alpha_coef=float("inf")),
+    "max_sweeps": lambda tmp, data: _simulate_argv(tmp, max_sweeps=0),
+    "design.scale": lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "iid_gaussian", "scale": "x"}
+    ),
+    "design.foo": lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "iid_gaussian", "foo": 1}
+    ),
+    "redraw_design": lambda tmp, data: _simulate_argv(tmp, redraw_design=1),
+    "beta_tilde_mode": lambda tmp, data: _simulate_argv(tmp, beta_tilde_mode="x"),
+    "constants.tau": lambda tmp, data: _simulate_argv(tmp, constants={"tau": 0.95}),
+    "constants.c1": lambda tmp, data: _check_argv(
+        data, "--constants", _constants_file(tmp, {"c1": "a"})
+    ),
+    "beta-tilde": lambda tmp, data: _check_argv(data, "--beta-tilde", str(tmp / "nope.csv")),
+    "alpha": lambda tmp, data: [
+        "fit", "--x", str(data["x"]), "--y", str(data["y"]), "--alpha", "nan",
+        "--out", str(data["out"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("field_path", sorted(BAD_INPUTS))
+def test_bad_input_exits_one_with_field_path(field_path, tmp_path, small_dataset, capsys):
+    # main() returning at all shows no exception escaped as a traceback.
+    code = main(BAD_INPUTS[field_path](tmp_path, small_dataset))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {field_path}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_round_trips_through_json():
+    config = ExperimentConfig(
+        design=DesignSpec(kind="file", scale=0.5, rho=0.1, row_norm_cap=3.0, path="X.csv"),
+        beta_star=CoefVector([1.0, -0.5, 0.0]),
+        n_grid=(50, 100),
+        c1=0.9,
+        c2=0.4,
+        alpha_coef=1.5,
+        replicates=3,
+        seed=7,
+        beta_tilde_mode="mle",
+        tau=0.5,
+        redraw_design=True,
+        max_sweeps=50,
+        solver_tol=1e-7,
+        kkt_tol=1e-5,
+        constants=AssumptionConstants(
+            max_row_norm=1.0, max_col_norm=2.0, min_eigen_active=0.1,
+            max_eigen_cross12=0.2, max_eigen_cross21=0.3, max_eigen_inactive=4.0,
+            min_beta_scaled=0.5, c1=0.8, tau=0.6,
+        ),
+    )
+    dumped = jsonable(config)
+    assert jsonable(from_json(ExperimentConfig, dumped, "")) == dumped
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):

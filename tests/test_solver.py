@@ -225,3 +225,7 @@ def test_solver_config_validation():
         SolverConfig(alpha=0.0, tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.0, max_sweeps=0)
+    with pytest.raises(ValueError, match="alpha"):
+        SolverConfig(alpha=float("nan"))
+    with pytest.raises(ValueError, match="kkt_tol"):
+        SolverConfig(alpha=0.0, kkt_tol=float("inf"))
