@@ -130,6 +130,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # The events take the same penalty as fit: SolverConfig rejects a
+    # non-finite or negative alpha with a ConfigError on "alpha".
+    SolverConfig(alpha=args.alpha)
     X = DesignMatrix(read_matrix_csv(args.x))
     counts = read_counts_csv(args.y)
     beta_star = CoefVector(read_vector_csv(args.beta_star))

@@ -140,6 +140,8 @@ class AssumptionConstants:
     def __post_init__(self):
         if not 0.0 < self.c1 <= 1.0:
             raise ConfigError("c1", "must lie in (0, 1]")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ConfigError("tau", f"must lie in [0, 1], got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -293,9 +295,9 @@ def proposition_diagnostics(
 
     s1 = np.sign(beta_star.values[bg.active_idx])
     W1, W2 = bg.W1, bg.W2
-    xi = solve(W1)
-    b = solve(s1)
-    inv_R1 = solve(R1)
+    # One solve for the three right-hand sides; each column is bit-identical
+    # to its own solve.
+    xi, b, inv_R1 = solve(np.column_stack([W1, s1, R1])).T
     ratio = alpha / (2.0 * n)
 
     beta1_abs = np.abs(beta_star.values[bg.active_idx])

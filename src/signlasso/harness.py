@@ -197,6 +197,8 @@ class ExperimentConfig:
             raise ConfigError("replicates", "must be at least 1")
         if self.alpha_coef < 0:
             raise ConfigError("alpha_coef", "must be nonnegative")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ConfigError("tau", f"must lie in [0, 1], got {self.tau}")
         if self.beta_star.q < 1:
             raise ConfigError("beta_star", "needs at least one nonzero coefficient")
         try:

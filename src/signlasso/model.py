@@ -193,18 +193,28 @@ def score_and_hessian(X: DesignMatrix, beta: CoefVector, counts):
 
 
 def _poisson_inversion(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inversion by sequential search; exact for small intensities."""
+    """Inversion by sequential search; exact for small intensities.
+
+    Only the lanes still searching are carried, compacted: at search step
+    ``step`` each of them has taken ``step`` terms, so ``lam / step`` is the
+    next term's factor for all of them at once.
+    """
     u = rng.random(lam.size)
     prob = np.exp(-lam)
-    cum = prob.copy()
     k = np.zeros(lam.size, dtype=np.int64)
-    pending = u > cum
-    while pending.any():
-        k[pending] += 1
-        prob[pending] *= lam[pending] / k[pending]
-        cum[pending] += prob[pending]
+    idx = np.flatnonzero(u > prob)
+    prob, cum, lam, u = prob[idx], prob[idx], lam[idx], u[idx]
+    step = 0
+    while idx.size:
+        step += 1
+        prob *= lam / step
+        cum += prob
         # Once the term underflows the series cannot grow; stop those lanes.
         pending = (u > cum) & (prob > 0.0)
+        if not pending.all():
+            k[idx[~pending]] = step
+            idx, prob, cum = idx[pending], prob[pending], cum[pending]
+            lam, u = lam[pending], u[pending]
     return k
 
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.special import gammaln
 
 from .errors import RankDeficientError
-from .model import CoefVector, DesignMatrix, _check_counts, intensities, log_likelihood
+from .model import CoefVector, DesignMatrix, _check_counts, linear_predictor
 
 # Relative singular-value cutoff for the full-column-rank precondition.
 _RANK_RTOL = 1e-8
@@ -70,13 +71,21 @@ def fit_mle(X: DesignMatrix, counts, config: MleConfig | None = None) -> MleFit:
             f"= {sv[-1]:.3g}/{sv[0]:.3g}"
         )
 
+    # log_likelihood's expression with the counts checked and ln(y!) taken
+    # once per fit; it also hands back exp(eta), the next iteration's lam.
+    log_factorial = gammaln(y + 1.0)
+
+    def loglik_and_lam(beta_values):
+        eta = linear_predictor(X, CoefVector(beta_values))
+        lam = np.exp(eta)
+        return float(np.sum(y * eta - lam - log_factorial)), lam
+
     beta = np.zeros(X.p)
-    ll = log_likelihood(X, CoefVector(beta), y)
+    ll, lam = loglik_and_lam(beta)
     grad_norm = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, config.max_iter + 1):
-        lam = intensities(X, CoefVector(beta))
         grad = X.values.T @ (y - lam)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= config.grad_tol:
@@ -99,13 +108,12 @@ def fit_mle(X: DesignMatrix, counts, config: MleConfig | None = None) -> MleFit:
         for _ in range(config.step_halving_max):
             candidate = beta + step * direction
             try:
-                ll_new = log_likelihood(X, CoefVector(candidate), y)
+                ll_new, lam_new = loglik_and_lam(candidate)
             except OverflowError:
                 step *= 0.5
                 continue
             if ll_new >= ll - slack:
-                beta = candidate
-                ll = ll_new
+                beta, ll, lam = candidate, ll_new, lam_new
                 accepted = True
                 break
             step *= 0.5
@@ -113,8 +121,8 @@ def fit_mle(X: DesignMatrix, counts, config: MleConfig | None = None) -> MleFit:
             break
 
     if not converged:
-        # Recompute at the final iterate so the flag reflects where we stopped.
-        lam = intensities(X, CoefVector(beta))
+        # Recompute at the final iterate so the flag reflects where we stopped;
+        # lam is always exp(eta) at the current beta.
         grad_norm = float(np.max(np.abs(X.values.T @ (y - lam))))
         converged = grad_norm <= config.grad_tol
 

@@ -298,6 +298,39 @@ def test_bad_input_exits_one_with_field_path(field_path, tmp_path, small_dataset
     assert not (tmp_path / "out").exists()
 
 
+OUT_OF_RANGE_INPUTS = {
+    "simulate_tau_negative": ("tau", lambda tmp, data: _simulate_argv(tmp, tau=-3.0)),
+    "simulate_tau_above_one": ("tau", lambda tmp, data: _simulate_argv(tmp, tau=1.5)),
+    "check_alpha_nan": ("alpha", lambda tmp, data: _check_argv(data, "--alpha", "nan")),
+    "check_alpha_negative": ("alpha", lambda tmp, data: _check_argv(data, "--alpha=-5")),
+    "check_constants_tau": ("constants.tau", lambda tmp, data: _check_argv(
+        data, "--constants", _constants_file(tmp, {"tau": -0.1})
+    )),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_INPUTS))
+def test_out_of_range_input_exits_one_with_field_path(case, tmp_path, small_dataset, capsys):
+    # A negative tau made irrepresentability pass trivially and tau > 1 always
+    # aborted under "design"; check ran its events at any alpha.
+    field_path, argv = OUT_OF_RANGE_INPUTS[case]
+    code = main(argv(tmp_path, small_dataset))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {field_path}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tau_bounds_are_valid(tmp_path, small_dataset, capsys):
+    for tau in (0.0, 1.0):
+        argv = _check_argv(small_dataset, "--constants", _constants_file(tmp_path, {"tau": tau}))
+        assert main(argv) in (0, 3)
+    assert ExperimentConfig(
+        design=DesignSpec(kind="iid_gaussian"), beta_star=CoefVector([1.0, 0.0]),
+        n_grid=(10,), c1=1.0, c2=0.5, alpha_coef=1.0, replicates=1, seed=0, tau=0.0,
+    ).tau == 0.0
+
+
 def test_config_round_trips_through_json():
     config = ExperimentConfig(
         design=DesignSpec(kind="file", scale=0.5, rho=0.1, row_norm_cap=3.0, path="X.csv"),

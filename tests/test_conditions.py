@@ -19,6 +19,7 @@ from signlasso import (
     kkt_check,
     proposition_diagnostics,
 )
+from signlasso.conditions import _active_solver
 
 
 def _unweighted_problem(X, counts=None):
@@ -226,3 +227,32 @@ def test_event_implication_property():
     rng = np.random.default_rng(257)
     events = _implication_sweep(rng, 80)
     assert events >= 10, f"too few event-positive instances ({events}) to be meaningful"
+
+
+def test_stacked_solve_equals_three_separate_solves():
+    # proposition_diagnostics solves C11 against [W1, s1, R1] at once; each
+    # column must carry exactly the bits of its own solve, since irrep_margin
+    # and the event flags in results.csv are computed from them.
+    rng = np.random.default_rng(263)
+    for _ in range(40):
+        q = int(rng.integers(1, 13))
+        p = q + int(rng.integers(0, 5))
+        n = int(rng.integers(4 * p, 12 * p))
+        inst = make_instance(rng, n=n, p=p, q=q, rho=float(rng.choice([0.0, 0.3])))
+        bg = blocked_gram(inst["problem"], inst["beta_star"].support)
+        alpha = n**0.75
+        diag = proposition_diagnostics(bg, inst["beta_star"], inst["beta_tilde"], alpha, n)
+
+        solve, _ = _active_solver(bg.C11)
+        perm = np.concatenate([bg.active_idx, bg.inactive_idx])
+        R1 = (bg.C @ (inst["beta_star"].values[perm] - inst["beta_tilde"].values[perm]))[:q]
+        beta1 = inst["beta_star"].values[bg.active_idx]
+        xi, b, inv_R1 = solve(bg.W1), solve(np.sign(beta1)), solve(R1)
+        np.testing.assert_array_equal(diag.xi, xi)
+        np.testing.assert_array_equal(diag.b, b)
+        np.testing.assert_array_equal(diag.d, bg.C21 @ b)
+        np.testing.assert_array_equal(diag.zeta, bg.C21 @ xi - bg.W2)
+        ratio = alpha / (2.0 * n)
+        np.testing.assert_array_equal(
+            diag.beta_check.values[bg.active_idx], beta1 + xi - ratio * b - inv_R1
+        )

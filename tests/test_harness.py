@@ -1,5 +1,7 @@
 """Design generation, experiment sweeps, determinism, and serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,39 @@ def test_results_csv_has_one_row_per_replicate(tmp_path):
     write_results_csv(result, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + len(config.n_grid) * config.replicates
+
+
+# sha256 of results.csv followed by summary.csv for two reduced versions of
+# the canonical acceptance sweep (oracle and MLE expansion points).  A faster
+# replicate path must reproduce these bytes exactly: the counts, the signs of
+# every fit and the event diagnostics all feed them.
+GOLDEN_DIGESTS = {
+    "canonical_40": ("oracle:1.0", 0.67, 40,
+                     "d4d8ce9519acc126b7dda649464260de0a51940132ac47511ac95c4bc0e0827a"),
+    "mle_20": ("mle", 0.0, 20,
+               "230828790516b49a73f85e8421f2f5f39cf267eee300c8a15e41c4c3ffd868b2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_reduced_canonical_sweeps_keep_their_golden_digest(name, tmp_path):
+    mode, tau, replicates, digest = GOLDEN_DIGESTS[name]
+    config = ExperimentConfig(
+        design=DesignSpec(kind="correlated_gaussian", rho=0.2, scale=1.0),
+        beta_star=CoefVector([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]),
+        n_grid=(250, 1000, 4000),
+        c1=1.0,
+        c2=0.5,
+        alpha_coef=1.0,
+        replicates=replicates,
+        seed=20260811,
+        beta_tilde_mode=mode,
+        tau=tau,
+    )
+    result = run_experiment(config)
+    write_results_csv(result, tmp_path / "results.csv")
+    write_summary_csv(result.summary, tmp_path / "summary.csv")
+    h = hashlib.sha256()
+    for artifact in ("results.csv", "summary.csv"):
+        h.update((tmp_path / artifact).read_bytes())
+    assert h.hexdigest() == digest

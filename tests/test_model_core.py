@@ -14,7 +14,7 @@ from signlasso import (
     score_and_hessian,
     simulate,
 )
-from signlasso.model import MAX_LINEAR_PREDICTOR, poisson_counts
+from signlasso.model import MAX_LINEAR_PREDICTOR, _poisson_inversion, poisson_counts
 
 
 def test_intensities_zero_predictor():
@@ -130,6 +130,39 @@ def test_sampler_moments(lam):
     # the simple normal-theory bound var * sqrt(2/(n-1)) * 4, generous here.
     se_var = lam * math.sqrt(2.0 / (draws.size - 1))
     assert abs(draws.var(ddof=1) - lam) < max(4 * se_var, 0.15)
+
+
+def _masked_inversion(lam, rng):
+    """Reference sequential-search sampler, masking all n lanes every step."""
+    u = rng.random(lam.size)
+    prob = np.exp(-lam)
+    cum = prob.copy()
+    k = np.zeros(lam.size, dtype=np.int64)
+    pending = u > cum
+    while pending.any():
+        k[pending] += 1
+        prob[pending] *= lam[pending] / k[pending]
+        cum[pending] += prob[pending]
+        pending = (u > cum) & (prob > 0.0)
+    return k
+
+
+@pytest.mark.parametrize("regime", ["near_zero", "near_ten", "mixed"])
+def test_compacted_inversion_matches_masked_loop(regime):
+    # The lane-compacted sampler must reproduce the masked loop bit for bit,
+    # counts and generator state alike, or every seeded artifact moves.
+    for seed in range(60):
+        shape = np.random.default_rng(seed)
+        size = int(shape.integers(1, 400))
+        if regime == "near_zero":
+            lam = shape.uniform(1e-12, 1e-2, size)
+        elif regime == "near_ten":
+            lam = np.nextafter(10.0, 0.0) - shape.uniform(0.0, 0.5, size)
+        else:
+            lam = np.exp(shape.uniform(np.log(1e-8), np.log(9.999), size))
+        ours, theirs = np.random.default_rng(1000 + seed), np.random.default_rng(1000 + seed)
+        np.testing.assert_array_equal(_poisson_inversion(lam, ours), _masked_inversion(lam, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_sampler_rejects_bad_intensities():

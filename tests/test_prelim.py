@@ -11,6 +11,7 @@ from signlasso import (
     MleConfig,
     RankDeficientError,
     fit_mle,
+    log_likelihood,
     oracle_perturbation,
     simulate,
 )
@@ -116,3 +117,16 @@ def test_mle_config_validation():
         MleConfig(max_iter=0)
     with pytest.raises(ValueError):
         MleConfig(grad_tol=0.0)
+
+
+def test_reported_likelihood_is_log_likelihood_at_the_estimate():
+    # fit_mle evaluates the likelihood with ln(y!) hoisted out of its loop;
+    # the value it reports must keep log_likelihood's bits.
+    rng = np.random.default_rng(131)
+    for _ in range(10):
+        n, p = int(rng.integers(30, 300)), int(rng.integers(1, 5))
+        X = DesignMatrix(0.5 * rng.standard_normal((n, p)))
+        beta = CoefVector(rng.uniform(-1.0, 1.0, p))
+        counts = simulate(X, beta, int(rng.integers(0, 2**32))).counts
+        result = fit_mle(X, counts)
+        assert result.log_likelihood == log_likelihood(X, result.beta, counts)

@@ -1,5 +1,7 @@
 """Coordinate-descent solver: closed forms, grid oracles, KKT certification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from signlasso import (
     objective_value,
     soft_threshold,
 )
+from signlasso.errors import NumericalError
 
 
 def test_soft_threshold_branches():
@@ -229,3 +232,114 @@ def test_solver_config_validation():
         SolverConfig(alpha=float("nan"))
     with pytest.raises(ValueError, match="kkt_tol"):
         SolverConfig(alpha=0.0, kkt_tol=float("inf"))
+
+
+def _raw_form_fit(problem, alpha, max_sweeps=1000, tol=1e-9):
+    """Reference coordinate descent on the raw residual, one O(n) pass per update.
+
+    The solver's method before covariance updates; returns (beta, sweeps,
+    converged) under the solver's rule: a sweep moving no coordinate by more
+    than tol, then a KKT pass.
+    """
+    X, y = problem.x_work, problem.y_work
+    half = 0.5 * alpha
+    col_sq = np.einsum("ij,ij->j", X, X)
+    beta = problem.beta_tilde.values.copy()
+    beta[col_sq == 0.0] = 0.0
+    resid = y - X @ beta
+    for sweeps in range(1, max_sweeps + 1):
+        max_delta = 0.0
+        for j in range(problem.p):
+            if col_sq[j] == 0.0:
+                continue
+            old = beta[j]
+            if old != 0.0:
+                resid += X[:, j] * old
+            new = float(soft_threshold(float(X[:, j] @ resid), half)) / col_sq[j]
+            if new != 0.0:
+                resid -= X[:, j] * new
+            beta[j] = new
+            max_delta = max(max_delta, abs(new - old))
+        resid = y - X @ beta
+        if max_delta <= tol and kkt_check(problem, CoefVector(beta), alpha, 1e-6).all_passed:
+            return beta, sweeps, True
+    return beta, max_sweeps, False
+
+
+def _special_problems():
+    rng = np.random.default_rng(307)
+    cases = {}
+    for k in range(6):
+        inst = make_instance(rng, n=int(rng.integers(20, 80)), p=int(rng.integers(2, 7)), q=2, rho=0.4)
+        cases[f"random{k}"] = (inst["problem"], float(rng.choice([0.5, 2.0, 6.0])))
+    base = make_instance(rng, n=40, p=4, q=2, rho=0.3)["problem"]
+    zero = base.x_work.copy()
+    zero[:, 2] = 0.0
+    cases["zero_column"] = (replace(base, x_work=zero), 1.0)
+    dup = base.x_work.copy()
+    dup[:, 3] = dup[:, 0]
+    cases["duplicate_columns"] = (replace(base, x_work=dup), 1.0)
+    null_alpha = 2.0 * float(np.max(np.abs(base.x_work.T @ base.y_work)))
+    cases["null_threshold"] = (base, null_alpha)
+    return cases
+
+
+SPECIAL_PROBLEMS = _special_problems()
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_PROBLEMS))
+def test_covariance_updates_match_raw_form_reference(name):
+    problem, alpha = SPECIAL_PROBLEMS[name]
+    result = fit(problem, SolverConfig(alpha=alpha))
+    ref_beta, ref_sweeps, ref_converged = _raw_form_fit(problem, alpha)
+    ref = CoefVector(ref_beta)
+    assert result.converged == ref_converged
+    assert result.sweeps_used == ref_sweeps
+    np.testing.assert_array_equal(result.beta_hat.support, ref.support)
+    np.testing.assert_array_equal(result.beta_hat.signs(), ref.signs())
+    np.testing.assert_allclose(result.beta_hat.values, ref_beta, rtol=0.0, atol=1e-10)
+    if result.converged:
+        assert result.kkt_report.all_passed
+        assert kkt_check(problem, result.beta_hat, alpha, 1e-6).all_passed
+
+
+def test_zero_column_is_pinned_and_null_threshold_gives_exact_zeros():
+    problem, alpha = SPECIAL_PROBLEMS["zero_column"]
+    assert problem.beta_tilde.values[2] != 0.0
+    assert fit(problem, SolverConfig(alpha=alpha)).beta_hat.values[2] == 0.0
+    problem, alpha = SPECIAL_PROBLEMS["null_threshold"]
+    result = fit(problem, SolverConfig(alpha=alpha))
+    assert result.converged
+    assert np.all(result.beta_hat.values == 0.0)
+
+
+def test_negative_subthreshold_correlation_gives_negative_zero():
+    # np.sign(z) * 0 is -0.0 for z < 0, and fit.json prints that sign; the
+    # covariance-update soft threshold keeps it.
+    rng = np.random.default_rng(311)
+    seen = 0
+    for _ in range(20):
+        problem = make_instance(rng, n=30, p=5, q=2)["problem"]
+        result = fit(problem, SolverConfig(alpha=4.0))
+        ref_beta, _, _ = _raw_form_fit(problem, 4.0)
+        zeros = ref_beta == 0.0
+        np.testing.assert_array_equal(result.beta_hat.values[zeros], 0.0)
+        np.testing.assert_array_equal(
+            np.signbit(result.beta_hat.values[zeros]), np.signbit(ref_beta[zeros])
+        )
+        seen += int(np.sum(np.signbit(ref_beta[zeros])))
+    assert seen > 0, "no coordinate ended at -0.0; the case is not covered"
+
+
+def test_fit_keeps_its_numerical_guards():
+    rng = np.random.default_rng(313)
+    problem = make_instance(rng, n=20, p=3, q=1)["problem"]
+    # A non-finite working response fails the warm-start objective check.
+    broken = replace(problem, y_work=np.full(problem.n, np.inf))
+    with pytest.raises(NumericalError, match="warm start"):
+        fit(broken, SolverConfig(alpha=1.0))
+    # Sweeps that run out return the last iterate unconverged, with its KKT report.
+    result = fit(problem, SolverConfig(alpha=0.5, max_sweeps=1, tol=1e-300))
+    assert not result.converged and result.sweeps_used == 1
+    ref_beta, _, _ = _raw_form_fit(problem, 0.5, max_sweeps=1, tol=1e-300)
+    np.testing.assert_allclose(result.beta_hat.values, ref_beta, rtol=0.0, atol=1e-10)
