@@ -39,7 +39,6 @@ from .errors import (
     ConfigError,
     DegenerateWeightError,
     EmptySupportError,
-    NonConvergenceError,
     NumericalError,
     RangeError,
     RankDeficientError,
@@ -55,7 +54,6 @@ from .harness import (
     derive_seed,
     make_design,
     run_experiment,
-    summarize,
 )
 from .model import (
     CoefVector,
@@ -98,7 +96,6 @@ __all__ = [
     "KktReport",
     "MleConfig",
     "MleFit",
-    "NonConvergenceError",
     "NumericalError",
     "PoissonSample",
     "PopulationGram",
@@ -135,5 +132,4 @@ __all__ = [
     "simulate",
     "soft_threshold",
     "stirling2",
-    "summarize",
 ]

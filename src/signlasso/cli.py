@@ -1,7 +1,8 @@
 """Command-line entry point: fit, check, and simulate over file-based inputs.
 
 stdout carries only the paths of written artifacts, one per line; all logging
-goes to stderr at the level set by SIGNLASSO_LOG (error, info, or debug).
+goes to stderr at the level set by SIGNLASSO_LOG (error, warning, info, or
+debug; the default is warning, and an unknown name says so and uses it).
 
 Exit codes
 ----------
@@ -47,23 +48,29 @@ logger = logging.getLogger("signlasso")
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("SIGNLASSO_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    level = levels.get(level_name, logging.ERROR)
+    level_name = os.environ.get("SIGNLASSO_LOG", "warning").lower()
+    levels = {
+        "error": logging.ERROR,
+        "warning": logging.WARNING,
+        "info": logging.INFO,
+        "debug": logging.DEBUG,
+    }
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root = logging.getLogger("signlasso")
-    root.handlers.clear()
-    root.addHandler(handler)
-    root.setLevel(level)
-
-
-def _emit(path: Path) -> None:
-    print(path)
+    logger.handlers.clear()
+    logger.addHandler(handler)
+    logger.setLevel(levels.get(level_name, logging.WARNING))
+    if level_name not in levels:
+        logger.warning(
+            "unknown SIGNLASSO_LOG level %r; using warning (choose from %s)",
+            level_name, ", ".join(levels),
+        )
 
 
 def _resolve_beta_tilde(mode: str, X: DesignMatrix, counts, beta_star, seed: int) -> CoefVector:
     """Resolve --beta-tilde: a CSV path, 'mle', or 'oracle:SCALE'."""
+    if seed < 0:
+        raise ConfigError("seed", f"must be nonnegative, got {seed}")
     if mode != "mle" and not mode.startswith("oracle:"):
         if not Path(mode).exists():
             raise ConfigError(
@@ -125,7 +132,7 @@ def cmd_fit(args) -> int:
     }
     target = out_dir / "fit.json"
     write_json(target, payload)
-    _emit(target)
+    print(target)
     return 0 if result.converged else 2
 
 
@@ -148,7 +155,7 @@ def cmd_check(args) -> int:
     payload = {"alpha": args.alpha, "conditions": report, "events": diag, "constants": constants}
     target = out_dir / "report.json"
     write_json(target, payload)
-    _emit(target)
+    print(target)
     return 0 if report.all_passed else 3
 
 
@@ -169,7 +176,7 @@ def cmd_simulate(args) -> int:
     write_summary_csv(result.summary, summary_path)
     write_report_json(result, report_path)
     for path in (results_path, summary_path, report_path):
-        _emit(path)
+        print(path)
     return 0
 
 
@@ -225,7 +232,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SingularBlockError as exc:
-        logger.error("singular active block: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SignLassoError as exc:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigError, EmptySupportError, SingularBlockError
-from .model import CoefVector, DesignMatrix, _as_readonly
+from .model import CoefVector, DesignMatrix, _as_readonly, _freeze
 from .working import WorkingProblem
 
 # Smallest active-block eigenvalue treated as invertible.
@@ -26,9 +26,10 @@ SINGULAR_TOL = 1e-12
 class BlockedGram:
     """Gram matrix and noise vector permuted so active coordinates come first.
 
-    ``C`` is the full p x p Gram in permuted order; the four blocks are its
-    contiguous sub-blocks, with C12 == C21.T exactly.  ``active_idx`` and
-    ``inactive_idx`` map block rows back to original coordinates.
+    ``C`` is the full p x p Gram in permuted order; the four blocks are
+    read-only views of its sub-blocks, with C12 == C21.T exactly, and ``W1``
+    and ``W2`` are views of ``W``.  ``active_idx`` and ``inactive_idx`` map
+    block rows back to original coordinates.
     """
 
     C: np.ndarray
@@ -59,7 +60,8 @@ def _permute_and_split(C_full: np.ndarray, support):
 
     Returns ``(perm, q, (C, C11, C12, C21, C22))``: ``perm[:q]`` are the active
     and ``perm[q:]`` the inactive coordinates, ``C`` is ``C_full`` in that
-    order and the four blocks are its contiguous sub-blocks.
+    order and the four blocks are views of it.  ``perm`` and ``C`` are
+    read-only, and so are the views.
     """
     p = C_full.shape[0]
     active = np.unique(np.asarray(support, dtype=np.int64))
@@ -71,6 +73,7 @@ def _permute_and_split(C_full: np.ndarray, support):
     mask[active] = True
     perm = np.concatenate([active, np.flatnonzero(~mask)])
     C = C_full[np.ix_(perm, perm)]
+    _freeze(perm, C)
     q = active.size
     return perm, q, (C, C[:q, :q], C[:q, q:], C[q:, :q], C[q:, q:])
 
@@ -79,6 +82,7 @@ def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
     """Split C and W of a working problem by the given active index set."""
     perm, q, (C, C11, C12, C21, C22) = _permute_and_split(problem.gram(), support)
     W = problem.noise()[perm]
+    _freeze(W)
     return BlockedGram(
         C=C,
         C11=C11,
@@ -319,6 +323,7 @@ def proposition_diagnostics(
     check1 = beta_star.values[bg.active_idx] + xi - ratio * b - inv_R1
     beta_check = np.zeros(bg.p)
     beta_check[bg.active_idx] = check1
+    _freeze(R1, R2, xi, b, zeta, d)
 
     return PropositionDiagnostics(
         R1=R1,

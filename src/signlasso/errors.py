@@ -17,10 +17,6 @@ class RankDeficientError(SignLassoError):
     """The design matrix does not have full column rank."""
 
 
-class NonConvergenceError(SignLassoError):
-    """An iterative procedure stopped without meeting its convergence criterion."""
-
-
 class EmptySupportError(SignLassoError):
     """An operation requiring a nonempty active set received an empty one."""
 

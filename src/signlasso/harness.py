@@ -16,6 +16,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -195,6 +196,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         if self.replicates < 1:
             raise ConfigError("replicates", "must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
         if self.alpha_coef < 0:
             raise ConfigError("alpha_coef", "must be nonnegative")
         if not 0.0 <= self.tau <= 1.0:
@@ -260,22 +263,24 @@ class ExperimentResult:
     records: tuple[ReplicateRecord, ...]
     summary: tuple[SummaryRow, ...]
     condition_reports: dict
-    failures: tuple[tuple[int, int, str], ...]
+
+    @property
+    def failures(self) -> tuple[tuple[int, int, str], ...]:
+        """(n, replicate, error) of each failed replicate, in record order."""
+        return tuple((rec.n, rec.replicate, rec.error) for rec in self.records if not rec.ok)
 
 
 def _run_replicate(config: ExperimentConfig, design: DesignMatrix, n: int, r: int) -> ReplicateRecord:
     alpha_n = config.alpha_for(n)
     seed_used = derive_seed(config.seed, _TAG_COUNTS, n, r)
     kind, scale = parse_beta_tilde_mode(config.beta_tilde_mode)
+    record = partial(ReplicateRecord, n=n, replicate=r, seed_used=seed_used, alpha_n=alpha_n)
     try:
         sample = simulate(design, config.beta_star, seed_used)
         if kind == "mle":
             mle = fit_mle(design, sample.counts, MleConfig())
             if not mle.converged:
-                return ReplicateRecord(
-                    n=n, replicate=r, seed_used=seed_used, alpha_n=alpha_n,
-                    ok=False, error="mle did not converge",
-                )
+                return record(ok=False, error="mle did not converge")
             beta_tilde = mle.beta
         else:
             beta_tilde = oracle_perturbation(
@@ -284,19 +289,15 @@ def _run_replicate(config: ExperimentConfig, design: DesignMatrix, n: int, r: in
         problem = build_working_problem(design, beta_tilde, sample.counts)
         result = fit(problem, config.solver_config(n))
         if not result.converged:
-            return ReplicateRecord(
-                n=n, replicate=r, seed_used=seed_used, alpha_n=alpha_n,
-                ok=False, error="solver did not converge",
-            )
+            return record(ok=False, error="solver did not converge")
         bg = blocked_gram(problem, config.beta_star.support)
         diag = proposition_diagnostics(bg, config.beta_star, beta_tilde, alpha_n, n)
         margin = float(1.0 - np.max(np.abs(diag.d))) if diag.d.size else 1.0
         sign_match = bool(
             np.array_equal(result.beta_hat.signs(), config.beta_star.signs())
         )
-        return ReplicateRecord(
-            n=n, replicate=r, seed_used=seed_used, alpha_n=alpha_n, ok=True,
-            sign_match=sign_match, An=diag.An_holds, Bn=diag.Bn_holds,
+        return record(
+            ok=True, sign_match=sign_match, An=diag.An_holds, Bn=diag.Bn_holds,
             irrep_margin=margin, kkt_pass=result.kkt_report.all_passed,
         )
     except (
@@ -308,10 +309,7 @@ def _run_replicate(config: ExperimentConfig, design: DesignMatrix, n: int, r: in
         ValueError,
         np.linalg.LinAlgError,
     ) as exc:
-        return ReplicateRecord(
-            n=n, replicate=r, seed_used=seed_used, alpha_n=alpha_n,
-            ok=False, error=f"{type(exc).__name__}: {exc}",
-        )
+        return record(ok=False, error=f"{type(exc).__name__}: {exc}")
 
 
 def _reference_report(config: ExperimentConfig, design: DesignMatrix) -> ConditionReport:
@@ -335,7 +333,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     irrepresentability requirement (margin below tau).
     """
     if threads < 1:
-        raise ValueError("threads must be at least 1")
+        raise ConfigError("threads", f"must be at least 1, got {threads}")
     records: list[ReplicateRecord] = []
     condition_reports: dict = {}
     for n in config.n_grid:
@@ -375,16 +373,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         logger.info("n=%d: %d/%d replicates ok", n, done, len(batch))
 
     records.sort(key=lambda rec: (rec.n, rec.replicate))
-    summary = summarize_records(config, records)
-    failures = tuple(
-        (rec.n, rec.replicate, rec.error) for rec in records if not rec.ok
-    )
     return ExperimentResult(
         config=config,
         records=tuple(records),
-        summary=tuple(summary),
+        summary=tuple(summarize_records(config, records)),
         condition_reports=condition_reports,
-        failures=failures,
     )
 
 
@@ -423,11 +416,6 @@ def summarize_records(config: ExperimentConfig, records) -> list[SummaryRow]:
                 f"beyond binomial slack at n={n}"
             )
     return rows
-
-
-def summarize(result: ExperimentResult) -> tuple[SummaryRow, ...]:
-    """Recompute the per-n summary table from an experiment result."""
-    return tuple(summarize_records(result.config, result.records))
 
 
 # ---------------------------------------------------------------------------

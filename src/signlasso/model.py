@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -29,9 +30,18 @@ _SAMPLER_SPLIT = 10.0
 
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
+    """A read-only ``dtype`` array of ``values``: shared if it already is one, else a copy."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Mark arrays a builder just made read-only, so its container shares them."""
+    for a in arrays:
+        a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -62,11 +72,12 @@ class DesignMatrix:
     def col_norms(self) -> np.ndarray:
         return np.linalg.norm(self.values, axis=0)
 
-    def row_norm(self, i: int) -> float:
-        return float(np.linalg.norm(self.values[i]))
-
-    def col_norm(self, j: int) -> float:
-        return float(np.linalg.norm(self.values[:, j]))
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values, largest first; computed once, so all fits on X share one SVD."""
+        sv = np.linalg.svd(self.values, compute_uv=False)
+        _freeze(sv)
+        return sv
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def fit_mle(X: DesignMatrix, counts, config: MleConfig | None = None) -> MleFit:
     y = _check_counts(counts, X.n)
     if X.n < X.p:
         raise RankDeficientError(f"need n >= p, got n={X.n}, p={X.p}")
-    sv = np.linalg.svd(X.values, compute_uv=False)
+    sv = X.singular_values
     if sv[-1] <= _RANK_RTOL * sv[0]:
         raise RankDeficientError(
             f"design is rank deficient: smallest/largest singular value "

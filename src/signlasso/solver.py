@@ -10,14 +10,14 @@ threshold is alpha/2: a minimizer satisfies
 All internal formulas follow this single convention to avoid factor drift.
 
 ``fit`` uses covariance updates (Friedman, Hastie & Tibshirani, JSS 2010):
-it forms G = x_work^T x_work and c = x_work^T y_work once, keeps the
-gradient g = c - G beta current with one length-p update per coordinate that
-moves, and rebuilds g from G after every sweep.  A sweep then costs O(p^2)
-instead of O(n p).  Each sweep still refreshes the raw-form objective, and
-convergence is still certified by the raw-form ``kkt_check``.  Compared with
-the earlier raw-residual updates, the floats of a fit (``beta_hat``, the KKT
-correlations, ``objective``) may differ in their last digits; supports,
-signs, convergence and sweep counts do not.
+G = x_work^T x_work is the problem's cached ``xtx``, c = x_work^T y_work is
+formed once, the gradient g = c - G beta is kept current with one length-p
+update per coordinate that moves, and g is rebuilt from G after every sweep.
+A sweep then costs O(p^2) instead of O(n p).  Each sweep still refreshes the
+raw-form objective, and convergence is still certified by the raw-form
+``kkt_check``.  Compared with the earlier raw-residual updates, the floats of
+a fit (``beta_hat``, the KKT correlations, ``objective``) may differ in their
+last digits; supports, signs, convergence and sweep counts do not.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import CoefVector, _as_readonly
+from .model import CoefVector, _as_readonly, _freeze
 from .working import WorkingProblem
 
 
@@ -111,6 +111,7 @@ def kkt_check(problem: WorkingProblem, beta: CoefVector, alpha: float, kkt_tol: 
     slack[~active] = np.abs(g[~active]) - half
     passed[active] = stationarity[active] <= kkt_tol
     passed[~active] = slack[~active] <= kkt_tol
+    _freeze(g, active, stationarity, slack, passed)
     return KktReport(
         alpha=float(alpha),
         kkt_tol=float(kkt_tol),
@@ -148,12 +149,10 @@ def fit(problem: WorkingProblem, config: SolverConfig) -> FitResult:
     NumericalError
         If the objective becomes non-finite or increases across a sweep.
     """
-    X = problem.x_work
-    y = problem.y_work
     p = problem.p
     half = 0.5 * config.alpha
 
-    G = X.T @ X
+    G = problem.xtx
     col_sq = np.diag(G)
     beta = problem.beta_tilde.values.copy()
     # Coordinates with an identically zero column cannot affect the fit;
@@ -161,11 +160,10 @@ def fit(problem: WorkingProblem, config: SolverConfig) -> FitResult:
     beta[col_sq == 0.0] = 0.0
     col_sq = col_sq.tolist()
 
-    resid = y - X @ beta
-    prev_obj = float(resid @ resid + config.alpha * np.sum(np.abs(beta)))
-    if not np.isfinite(prev_obj):
+    prev_obj = objective_value(problem, beta, config.alpha)
+    if not math.isfinite(prev_obj):
         raise NumericalError("objective is non-finite at the warm start")
-    c = X.T @ y
+    c = problem.x_work.T @ problem.y_work
 
     report = None
     converged = False
@@ -196,8 +194,7 @@ def fit(problem: WorkingProblem, config: SolverConfig) -> FitResult:
                 max_delta = delta
 
         # Enforce monotonicity of the true (raw-form) objective.
-        resid = y - X @ beta
-        obj = float(resid @ resid + config.alpha * np.abs(beta).sum())
+        obj = objective_value(problem, beta, config.alpha)
         if not math.isfinite(obj):
             raise NumericalError(f"objective became non-finite at sweep {sweeps}")
         if obj > prev_obj + 1e-10 * (1.0 + abs(prev_obj)):

@@ -10,11 +10,12 @@ response y_work = x_work @ beta_tilde + eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .model import CoefVector, DesignMatrix, _as_readonly, _check_counts, intensities
+from .model import CoefVector, DesignMatrix, _as_readonly, _check_counts, _freeze, intensities
 
 # Weights below this make the scaled residuals blow up; a violation signals a
 # bad expansion point and must surface as an error, not a clamp.
@@ -26,7 +27,8 @@ class WorkingProblem:
     """Weighted least-squares problem equivalent to one Newton step.
 
     Satisfies y_work = x_work @ beta_tilde.values + eps_tilde exactly, and
-    x_work[i, :] = sqrt(lambda_tilde[i]) * x[i, :].
+    x_work[i, :] = sqrt(lambda_tilde[i]) * x[i, :].  The arrays are read-only;
+    ``xtx`` is formed once, on first use, as the solver's G and ``gram()``'s base.
     """
 
     y_work: np.ndarray
@@ -47,9 +49,16 @@ class WorkingProblem:
     def p(self) -> int:
         return self.x_work.shape[1]
 
+    @cached_property
+    def xtx(self) -> np.ndarray:
+        """The unnormalised Gram x_work^T x_work (read-only)."""
+        G = self.x_work.T @ self.x_work
+        _freeze(G)
+        return G
+
     def gram(self) -> np.ndarray:
         """Sample Gram matrix x_work^T x_work / n of the weighted design."""
-        return self.x_work.T @ self.x_work / self.n
+        return self.xtx / self.n
 
     def noise(self) -> np.ndarray:
         """Scaled noise correlations x_work^T eps_tilde / n."""
@@ -78,6 +87,7 @@ def build_working_problem(X: DesignMatrix, beta_tilde: CoefVector, counts) -> Wo
     x_work = X.values * root[:, None]
     eps = (y - lam) / root
     y_work = x_work @ beta_tilde.values + eps
+    _freeze(y_work, x_work, lam, eps)
     return WorkingProblem(
         y_work=y_work,
         x_work=x_work,

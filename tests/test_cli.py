@@ -1,15 +1,19 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import signlasso
+import signlasso.cli as cli
 from signlasso import AssumptionConstants, CoefVector, DesignSpec, ExperimentConfig
 from signlasso.cli import main
 from signlasso.schema import from_json, jsonable
@@ -165,6 +169,9 @@ def test_check_singular_active_block_exit_code(tmp_path, capsys):
         "--out", str(tmp_path / "out"),
     ])
     assert code == 4
+    # One message, not a log line and then the error again.
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_check_two_predictor_matches_oracle(tmp_path):
@@ -193,6 +200,37 @@ def test_check_two_predictor_matches_oracle(tmp_path):
     c21 = float(np.sum(lam * x2 * x1) / n)
     expected = 1.0 - abs(c21 / c11)
     assert payload["conditions"]["irrep_margin"] == pytest.approx(expected, abs=1e-10)
+
+
+# sha256 of fit.json and of check's report.json on the small_dataset
+# fixture at alpha 2.0, with the MLE and the oracle expansion point.  Taken
+# from the code before the working problem cached its Gram product; fits
+# and checks must keep these bytes.
+FIT_CHECK_DIGESTS = {
+    ("fit", "mle"): "e2f6e7015a591d9011ddb69bd2d0fa27e81cb19dd0d3d79bc9e64e27e5ac69b1",
+    ("fit", "oracle:1.0"): "0e1797903790f377476c0e5e3d6f27db1e1cde71c1b3a639ed8bfaf5cf544b30",
+    ("check", "mle"): "6096d317b08c71973ecda3f95e2dde91343f3cb13e1a0f4848d0caf5fd85f937",
+    ("check", "oracle:1.0"): "2b0915a1767965a9b70a25e908f669e5ea72a6ad31f4267ac5f40c604982a62a",
+}
+
+
+@pytest.mark.parametrize("command, mode", sorted(FIT_CHECK_DIGESTS))
+def test_fit_and_check_keep_their_golden_digest(command, mode, small_dataset, capsys):
+    code = main([
+        command,
+        "--x", str(small_dataset["x"]),
+        "--y", str(small_dataset["y"]),
+        "--beta-star", str(small_dataset["beta_star"]),
+        "--beta-tilde", mode,
+        "--alpha", "2.0",
+        "--seed", "3",
+        "--out", str(small_dataset["out"]),
+    ])
+    assert code == 0
+    artifact = small_dataset["out"] / ("fit.json" if command == "fit" else "report.json")
+    assert capsys.readouterr().out.strip() == str(artifact)
+    digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+    assert digest == FIT_CHECK_DIGESTS[command, mode]
 
 
 def _experiment_config(tmp_path, **overrides):
@@ -305,6 +343,21 @@ OUT_OF_RANGE_INPUTS = {
     "check_alpha_negative": ("alpha", lambda tmp, data: _check_argv(data, "--alpha=-5")),
     "check_constants_tau": ("constants.tau", lambda tmp, data: _check_argv(
         data, "--constants", _constants_file(tmp, {"tau": -0.1})
+    )),
+    "simulate_seed_negative": ("seed", lambda tmp, data: _simulate_argv(tmp, seed=-5)),
+    "simulate_seed_flag_negative": ("seed", lambda tmp, data: [
+        *_simulate_argv(tmp), "--seed", "-1",
+    ]),
+    "simulate_threads_zero": ("threads", lambda tmp, data: [
+        *_simulate_argv(tmp), "--threads", "0",
+    ]),
+    "fit_seed_negative": ("seed", lambda tmp, data: [
+        "fit", "--x", str(data["x"]), "--y", str(data["y"]), "--alpha", "1.0",
+        "--beta-tilde", "oracle:1.0", "--beta-star", str(data["beta_star"]),
+        "--seed", "-1", "--out", str(data["out"]),
+    ]),
+    "check_seed_negative": ("seed", lambda tmp, data: _check_argv(
+        data, "--beta-tilde", "oracle:1.0", "--seed", "-1"
     )),
 }
 
@@ -433,3 +486,37 @@ def test_stdout_stays_machine_readable_under_debug_logging(tmp_path):
         "results.csv", "summary.csv", "report.json",
     ]
     assert "replicates ok" in proc.stderr
+
+
+def test_unconverged_mle_warning_shows_at_the_default_level(small_dataset, monkeypatch, capsys):
+    monkeypatch.delenv("SIGNLASSO_LOG", raising=False)
+    real_fit_mle = cli.fit_mle
+
+    def unconverged(X, counts, config):
+        return replace(real_fit_mle(X, counts, config), converged=False)
+
+    monkeypatch.setattr(cli, "fit_mle", unconverged)
+    code = main([
+        "fit", "--x", str(small_dataset["x"]), "--y", str(small_dataset["y"]),
+        "--alpha", "2.0", "--out", str(small_dataset["out"]),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip() == str(small_dataset["out"] / "fit.json")
+    assert captured.err.startswith("WARNING signlasso: MLE stopped without convergence")
+
+
+def test_unknown_log_level_is_named_on_one_stderr_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SIGNLASSO_LOG", "verbose")
+    missing = str(tmp_path / "missing.csv")
+    code = main([
+        "fit", "--x", missing, "--y", missing, "--alpha", "1.0", "--out", str(tmp_path / "out"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    # The unknown name costs one line; the run goes on at the warning level.
+    warning, error = captured.err.splitlines()
+    assert warning.startswith("WARNING signlasso: unknown SIGNLASSO_LOG level 'verbose'")
+    assert error.startswith("error: ")
+    assert logging.getLogger("signlasso").level == logging.WARNING

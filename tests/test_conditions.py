@@ -17,6 +17,7 @@ from signlasso import (
     fit,
     irrepresentable_vector,
     kkt_check,
+    population_gram,
     proposition_diagnostics,
 )
 from signlasso.conditions import _active_solver
@@ -56,6 +57,24 @@ def test_blocked_gram_symmetry_and_reassembly():
     assert np.array_equal(reassembled, bg.C)
     w = np.concatenate([bg.W1, bg.W2])
     assert np.array_equal(w, bg.W)
+
+
+def test_blocked_gram_blocks_are_readonly_views():
+    rng = np.random.default_rng(212)
+    inst = make_instance(rng, n=30, p=5, q=2)
+    support = inst["beta_star"].support
+    bg = blocked_gram(inst["problem"], support)
+    for block in (bg.C11, bg.C12, bg.C21, bg.C22):
+        assert np.shares_memory(block, bg.C)
+        assert not block.flags.writeable
+    for part in (bg.W1, bg.W2):
+        assert np.shares_memory(part, bg.W)
+        assert not part.flags.writeable
+    with pytest.raises(ValueError):
+        bg.C[0, 0] = 1.0
+    pg = population_gram(inst["X"], inst["beta_star"], support)
+    assert np.shares_memory(pg.C11_star, pg.C_star)
+    assert np.shares_memory(pg.C22_star, pg.C_star)
 
 
 def test_blocked_gram_rejects_empty_support():

@@ -13,7 +13,6 @@ from signlasso import (
     ExperimentConfig,
     make_design,
     run_experiment,
-    summarize,
 )
 from signlasso.harness import (
     read_results_csv,
@@ -245,7 +244,7 @@ def test_summary_definitions():
         assert row.event_rate == pytest.approx(np.mean([r.An and r.Bn for r in ok]))
         assert row.failures == 0
         assert row.recovery_rate >= row.event_rate - 2.0 / np.sqrt(row.replicates)
-    assert summarize(result) == result.summary
+    assert tuple(summarize_records(config, result.records)) == result.summary
 
 
 def test_results_csv_roundtrip(tmp_path):

@@ -182,8 +182,8 @@ def test_coef_vector_support_and_signs():
 
 def test_design_matrix_norms():
     X = DesignMatrix([[3.0, 4.0], [0.0, 1.0]])
-    assert X.row_norm(0) == pytest.approx(5.0)
-    assert X.col_norm(0) == pytest.approx(3.0)
+    assert X.row_norms()[0] == pytest.approx(5.0)
+    assert X.col_norms()[0] == pytest.approx(3.0)
     np.testing.assert_allclose(X.row_norms(), [5.0, 1.0])
     assert X.n == 2 and X.p == 2
 
@@ -197,3 +197,23 @@ def test_dimension_mismatch():
     X = DesignMatrix([[1.0, 2.0]])
     with pytest.raises(ValueError):
         intensities(X, CoefVector([1.0]))
+
+
+def test_containers_copy_writeable_input_and_share_readonly_arrays():
+    values = np.array([[3.0, 4.0], [0.0, 1.0]])
+    X = DesignMatrix(values)
+    values[0, 0] = 99.0
+    assert X.values[0, 0] == 3.0
+    assert not X.values.flags.writeable
+    # An array that is already read-only is shared, not copied again.
+    assert DesignMatrix(X.values).values is X.values
+    assert CoefVector(X.values[0]).values.base is X.values
+    # A read-only array of another dtype is converted, which copies it.
+    ints = np.array([1, 2])
+    ints.flags.writeable = False
+    converted = CoefVector(ints).values
+    assert converted.dtype == float and not np.shares_memory(converted, ints)
+    listed = [1.0, -2.0]
+    beta = CoefVector(listed)
+    listed[0] = 5.0
+    assert beta.values[0] == 1.0 and not beta.values.flags.writeable

@@ -130,3 +130,22 @@ def test_reported_likelihood_is_log_likelihood_at_the_estimate():
         counts = simulate(X, beta, int(rng.integers(0, 2**32))).counts
         result = fit_mle(X, counts)
         assert result.log_likelihood == log_likelihood(X, result.beta, counts)
+
+
+def test_rank_check_runs_one_svd_per_design(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(31)
+    X = DesignMatrix(0.5 * rng.standard_normal((80, 3)))
+    beta_star = CoefVector([0.4, -0.3, 0.0])
+    first = fit_mle(X, simulate(X, beta_star, 1).counts)
+    second = fit_mle(X, simulate(X, beta_star, 2).counts)
+    assert first.converged and second.converged
+    assert len(calls) == 1
+    assert not X.singular_values.flags.writeable

@@ -1,5 +1,7 @@
 """Working-response construction and its defining identities."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from signlasso import (
     CoefVector,
     DesignMatrix,
     DegenerateWeightError,
+    SolverConfig,
+    WorkingProblem,
+    blocked_gram,
     build_working_problem,
+    fit,
 )
 
 
@@ -92,3 +98,30 @@ def test_result_arrays_are_readonly():
     problem = inst["problem"]
     with pytest.raises(ValueError):
         problem.x_work[0, 0] = 99.0
+
+
+def test_fit_and_gram_share_one_cached_product(monkeypatch):
+    formed = []
+    original = WorkingProblem.xtx.func
+
+    def counted(self):
+        formed.append(1)
+        return original(self)
+
+    counted_xtx = cached_property(counted)
+    counted_xtx.__set_name__(WorkingProblem, "xtx")
+    monkeypatch.setattr(WorkingProblem, "xtx", counted_xtx)
+
+    rng = np.random.default_rng(5)
+    inst = make_instance(rng, n=40, p=4, q=2)
+    problem = inst["problem"]
+    fit(problem, SolverConfig(alpha=1.0))
+    assert len(formed) == 1
+    G = problem.xtx
+    assert not G.flags.writeable
+    # gram() divides the cached product: bitwise the old expression.
+    x = problem.x_work
+    assert np.array_equal(problem.gram(), x.T @ x / problem.n)
+    blocked_gram(problem, inst["beta_star"].support)
+    fit(problem, SolverConfig(alpha=2.0))
+    assert len(formed) == 1 and problem.xtx is G
