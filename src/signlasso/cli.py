@@ -67,6 +67,14 @@ def _setup_logging() -> None:
         )
 
 
+def _read_coefficients(path: str, name: str, X: DesignMatrix) -> CoefVector:
+    """A coefficient CSV, which must hold one entry per column of X."""
+    values = read_vector_csv(path)
+    if values.size != X.p:
+        raise ConfigError(name, f"has {values.size} entries, but X has {X.p} columns")
+    return CoefVector(values)
+
+
 def _resolve_beta_tilde(mode: str, X: DesignMatrix, counts, beta_star, seed: int) -> CoefVector:
     """Resolve --beta-tilde: a CSV path, 'mle', or 'oracle:SCALE'."""
     if seed < 0:
@@ -77,7 +85,7 @@ def _resolve_beta_tilde(mode: str, X: DesignMatrix, counts, beta_star, seed: int
                 "beta-tilde",
                 f"{mode!r} is neither a mode ('mle' or 'oracle:SCALE') nor an existing file",
             )
-        return CoefVector(read_vector_csv(mode))
+        return _read_coefficients(mode, "beta-tilde", X)
     try:
         kind, scale = parse_beta_tilde_mode(mode)
     except ValueError as exc:
@@ -111,7 +119,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 def cmd_fit(args) -> int:
     X = DesignMatrix(read_matrix_csv(args.x))
     counts = read_counts_csv(args.y)
-    beta_star = CoefVector(read_vector_csv(args.beta_star)) if args.beta_star else None
+    beta_star = _read_coefficients(args.beta_star, "beta-star", X) if args.beta_star else None
     beta_tilde = _resolve_beta_tilde(args.beta_tilde, X, counts, beta_star, args.seed)
     problem = build_working_problem(X, beta_tilde, counts)
     result = fit(problem, SolverConfig(alpha=args.alpha))
@@ -142,7 +150,7 @@ def cmd_check(args) -> int:
     SolverConfig(alpha=args.alpha)
     X = DesignMatrix(read_matrix_csv(args.x))
     counts = read_counts_csv(args.y)
-    beta_star = CoefVector(read_vector_csv(args.beta_star))
+    beta_star = _read_coefficients(args.beta_star, "beta-star", X)
     beta_tilde = _resolve_beta_tilde(args.beta_tilde, X, counts, beta_star, args.seed)
     constants = _load_constants(args.constants)
     problem = build_working_problem(X, beta_tilde, counts)

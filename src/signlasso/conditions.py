@@ -10,6 +10,7 @@ penalized estimator to recover the true sign pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -29,7 +30,9 @@ class BlockedGram:
     ``C`` is the full p x p Gram in permuted order; the four blocks are
     read-only views of its sub-blocks, with C12 == C21.T exactly, and ``W1``
     and ``W2`` are views of ``W``.  ``active_idx`` and ``inactive_idx`` map
-    block rows back to original coordinates.
+    block rows back to original coordinates.  ``active_solver`` factorises
+    C11 on first use and keeps the factor, so every consumer of one blocked
+    Gram shares a single factorisation.
     """
 
     C: np.ndarray
@@ -53,6 +56,11 @@ class BlockedGram:
     @property
     def p(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def active_solver(self):
+        """``(solve, lambda_min)`` for C11; raises SingularBlockError if singular."""
+        return _active_solver(self.C11)
 
 
 def _permute_and_split(C_full: np.ndarray, support):
@@ -114,6 +122,11 @@ def _active_solver(C11: np.ndarray):
         return cho_solve(factor, rhs)
 
     return solve, eigmin
+
+
+def irrepresentable_margin(d: np.ndarray) -> float:
+    """1 - max|d|, or 1 when ``d`` is empty because every coordinate is active."""
+    return float(1.0 - np.max(np.abs(d))) if d.size else 1.0
 
 
 def _largest_singular_value(block: np.ndarray) -> float:
@@ -179,7 +192,7 @@ def irrepresentable_vector(bg: BlockedGram, beta_star: CoefVector) -> np.ndarray
     """C21 C11^{-1} sign(beta*_active); empty when every coordinate is active."""
     if bg.q == bg.p:
         return np.zeros(0)
-    solve, _ = _active_solver(bg.C11)
+    solve, _ = bg.active_solver
     s1 = np.sign(beta_star.values[bg.active_idx])
     return bg.C21 @ solve(s1)
 
@@ -200,7 +213,7 @@ def check_assumptions(
     constants = constants or AssumptionConstants()
     support = beta_star.support
     bg = blocked_gram(problem, support)
-    _, eigmin = _active_solver(bg.C11)
+    _, eigmin = bg.active_solver
 
     n = X.n
     row_norm_max = float(np.max(X.row_norms()))
@@ -213,7 +226,7 @@ def check_assumptions(
     beta_min = float(np.min(np.abs(beta_star.values[bg.active_idx])))
     beta_min_scaled = float(n ** ((1.0 - constants.c1) / 2.0) * beta_min)
     d = irrepresentable_vector(bg, beta_star)
-    irrep_margin = float(1.0 - np.max(np.abs(d))) if d.size else 1.0
+    irrep_margin = irrepresentable_margin(d)
 
     passes = {"irrepresentable": irrep_margin >= constants.tau}
     if constants.max_row_norm is not None:
@@ -290,7 +303,7 @@ def proposition_diagnostics(
     """Evaluate the sufficient sign-recovery events for one problem instance."""
     if beta_star.p != bg.p or beta_tilde.p != bg.p:
         raise ValueError("coefficient vectors must match the Gram dimension")
-    solve, _ = _active_solver(bg.C11)
+    solve, _ = bg.active_solver
 
     perm = np.concatenate([bg.active_idx, bg.inactive_idx])
     diff = beta_star.values[perm] - beta_tilde.values[perm]

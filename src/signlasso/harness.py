@@ -15,7 +15,7 @@ import csv
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -25,6 +25,7 @@ from .conditions import (
     ConditionReport,
     blocked_gram,
     check_assumptions,
+    irrepresentable_margin,
     proposition_diagnostics,
 )
 from .errors import (
@@ -54,15 +55,6 @@ RESULTS_COLUMNS = (
     "kkt_pass",
     "alpha_n",
     "seed_used",
-)
-SUMMARY_COLUMNS = (
-    "n",
-    "alpha_n",
-    "replicates",
-    "failures",
-    "recovery_rate",
-    "event_rate",
-    "mean_irrep_margin",
 )
 
 # Stream tags for per-purpose seed derivation from the master seed.
@@ -102,11 +94,13 @@ class DesignSpec:
                 f"{GENERATORS + ('file',)}"
             )
         if self.kind == "file" and not self.path:
-            raise ValueError("file design requires a path")
+            raise ConfigError("path", "is required for a file design")
         if self.scale <= 0:
-            raise ValueError("scale must be positive")
+            raise ConfigError("scale", f"must be positive, got {self.scale}")
         if not -1.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (-1, 1)")
+            raise ConfigError("rho", f"must lie in (-1, 1), got {self.rho}")
+        if self.row_norm_cap is not None and self.row_norm_cap <= 0:
+            raise ConfigError("row_norm_cap", f"must be positive, got {self.row_norm_cap}")
 
 
 def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
@@ -257,6 +251,9 @@ class SummaryRow:
     mean_irrep_margin: float
 
 
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
@@ -292,13 +289,13 @@ def _run_replicate(config: ExperimentConfig, design: DesignMatrix, n: int, r: in
             return record(ok=False, error="solver did not converge")
         bg = blocked_gram(problem, config.beta_star.support)
         diag = proposition_diagnostics(bg, config.beta_star, beta_tilde, alpha_n, n)
-        margin = float(1.0 - np.max(np.abs(diag.d))) if diag.d.size else 1.0
         sign_match = bool(
             np.array_equal(result.beta_hat.signs(), config.beta_star.signs())
         )
         return record(
             ok=True, sign_match=sign_match, An=diag.An_holds, Bn=diag.Bn_holds,
-            irrep_margin=margin, kkt_pass=result.kkt_report.all_passed,
+            irrep_margin=irrepresentable_margin(diag.d),
+            kkt_pass=result.kkt_report.all_passed,
         )
     except (
         OverflowError,
@@ -329,8 +326,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """Run the full sweep; deterministic in the config regardless of threads.
 
     Per-replicate errors are logged as failures without aborting.  Raises
-    ConfigError if the reference design for some n violates the
-    irrepresentability requirement (margin below tau).
+    ConfigError if the reference design for some n has a singular active
+    block or violates the irrepresentability requirement (margin below tau).
     """
     if threads < 1:
         raise ConfigError("threads", f"must be at least 1, got {threads}")
@@ -340,7 +337,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         design = make_design(
             config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n)
         )
-        report = _reference_report(config, design)
+        try:
+            report = _reference_report(config, design)
+        except SingularBlockError as exc:
+            raise ConfigError("design", f"reference design at n={n}: {exc}") from exc
         condition_reports[n] = report
         if report.irrep_margin < config.tau:
             raise ConfigError(
@@ -423,34 +423,26 @@ def summarize_records(config: ExperimentConfig, records) -> list[SummaryRow]:
 # ---------------------------------------------------------------------------
 
 
-def _bool_cell(value: bool | None) -> str:
+def _cell(value) -> str:
+    """One CSV cell: empty for None, 1/0 for a bool, 17 digits for a float."""
     if value is None:
         return ""
-    return "1" if value else "0"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
 
 
-def _float_cell(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format_float(value)
+def _write_csv(path, columns, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows([_cell(getattr(row, name)) for name in columns] for row in rows)
 
 
 def write_results_csv(result: ExperimentResult, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RESULTS_COLUMNS)
-        for rec in result.records:
-            writer.writerow([
-                rec.n,
-                rec.replicate,
-                _bool_cell(rec.sign_match),
-                _bool_cell(rec.An),
-                _bool_cell(rec.Bn),
-                _float_cell(rec.irrep_margin),
-                _bool_cell(rec.kkt_pass),
-                format_float(rec.alpha_n),
-                rec.seed_used,
-            ])
+    _write_csv(path, RESULTS_COLUMNS, result.records)
 
 
 def read_results_csv(path) -> list[ReplicateRecord]:
@@ -481,19 +473,7 @@ def read_results_csv(path) -> list[ReplicateRecord]:
 
 
 def write_summary_csv(summary, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary:
-            writer.writerow([
-                row.n,
-                format_float(row.alpha_n),
-                row.replicates,
-                row.failures,
-                format_float(row.recovery_rate),
-                format_float(row.event_rate),
-                format_float(row.mean_irrep_margin),
-            ])
+    _write_csv(path, SUMMARY_COLUMNS, summary)
 
 
 def write_report_json(result: ExperimentResult, path) -> None:

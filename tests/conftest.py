@@ -1,4 +1,5 @@
-"""Shared test helpers: instance generators and solver-independent oracles.
+"""Shared test helpers: instance generators, solver-independent oracles and a
+factorisation counter.
 
 Every oracle here evaluates the penalized objective (or the likelihood)
 directly and never calls the coordinate-descent solver, so agreement between
@@ -8,7 +9,9 @@ the two is a real check.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+import signlasso.conditions
 from signlasso import (
     CoefVector,
     DesignMatrix,
@@ -17,6 +20,20 @@ from signlasso import (
     oracle_perturbation,
     simulate,
 )
+
+
+@pytest.fixture()
+def cho_factor_calls(monkeypatch):
+    """A list that grows by one entry per active-block Cholesky factorisation."""
+    calls = []
+    real = signlasso.conditions.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(signlasso.conditions, "cho_factor", counted)
+    return calls
 
 
 def make_instance(

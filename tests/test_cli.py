@@ -302,6 +302,25 @@ def _constants_file(tmp_path, constants):
     return str(path)
 
 
+def _vector_file(tmp_path, values):
+    path = tmp_path / "vector.csv"
+    write_vector_csv(path, np.asarray(values, dtype=float))
+    return str(path)
+
+
+def _duplicate_column_design(tmp_path):
+    # Columns 0 and 1 are equal, so the active block of beta* = (1, -1, 0)
+    # is exactly singular.
+    x = np.random.default_rng(7).standard_normal((60, 2))
+    path = tmp_path / "X_dup.csv"
+    write_matrix_csv(path, np.column_stack([x[:, 0], x[:, 0], x[:, 1]]))
+    return str(path)
+
+
+def _simulate_design_argv(tmp_path, **design):
+    return _simulate_argv(tmp_path, design={"kind": "correlated_gaussian", **design})
+
+
 BAD_INPUTS = {
     "tau": lambda tmp, data: _simulate_argv(tmp, tau=float("nan")),
     "alpha_coef": lambda tmp, data: _simulate_argv(tmp, alpha_coef=float("inf")),
@@ -359,6 +378,44 @@ OUT_OF_RANGE_INPUTS = {
     "check_seed_negative": ("seed", lambda tmp, data: _check_argv(
         data, "--beta-tilde", "oracle:1.0", "--seed", "-1"
     )),
+    "simulate_singular_reference_design": ("design", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "file", "path": _duplicate_column_design(tmp)},
+        beta_star=[1.0, -1.0, 0.0], n_grid=[60],
+    )),
+    "design_scale_negative": ("design.scale", lambda tmp, data: _simulate_design_argv(
+        tmp, scale=-1.0
+    )),
+    "design_rho_above_one": ("design.rho", lambda tmp, data: _simulate_design_argv(
+        tmp, rho=1.5
+    )),
+    "design_file_without_path": ("design.path", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "file"}
+    )),
+    "design_cap_negative": ("design.row_norm_cap", lambda tmp, data: _simulate_design_argv(
+        tmp, row_norm_cap=-1.0
+    )),
+    "design_cap_zero": ("design.row_norm_cap", lambda tmp, data: _simulate_design_argv(
+        tmp, row_norm_cap=0.0
+    )),
+    "check_beta_star_short": ("beta-star", lambda tmp, data: [
+        *_check_argv(data), "--beta-star", _vector_file(tmp, [0.9, -0.7]),
+    ]),
+    "check_beta_star_long": ("beta-star", lambda tmp, data: [
+        *_check_argv(data), "--beta-star", _vector_file(tmp, [0.9, -0.7, 0.0, 0.0]),
+    ]),
+    "check_beta_tilde_short": ("beta-tilde", lambda tmp, data: _check_argv(
+        data, "--beta-tilde", _vector_file(tmp, [0.9, -0.7])
+    )),
+    "fit_beta_star_short": ("beta-star", lambda tmp, data: [
+        "fit", "--x", str(data["x"]), "--y", str(data["y"]), "--alpha", "1.0",
+        "--beta-tilde", "oracle:1.0", "--beta-star", _vector_file(tmp, [0.9, -0.7]),
+        "--out", str(data["out"]),
+    ]),
+    "fit_beta_tilde_long": ("beta-tilde", lambda tmp, data: [
+        "fit", "--x", str(data["x"]), "--y", str(data["y"]), "--alpha", "1.0",
+        "--beta-tilde", _vector_file(tmp, [0.9, -0.7, 0.0, 0.0]),
+        "--out", str(data["out"]),
+    ]),
 }
 
 
@@ -372,6 +429,13 @@ def test_out_of_range_input_exits_one_with_field_path(case, tmp_path, small_data
     assert code == 1
     assert err.startswith(f"error: {field_path}: "), err
     assert not (tmp_path / "out").exists()
+
+
+def test_check_factorises_once_per_blocked_gram(small_dataset, cho_factor_calls, capsys):
+    # check builds two blocked Grams: one for the condition report (shared by
+    # the irrepresentability vector) and one for the events.
+    assert main(_check_argv(small_dataset, "--beta-tilde", "oracle:1.0", "--alpha", "2.0")) == 0
+    assert len(cho_factor_calls) == 2
 
 
 def test_tau_bounds_are_valid(tmp_path, small_dataset, capsys):

@@ -15,6 +15,7 @@ from signlasso import (
     run_experiment,
 )
 from signlasso.harness import (
+    _reference_report,
     read_results_csv,
     summarize_records,
     write_results_csv,
@@ -222,6 +223,15 @@ def test_orthogonal_design_recovery_trend():
     assert rates[-1] > rates[0]
 
 
+def test_reference_report_factorises_the_active_block_once(cho_factor_calls):
+    config = _small_config()
+    for n in config.n_grid:
+        design = make_design(config.design, n, config.p, seed=n)
+        before = len(cho_factor_calls)
+        _reference_report(config, design)
+        assert len(cho_factor_calls) - before == 1
+
+
 def test_condition_reports_attached_per_n():
     config = _small_config(replicates=5)
     result = run_experiment(config)
@@ -275,18 +285,23 @@ def test_results_csv_has_one_row_per_replicate(tmp_path):
 # sha256 of results.csv followed by summary.csv for two reduced versions of
 # the canonical acceptance sweep (oracle and MLE expansion points).  A faster
 # replicate path must reproduce these bytes exactly: the counts, the signs of
-# every fit and the event diagnostics all feed them.
+# every fit and the event diagnostics all feed them.  In ``all_failed_3`` the
+# solver gets one sweep, so every replicate fails: it pins the empty cells of
+# results.csv and the nan rates of summary.csv.
 GOLDEN_DIGESTS = {
     "canonical_40": ("oracle:1.0", 0.67, 40,
                      "d4d8ce9519acc126b7dda649464260de0a51940132ac47511ac95c4bc0e0827a"),
     "mle_20": ("mle", 0.0, 20,
                "230828790516b49a73f85e8421f2f5f39cf267eee300c8a15e41c4c3ffd868b2"),
+    "all_failed_3": ("oracle:1.0", 0.67, 3,
+                     "8f4d5d277fc12306711974f48ba64a6ca56ff6f57c114485cfd705c73c433b47",
+                     {"max_sweeps": 1}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_reduced_canonical_sweeps_keep_their_golden_digest(name, tmp_path):
-    mode, tau, replicates, digest = GOLDEN_DIGESTS[name]
+    mode, tau, replicates, digest, *overrides = GOLDEN_DIGESTS[name]
     config = ExperimentConfig(
         design=DesignSpec(kind="correlated_gaussian", rho=0.2, scale=1.0),
         beta_star=CoefVector([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]),
@@ -298,6 +313,7 @@ def test_reduced_canonical_sweeps_keep_their_golden_digest(name, tmp_path):
         seed=20260811,
         beta_tilde_mode=mode,
         tau=tau,
+        **(overrides[0] if overrides else {}),
     )
     result = run_experiment(config)
     write_results_csv(result, tmp_path / "results.csv")
