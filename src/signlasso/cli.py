@@ -19,6 +19,7 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,12 +68,22 @@ def _setup_logging() -> None:
         )
 
 
+@contextmanager
+def _input(name: str):
+    """Report a ValueError raised while reading input ``name`` as a ConfigError on it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(name, str(exc)) from exc
+
+
 def _read_coefficients(path: str, name: str, X: DesignMatrix) -> CoefVector:
     """A coefficient CSV, which must hold one entry per column of X."""
-    values = read_vector_csv(path)
-    if values.size != X.p:
-        raise ConfigError(name, f"has {values.size} entries, but X has {X.p} columns")
-    return CoefVector(values)
+    with _input(name):
+        values = read_vector_csv(path)
+        if values.size != X.p:
+            raise ValueError(f"has {values.size} entries, but X has {X.p} columns")
+        return CoefVector(values)
 
 
 def _resolve_beta_tilde(mode: str, X: DesignMatrix, counts, beta_star, seed: int) -> CoefVector:
@@ -100,6 +111,19 @@ def _resolve_beta_tilde(mode: str, X: DesignMatrix, counts, beta_star, seed: int
     return oracle_perturbation(beta_star, X.n, scale, seed)
 
 
+def _load_problem(args):
+    """fit's or check's X, beta_star (or None), beta_tilde and working problem."""
+    with _input("x"):
+        X = DesignMatrix(read_matrix_csv(args.x))
+    with _input("y"):
+        counts = read_counts_csv(args.y)
+        if counts.size != X.n:
+            raise ValueError(f"has {counts.size} entries, but X has {X.n} rows")
+    beta_star = _read_coefficients(args.beta_star, "beta-star", X) if args.beta_star else None
+    beta_tilde = _resolve_beta_tilde(args.beta_tilde, X, counts, beta_star, args.seed)
+    return X, beta_star, beta_tilde, build_working_problem(X, beta_tilde, counts)
+
+
 def _load_constants(path: str | None) -> AssumptionConstants:
     if path is None:
         return AssumptionConstants()
@@ -117,11 +141,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def cmd_fit(args) -> int:
-    X = DesignMatrix(read_matrix_csv(args.x))
-    counts = read_counts_csv(args.y)
-    beta_star = _read_coefficients(args.beta_star, "beta-star", X) if args.beta_star else None
-    beta_tilde = _resolve_beta_tilde(args.beta_tilde, X, counts, beta_star, args.seed)
-    problem = build_working_problem(X, beta_tilde, counts)
+    _, _, beta_tilde, problem = _load_problem(args)
     result = fit(problem, SolverConfig(alpha=args.alpha))
 
     out_dir = Path(args.out)
@@ -148,12 +168,8 @@ def cmd_check(args) -> int:
     # The events take the same penalty as fit: SolverConfig rejects a
     # non-finite or negative alpha with a ConfigError on "alpha".
     SolverConfig(alpha=args.alpha)
-    X = DesignMatrix(read_matrix_csv(args.x))
-    counts = read_counts_csv(args.y)
-    beta_star = _read_coefficients(args.beta_star, "beta-star", X)
-    beta_tilde = _resolve_beta_tilde(args.beta_tilde, X, counts, beta_star, args.seed)
+    X, beta_star, beta_tilde, problem = _load_problem(args)
     constants = _load_constants(args.constants)
-    problem = build_working_problem(X, beta_tilde, counts)
     report = check_assumptions(X, problem, beta_star, constants)
     bg = blocked_gram(problem, beta_star.support)
     diag = proposition_diagnostics(bg, beta_star, beta_tilde, args.alpha, X.n)
@@ -168,13 +184,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # The sweep always runs on one thread; --threads is only checked.
+    if args.threads < 1:
+        raise ConfigError("threads", f"must be at least 1, got {args.threads}")
     config = load_experiment_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.alpha is not None:
         config = replace(config, alpha_coef=args.alpha)
 
-    result = run_experiment(config, threads=args.threads)
+    result = run_experiment(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
@@ -225,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo sign-recovery sweep")
     p_sim.add_argument("--config", required=True, help="experiment JSON file")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--threads", type=int, default=1, help="replicate thread cap")
+    p_sim.add_argument(
+        "--threads", type=int, default=1, help="at least 1; the sweep always runs on one thread"
+    )
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--alpha", type=float, default=None, help="override alpha_coef")
     p_sim.set_defaults(func=cmd_simulate)

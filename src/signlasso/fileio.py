@@ -7,6 +7,7 @@ with 17 significant digits so every value round-trips exactly.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,12 @@ def format_float(x: float) -> str:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    with warnings.catch_warnings():
+        # An empty file is reported below, as an error that names it.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    if values.size == 0:
+        raise ValueError(f"{path}: contains no data")
     return values
 
 
@@ -28,10 +34,10 @@ def write_matrix_csv(path, values: np.ndarray) -> None:
 
 
 def read_vector_csv(path) -> np.ndarray:
-    values = np.loadtxt(path, delimiter=",", ndmin=1, dtype=float)
-    if values.ndim != 1:
-        values = values.reshape(-1)
-    return values
+    values = read_matrix_csv(path)
+    if values.shape[1] != 1:
+        raise ValueError(f"{path}: must be a single column, got {values.shape[1]} columns")
+    return values[:, 0]
 
 
 def write_vector_csv(path, values: np.ndarray) -> None:
@@ -40,10 +46,8 @@ def write_vector_csv(path, values: np.ndarray) -> None:
 
 
 def read_counts_csv(path) -> np.ndarray:
-    values = np.loadtxt(path, delimiter=",", ndmin=1)
-    if values.ndim != 1:
-        values = values.reshape(-1)
-    if np.any(values != np.floor(values)) or np.any(values < 0):
+    values = read_vector_csv(path)
+    if not np.all(np.isfinite(values) & (values >= 0) & (values == np.floor(values))):
         raise ValueError(f"{path}: counts must be nonnegative integers")
     return values.astype(np.int64)
 

@@ -5,8 +5,8 @@ form the preliminary estimate, build the working problem, solve with the
 scheduled penalty alpha_n = alpha_coef * n^{(c2+1)/2}, and compare the
 recovered sign pattern against the truth.  Every replicate also logs the
 sufficient-event diagnostics so recovery rates can be checked against event
-rates.  Everything is deterministic in the master seed; replicates may run
-on a thread pool and are merged in (n, replicate) order.
+rates.  Everything is deterministic in the master seed; replicates run
+serially in (n, replicate) order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -322,15 +321,13 @@ def _reference_report(config: ExperimentConfig, design: DesignMatrix) -> Conditi
     return check_assumptions(design, problem, config.beta_star, constants)
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Run the full sweep; deterministic in the config regardless of threads.
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run the full sweep; deterministic in the config.
 
     Per-replicate errors are logged as failures without aborting.  Raises
     ConfigError if the reference design for some n has a singular active
     block or violates the irrepresentability requirement (margin below tau).
     """
-    if threads < 1:
-        raise ConfigError("threads", f"must be at least 1, got {threads}")
     records: list[ReplicateRecord] = []
     condition_reports: dict = {}
     for n in config.n_grid:
@@ -353,26 +350,17 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             "n=%d: irrep_margin=%.4f lambda_min_C11=%.4g alpha_n=%.6g",
             n, report.irrep_margin, report.lambda_min_C11, config.alpha_for(n),
         )
-
-        def one(r: int, n=n) -> ReplicateRecord:
+        batch = []
+        for r in range(config.replicates):
             if config.redraw_design:
-                local_design = make_design(
+                design = make_design(
                     config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n, r)
                 )
-            else:
-                local_design = design
-            return _run_replicate(config, local_design, n, r)
-
-        if threads == 1:
-            batch = [one(r) for r in range(config.replicates)]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                batch = list(pool.map(one, range(config.replicates)))
+            batch.append(_run_replicate(config, design, n, r))
         records.extend(batch)
         done = sum(1 for rec in batch if rec.ok)
         logger.info("n=%d: %d/%d replicates ok", n, done, len(batch))
 
-    records.sort(key=lambda rec: (rec.n, rec.replicate))
     return ExperimentResult(
         config=config,
         records=tuple(records),

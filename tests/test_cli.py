@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -308,6 +309,19 @@ def _vector_file(tmp_path, values):
     return str(path)
 
 
+def _text_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _fit_argv(data, *extra):
+    return [
+        "fit", "--x", str(data["x"]), "--y", str(data["y"]), "--alpha", "1.0",
+        "--out", str(data["out"]), *extra,
+    ]
+
+
 def _duplicate_column_design(tmp_path):
     # Columns 0 and 1 are equal, so the active block of beta* = (1, -1, 0)
     # is exactly singular.
@@ -416,6 +430,27 @@ OUT_OF_RANGE_INPUTS = {
         "--beta-tilde", _vector_file(tmp, [0.9, -0.7, 0.0, 0.0]),
         "--out", str(data["out"]),
     ]),
+    "fit_x_nan": ("x", lambda tmp, data: _fit_argv(
+        data, "--x", _text_file(tmp, "X_nan.csv", "nan,0,1\n" + "1,0,1\n" * 39),
+    )),
+    "fit_y_short": ("y", lambda tmp, data: _fit_argv(
+        data, "--y", _text_file(tmp, "Y_short.csv", "1\n" * 39),
+    )),
+    "fit_y_inf": ("y", lambda tmp, data: _fit_argv(
+        data, "--y", _text_file(tmp, "Y_inf.csv", "1\n" * 39 + "inf\n"),
+    )),
+    "fit_y_two_columns": ("y", lambda tmp, data: _fit_argv(
+        data, "--y", _text_file(tmp, "Y_wide.csv", "1,2\n" * 20),
+    )),
+    "fit_beta_tilde_nan": ("beta-tilde", lambda tmp, data: _fit_argv(
+        data, "--beta-tilde", _vector_file(tmp, [0.9, float("nan"), 0.0]),
+    )),
+    "check_beta_star_nan": ("beta-star", lambda tmp, data: [
+        *_check_argv(data), "--beta-star", _vector_file(tmp, [0.9, float("nan"), 0.0]),
+    ]),
+    "check_beta_star_one_row": ("beta-star", lambda tmp, data: [
+        *_check_argv(data), "--beta-star", _text_file(tmp, "beta_row.csv", "0.9,-0.7,0\n"),
+    ]),
 }
 
 
@@ -429,6 +464,14 @@ def test_out_of_range_input_exits_one_with_field_path(case, tmp_path, small_data
     assert code == 1
     assert err.startswith(f"error: {field_path}: "), err
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_input_file_is_one_stderr_line(small_dataset, tmp_path, capsys):
+    # numpy's "input contained no data" warning used to precede the error.
+    code = main(_fit_argv(small_dataset, "--x", _text_file(tmp_path, "empty.csv", "")))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: x: {tmp_path / 'empty.csv'}: contains no data"]
 
 
 def test_check_factorises_once_per_blocked_gram(small_dataset, cho_factor_calls, capsys):
@@ -492,6 +535,24 @@ def test_simulate_thread_count_does_not_change_bytes(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(out2), "--threads", "8"]) == 0
     for name in ("results.csv", "summary.csv", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_simulate_starts_no_thread(tmp_path, monkeypatch):
+    config = _experiment_config(tmp_path)
+    serial = tmp_path / "serial"
+    assert main(["simulate", "--config", str(config), "--out", str(serial), "--threads", "1"]) == 0
+
+    def refuse(thread):
+        raise AssertionError(f"simulate started thread {thread.name}")
+
+    # With no thread able to start, even a huge --threads value is safe to run.
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for threads in ("8", "1000000000"):
+        out = tmp_path / f"threads{threads}"
+        argv = ["simulate", "--config", str(config), "--out", str(out), "--threads", threads]
+        assert main(argv) == 0
+        for name in ("results.csv", "summary.csv", "report.json"):
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
 
 
 def test_seed_override_changes_results(tmp_path):

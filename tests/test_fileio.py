@@ -49,6 +49,26 @@ def test_counts_roundtrip_and_validation(tmp_path):
         read_counts_csv(path)
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_matrix_csv, ""),
+        (read_vector_csv, ""),
+        (read_counts_csv, ""),
+        (read_vector_csv, "1,-1\n0,0\n"),
+        (read_vector_csv, "0.5,1.5\n"),
+        (read_counts_csv, "1,2\n3,4\n"),
+        (read_counts_csv, "1\ninf\n"),
+        (read_counts_csv, "1\nnan\n"),
+    ],
+)
+def test_bad_file_is_a_value_error_naming_it(reader, text, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad.csv"):
+        reader(path)
+
+
 def test_format_float_round_trips():
     for x in (0.1, 1 / 3, 2e-308, 1.7976931348623157e308, -0.0):
         assert float(format_float(x)) == x

@@ -143,10 +143,10 @@ def test_alpha_schedule_exponent():
 # ---------------------------------------------------------------------------
 
 
-def test_experiment_deterministic_and_thread_invariant():
+def test_experiment_deterministic():
     config = _small_config()
-    a = run_experiment(config, threads=1)
-    b = run_experiment(config, threads=4)
+    a = run_experiment(config)
+    b = run_experiment(config)
     assert a.records == b.records
     assert a.summary == b.summary
 
