@@ -64,7 +64,7 @@ from .model import (
     score_and_hessian,
     simulate,
 )
-from .prelim import MleConfig, MleFit, fit_mle, oracle_perturbation
+from .prelim import MleFit, fit_mle, oracle_perturbation
 from .solver import (
     FitResult,
     KktReport,
@@ -94,7 +94,6 @@ __all__ = [
     "ExperimentResult",
     "FitResult",
     "KktReport",
-    "MleConfig",
     "MleFit",
     "NumericalError",
     "PoissonSample",

@@ -40,7 +40,7 @@ from .harness import (
     write_summary_csv,
 )
 from .model import CoefVector, DesignMatrix
-from .prelim import MleConfig, fit_mle, oracle_perturbation
+from .prelim import fit_mle, oracle_perturbation
 from .schema import from_json, jsonable, read_json, write_json
 from .solver import SolverConfig, fit
 from .working import build_working_problem
@@ -102,7 +102,7 @@ def _resolve_beta_tilde(mode: str, X: DesignMatrix, counts, beta_star, seed: int
     except ValueError as exc:
         raise ConfigError("beta-tilde", str(exc)) from exc
     if kind == "mle":
-        result = fit_mle(X, counts, MleConfig())
+        result = fit_mle(X, counts)
         if not result.converged:
             logger.warning("MLE stopped without convergence (grad norm %.3g)", result.grad_norm)
         return result.beta

@@ -347,7 +347,7 @@ def proposition_diagnostics(
         d=d,
         An_holds=An_holds,
         Bn_holds=Bn_holds,
-        beta_check=CoefVector(beta_check, zero_tol=beta_star.zero_tol),
+        beta_check=CoefVector(beta_check),
         an_margin=an_margin,
         bn_margin=bn_margin,
     )

@@ -12,16 +12,19 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import _check_counts
+
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    with warnings.catch_warnings():
+    # Opened here, not by loadtxt, so a missing file's error carries its name.
+    with open(path) as handle, warnings.catch_warnings():
         # An empty file is reported below, as an error that names it.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        values = np.loadtxt(handle, delimiter=",", ndmin=2, dtype=float)
     if values.size == 0:
         raise ValueError(f"{path}: contains no data")
     return values
@@ -47,9 +50,10 @@ def write_vector_csv(path, values: np.ndarray) -> None:
 
 def read_counts_csv(path) -> np.ndarray:
     values = read_vector_csv(path)
-    if not np.all(np.isfinite(values) & (values >= 0) & (values == np.floor(values))):
-        raise ValueError(f"{path}: counts must be nonnegative integers")
-    return values.astype(np.int64)
+    try:
+        return _check_counts(values, values.size)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_counts_csv(path, counts: np.ndarray) -> None:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fileio import format_float, read_matrix_csv
 from .model import CoefVector, DesignMatrix, simulate
-from .prelim import MleConfig, fit_mle, oracle_perturbation
+from .prelim import fit_mle, oracle_perturbation
 from .schema import write_json
 from .solver import SolverConfig, fit
 from .working import build_working_problem
@@ -171,11 +171,11 @@ class ExperimentConfig:
     replicates: int
     seed: int
     beta_tilde_mode: str = "oracle:1.0"
-    tau: float = 0.67
+    tau: float = AssumptionConstants.tau
     redraw_design: bool = False
-    max_sweeps: int = 1000
-    solver_tol: float = 1e-9
-    kkt_tol: float = 1e-6
+    max_sweeps: int = SolverConfig.max_sweeps
+    solver_tol: float = SolverConfig.tol
+    kkt_tol: float = SolverConfig.kkt_tol
     constants: AssumptionConstants | None = None
 
     def __post_init__(self):
@@ -274,7 +274,7 @@ def _run_replicate(config: ExperimentConfig, design: DesignMatrix, n: int, r: in
     try:
         sample = simulate(design, config.beta_star, seed_used)
         if kind == "mle":
-            mle = fit_mle(design, sample.counts, MleConfig())
+            mle = fit_mle(design, sample.counts)
             if not mle.converged:
                 return record(ok=False, error="mle did not converge")
             beta_tilde = mle.beta
@@ -325,8 +325,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full sweep; deterministic in the config.
 
     Per-replicate errors are logged as failures without aborting.  Raises
-    ConfigError if the reference design for some n has a singular active
-    block or violates the irrepresentability requirement (margin below tau).
+    ConfigError if the reference problem for some n overflows, has a weight
+    below the floor or a singular active block, or if it violates the
+    irrepresentability requirement (margin below tau).
     """
     records: list[ReplicateRecord] = []
     condition_reports: dict = {}
@@ -336,7 +337,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         try:
             report = _reference_report(config, design)
-        except SingularBlockError as exc:
+        except (SingularBlockError, DegenerateWeightError, OverflowError) as exc:
             raise ConfigError("design", f"reference design at n={n}: {exc}") from exc
         condition_reports[n] = report
         if report.irrep_margin < config.tau:

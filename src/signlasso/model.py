@@ -28,6 +28,10 @@ ZERO_TOL = 1e-10
 # branches of the count sampler.
 _SAMPLER_SPLIT = 10.0
 
+# The count sampler accepts intensities below this bound: it leaves about 2e9
+# standard deviations of room below 2**63, so every draw fits in int64.
+_MAX_INTENSITY = 2.0**62
+
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
     """A read-only ``dtype`` array of ``values``: shared if it already is one, else a copy."""
@@ -85,7 +89,6 @@ class CoefVector:
     """A length-p coefficient vector with tolerance-based support and signs."""
 
     values: np.ndarray
-    zero_tol: float = ZERO_TOL
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -93,8 +96,6 @@ class CoefVector:
             raise ValueError("coefficient vector must be 1-D and nonempty")
         if not np.all(np.isfinite(v)):
             raise ValueError("coefficient entries must be finite")
-        if self.zero_tol < 0:
-            raise ValueError("zero_tol must be nonnegative")
         object.__setattr__(self, "values", _as_readonly(v))
 
     @property
@@ -104,7 +105,7 @@ class CoefVector:
     @property
     def support(self) -> np.ndarray:
         """Indices (0-based, ascending) of coefficients beyond the zero tolerance."""
-        return np.flatnonzero(np.abs(self.values) > self.zero_tol)
+        return np.flatnonzero(np.abs(self.values) > ZERO_TOL)
 
     @property
     def q(self) -> int:
@@ -144,6 +145,7 @@ class PoissonSample:
 
 
 def _check_counts(counts, n: int) -> np.ndarray:
+    """``counts`` as n int64 values; each must be an integer in [0, 2**63)."""
     y = np.atleast_1d(np.asarray(counts))
     if y.shape != (n,):
         raise ValueError(f"counts must have length {n}, got shape {y.shape}")
@@ -151,6 +153,11 @@ def _check_counts(counts, n: int) -> np.ndarray:
         raise ValueError("counts must be finite")
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise ValueError("counts must be nonnegative integers")
+    # Checked before the cast, which would turn such a count into INT64_MIN;
+    # a Python int compares exactly whatever the dtype.
+    top = int(np.max(y)) if y.size else 0
+    if top >= 2**63:
+        raise ValueError(f"counts must be below 2**63, got {top}")
     return y.astype(np.int64)
 
 
@@ -268,8 +275,8 @@ def poisson_counts(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     deterministically: the small-intensity block is sampled first.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(~np.isfinite(lam)) or np.any(lam <= 0):
-        raise ValueError("intensities must be finite and positive")
+    if not np.all((lam > 0) & (lam < _MAX_INTENSITY)):
+        raise ValueError("intensities must lie in (0, 2**62)")
     out = np.zeros(lam.size, dtype=np.int64)
     small = lam < _SAMPLER_SPLIT
     if small.any():

@@ -22,17 +22,10 @@ from .model import CoefVector, DesignMatrix, _check_counts, linear_predictor
 _RANK_RTOL = 1e-8
 # Ridge added to the negated Hessian when its Cholesky factorization fails.
 _NEWTON_RIDGE = 1e-10
-
-
-@dataclass(frozen=True)
-class MleConfig:
-    max_iter: int = 100
-    grad_tol: float = 1e-8
-    step_halving_max: int = 30
-
-    def __post_init__(self):
-        if self.max_iter < 1 or self.step_halving_max < 1 or self.grad_tol <= 0:
-            raise ValueError("MleConfig fields must be positive")
+# fit_mle's iteration and step-halving caps and its gradient tolerance.
+_MAX_ITER = 100
+_STEP_HALVING_MAX = 30
+_GRAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -46,13 +39,15 @@ class MleFit:
     log_likelihood: float
 
 
-def fit_mle(X: DesignMatrix, counts, config: MleConfig | None = None) -> MleFit:
+def fit_mle(X: DesignMatrix, counts) -> MleFit:
     """Unpenalized Poisson MLE by damped Newton with step halving.
 
-    The log-likelihood never decreases across accepted steps beyond float
-    resolution (a 4-ulp slack keeps full Newton steps acceptable at the
-    plateau).  When no acceptable step exists or iterations run out, the last
-    iterate is returned flagged ``converged=False`` rather than raised.
+    At most 100 Newton iterations, each with at most 30 step halvings;
+    converged means a gradient sup-norm of at most 1e-8.  The log-likelihood
+    never decreases across accepted steps beyond float resolution (a 4-ulp
+    slack keeps full Newton steps acceptable at the plateau).  When no
+    acceptable step exists or iterations run out, the last iterate is
+    returned flagged ``converged=False`` rather than raised.
 
     Raises
     ------
@@ -60,7 +55,6 @@ def fit_mle(X: DesignMatrix, counts, config: MleConfig | None = None) -> MleFit:
         If n < p or the smallest singular value of X is below 1e-8 times the
         largest.
     """
-    config = config or MleConfig()
     y = _check_counts(counts, X.n)
     if X.n < X.p:
         raise RankDeficientError(f"need n >= p, got n={X.n}, p={X.p}")
@@ -85,10 +79,10 @@ def fit_mle(X: DesignMatrix, counts, config: MleConfig | None = None) -> MleFit:
     grad_norm = np.inf
     iterations = 0
     converged = False
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         grad = X.values.T @ (y - lam)
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= config.grad_tol:
+        if grad_norm <= _GRAD_TOL:
             converged = True
             break
 
@@ -105,7 +99,7 @@ def fit_mle(X: DesignMatrix, counts, config: MleConfig | None = None) -> MleFit:
         slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll))
         step = 1.0
         accepted = False
-        for _ in range(config.step_halving_max):
+        for _ in range(_STEP_HALVING_MAX):
             candidate = beta + step * direction
             try:
                 ll_new, lam_new = loglik_and_lam(candidate)
@@ -124,7 +118,7 @@ def fit_mle(X: DesignMatrix, counts, config: MleConfig | None = None) -> MleFit:
         # Recompute at the final iterate so the flag reflects where we stopped;
         # lam is always exp(eta) at the current beta.
         grad_norm = float(np.max(np.abs(X.values.T @ (y - lam))))
-        converged = grad_norm <= config.grad_tol
+        converged = grad_norm <= _GRAD_TOL
 
     return MleFit(
         beta=CoefVector(beta),
@@ -143,4 +137,4 @@ def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed: int) 
         raise ValueError("scale must be nonnegative")
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, beta_star.p)
-    return CoefVector(beta_star.values + (scale / n) * u, zero_tol=beta_star.zero_tol)
+    return CoefVector(beta_star.values + (scale / n) * u)

@@ -13,11 +13,8 @@ All internal formulas follow this single convention to avoid factor drift.
 G = x_work^T x_work is the problem's cached ``xtx``, c = x_work^T y_work is
 formed once, the gradient g = c - G beta is kept current with one length-p
 update per coordinate that moves, and g is rebuilt from G after every sweep.
-A sweep then costs O(p^2) instead of O(n p).  Each sweep still refreshes the
-raw-form objective, and convergence is still certified by the raw-form
-``kkt_check``.  Compared with the earlier raw-residual updates, the floats of
-a fit (``beta_hat``, the KKT correlations, ``objective``) may differ in their
-last digits; supports, signs, convergence and sweep counts do not.
+A sweep then costs O(p^2) instead of O(n p).  Each sweep refreshes the
+raw-form objective, and convergence is certified by the raw-form ``kkt_check``.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import CoefVector, _as_readonly, _freeze
+from .model import ZERO_TOL, CoefVector, _as_readonly, _freeze
 from .working import WorkingProblem
 
 
@@ -103,7 +100,7 @@ def kkt_check(problem: WorkingProblem, beta: CoefVector, alpha: float, kkt_tol: 
         raise ValueError("beta length does not match problem")
     g = problem.x_work.T @ (problem.y_work - problem.x_work @ beta.values)
     half = 0.5 * alpha
-    active = np.abs(beta.values) > beta.zero_tol
+    active = np.abs(beta.values) > ZERO_TOL
     stationarity = np.full(beta.p, np.nan)
     slack = np.full(beta.p, np.nan)
     passed = np.empty(beta.p, dtype=bool)

@@ -69,8 +69,7 @@ def test_fit_missing_file_names_path(tmp_path, capsys):
         "--alpha", "1.0", "--out", str(tmp_path / "out"),
     ])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "nope.csv" in err
+    assert capsys.readouterr().err == f"error: file not found: {missing}\n"
 
 
 def test_fit_penalty_dominated_returns_null(small_dataset):
@@ -396,6 +395,12 @@ OUT_OF_RANGE_INPUTS = {
         tmp, design={"kind": "file", "path": _duplicate_column_design(tmp)},
         beta_star=[1.0, -1.0, 0.0], n_grid=[60],
     )),
+    "simulate_reference_overflow": ("design", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "iid_gaussian"}, beta_star=[200.0, 0.0],
+    )),
+    "simulate_reference_weight_floor": ("design", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "iid_gaussian"}, beta_star=[30.0, 0.0],
+    )),
     "design_scale_negative": ("design.scale", lambda tmp, data: _simulate_design_argv(
         tmp, scale=-1.0
     )),
@@ -441,6 +446,9 @@ OUT_OF_RANGE_INPUTS = {
     )),
     "fit_y_two_columns": ("y", lambda tmp, data: _fit_argv(
         data, "--y", _text_file(tmp, "Y_wide.csv", "1,2\n" * 20),
+    )),
+    "fit_y_huge": ("y", lambda tmp, data: _fit_argv(
+        data, "--y", _text_file(tmp, "Y_huge.csv", "1\n" * 39 + "1e19\n"),
     )),
     "fit_beta_tilde_nan": ("beta-tilde", lambda tmp, data: _fit_argv(
         data, "--beta-tilde", _vector_file(tmp, [0.9, float("nan"), 0.0]),
@@ -617,8 +625,8 @@ def test_unconverged_mle_warning_shows_at_the_default_level(small_dataset, monke
     monkeypatch.delenv("SIGNLASSO_LOG", raising=False)
     real_fit_mle = cli.fit_mle
 
-    def unconverged(X, counts, config):
-        return replace(real_fit_mle(X, counts, config), converged=False)
+    def unconverged(X, counts):
+        return replace(real_fit_mle(X, counts), converged=False)
 
     monkeypatch.setattr(cli, "fit_mle", unconverged)
     code = main([

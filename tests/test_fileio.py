@@ -60,6 +60,7 @@ def test_counts_roundtrip_and_validation(tmp_path):
         (read_counts_csv, "1,2\n3,4\n"),
         (read_counts_csv, "1\ninf\n"),
         (read_counts_csv, "1\nnan\n"),
+        (read_counts_csv, "1\n1e19\n"),
     ],
 )
 def test_bad_file_is_a_value_error_naming_it(reader, text, tmp_path):

@@ -9,12 +9,13 @@ from conftest import fd_gradient
 from signlasso import (
     CoefVector,
     DesignMatrix,
+    build_working_problem,
     intensities,
     log_likelihood,
     score_and_hessian,
     simulate,
 )
-from signlasso.model import MAX_LINEAR_PREDICTOR, _poisson_inversion, poisson_counts
+from signlasso.model import MAX_LINEAR_PREDICTOR, _check_counts, _poisson_inversion, poisson_counts
 
 
 def test_intensities_zero_predictor():
@@ -171,6 +172,25 @@ def test_sampler_rejects_bad_intensities():
         poisson_counts(np.array([1.0, -2.0]), rng)
     with pytest.raises(ValueError):
         poisson_counts(np.array([np.nan]), rng)
+
+
+def test_sampler_keeps_draws_inside_int64():
+    # At intensity 1e19 a draw was cast to INT64_MIN under a RuntimeWarning.
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match=r"\(0, 2\*\*62\)"):
+        poisson_counts(np.array([1e19]), rng)
+    top = poisson_counts(np.array([np.nextafter(2.0**62, 0.0)]), rng)
+    assert 0 < top[0] < 2**63 - 2**61
+
+
+def test_count_at_or_beyond_int64_is_rejected_before_the_cast():
+    # A count of 1e19 became INT64_MIN and an eps_tilde entry of -9.22e18.
+    X = DesignMatrix(np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        build_working_problem(X, CoefVector([0.0]), [1.0, 1e19, 2.0])
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        _check_counts([2.0**63], 1)
+    assert _check_counts(np.array([2**63 - 1]), 1)[0] == 2**63 - 1
 
 
 def test_coef_vector_support_and_signs():

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from signlasso import prelim
 from signlasso import (
     CoefVector,
     DesignMatrix,
-    MleConfig,
     RankDeficientError,
     fit_mle,
     log_likelihood,
@@ -29,10 +29,9 @@ def test_gradient_tolerance_postcondition():
     rng = np.random.default_rng(101)
     X = DesignMatrix(0.5 * rng.standard_normal((60, 3)))
     sample = simulate(X, CoefVector([0.5, -0.4, 0.2]), 7)
-    config = MleConfig(grad_tol=1e-8)
-    result = fit_mle(X, sample.counts, config)
+    result = fit_mle(X, sample.counts)
     assert result.converged
-    assert result.grad_norm <= config.grad_tol
+    assert result.grad_norm <= prelim._GRAD_TOL
 
 
 def test_consistency_at_null_truth():
@@ -110,13 +109,6 @@ def test_oracle_perturbation_rate_by_construction():
     for n in (10, 100, 1000, 10_000):
         out = oracle_perturbation(beta, n=n, scale=2.5, seed=3)
         assert np.max(np.abs(out.values - beta.values)) <= 2.5 / n
-
-
-def test_mle_config_validation():
-    with pytest.raises(ValueError):
-        MleConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        MleConfig(grad_tol=0.0)
 
 
 def test_reported_likelihood_is_log_likelihood_at_the_estimate():

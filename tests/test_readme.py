@@ -1,0 +1,13 @@
+"""README's Python examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"{README.name} python block {k}", "exec"), {})
