@@ -17,21 +17,21 @@ __version__ = "0.1.0"
 
 from .concentration import (
     BernsteinParams,
-    PopulationGram,
     active_gram_gap,
     bernstein_tail,
     poisson_raw_moment,
-    population_gram,
     stirling2,
 )
 from .conditions import (
     AssumptionConstants,
     BlockedGram,
     ConditionReport,
+    PopulationGram,
     PropositionDiagnostics,
     blocked_gram,
     check_assumptions,
     irrepresentable_vector,
+    population_gram,
     proposition_diagnostics,
 )
 from .errors import (

@@ -170,8 +170,8 @@ def cmd_check(args) -> int:
     SolverConfig(alpha=args.alpha)
     X, beta_star, beta_tilde, problem = _load_problem(args)
     constants = _load_constants(args.constants)
-    report = check_assumptions(X, problem, beta_star, constants)
     bg = blocked_gram(problem, beta_star.support)
+    report = check_assumptions(X, bg, beta_star, constants)
     diag = proposition_diagnostics(bg, beta_star, beta_tilde, args.alpha, X.n)
 
     out_dir = Path(args.out)

@@ -1,9 +1,9 @@
 """Moment and tail-bound numerics backing the variance analysis.
 
 Exact Stirling-number arithmetic for Poisson raw moments, the two-sided
-Bernstein tail bound, and the population analogue of the blocked Gram matrix
-built from the true intensities instead of estimated ones.  The bound
-calculator is descriptive: it reports numbers and never gates the solver.
+Bernstein tail bound, and the spectral gap between an estimated and a
+population active block.  The bound calculator is descriptive: it reports
+numbers and never gates the solver.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .model import CoefVector, DesignMatrix, _as_readonly, intensities
-from .conditions import _permute_and_split
 
 # Exact-integer guard: partition counts beyond this exceed what the float
 # moment formulas downstream can represent faithfully.
@@ -77,58 +75,6 @@ def bernstein_tail(params: BernsteinParams) -> float:
     return 2.0 * math.exp(-params.t**2 / (2.0 * (params.nu + params.c * params.t)))
 
 
-@dataclass(frozen=True)
-class PopulationGram:
-    """Blocked Gram of the truth-weighted design sqrt(lambda*) x rowwise.
-
-    ``lambda_bar`` is max(1, max intensity); ``lambda_bar_source`` records
-    whether the intensities came from the generating coefficients or from an
-    estimate.
-    """
-
-    C_star: np.ndarray
-    C11_star: np.ndarray
-    C12_star: np.ndarray
-    C21_star: np.ndarray
-    C22_star: np.ndarray
-    q: int
-    active_idx: np.ndarray
-    inactive_idx: np.ndarray
-    lambda_star: np.ndarray
-    lambda_bar: float
-    lambda_bar_source: str
-
-    def __post_init__(self):
-        for name in ("C_star", "C11_star", "C12_star", "C21_star", "C22_star", "lambda_star"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-        for name in ("active_idx", "inactive_idx"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name), dtype=np.int64))
-
-    @property
-    def p(self) -> int:
-        return self.C_star.shape[0]
-
-
-def population_gram(X: DesignMatrix, beta_star: CoefVector, support) -> PopulationGram:
-    """Blocked Gram built from the true intensities exp(x_i beta_star)."""
-    lam = intensities(X, beta_star)
-    x_star = X.values * np.sqrt(lam)[:, None]
-    perm, q, (C, C11, C12, C21, C22) = _permute_and_split(x_star.T @ x_star / X.n, support)
-    return PopulationGram(
-        C_star=C,
-        C11_star=C11,
-        C12_star=C12,
-        C21_star=C21,
-        C22_star=C22,
-        q=q,
-        active_idx=perm[:q],
-        inactive_idx=perm[q:],
-        lambda_star=lam,
-        lambda_bar=float(max(1.0, np.max(lam))),
-        lambda_bar_source="true_coefficients",
-    )
-
-
-def active_gram_gap(C11: np.ndarray, C11_star: np.ndarray) -> float:
+def active_gram_gap(C11: np.ndarray, C11_population: np.ndarray) -> float:
     """Spectral-norm distance between estimated and population active blocks."""
-    return float(np.linalg.norm(np.asarray(C11) - np.asarray(C11_star), 2))
+    return float(np.linalg.norm(np.asarray(C11) - np.asarray(C11_population), 2))

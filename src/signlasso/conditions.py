@@ -17,7 +17,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigError, EmptySupportError, SingularBlockError
 from .model import CoefVector, DesignMatrix, _as_readonly, _freeze
-from .working import WorkingProblem
+from .working import WorkingProblem, build_working_problem
 
 # Smallest active-block eigenvalue treated as invertible.
 SINGULAR_TOL = 1e-12
@@ -27,51 +27,78 @@ SINGULAR_TOL = 1e-12
 class BlockedGram:
     """Gram matrix and noise vector permuted so active coordinates come first.
 
-    ``C`` is the full p x p Gram in permuted order; the four blocks are
-    read-only views of its sub-blocks, with C12 == C21.T exactly, and ``W1``
-    and ``W2`` are views of ``W``.  ``active_idx`` and ``inactive_idx`` map
-    block rows back to original coordinates.  ``active_solver`` factorises
-    C11 on first use and keeps the factor, so every consumer of one blocked
-    Gram shares a single factorisation.
+    ``C`` is the full p x p Gram and ``W`` the noise vector, both in the order
+    ``perm``: ``perm[:q]`` are the active and ``perm[q:]`` the inactive
+    coordinates.  The blocks ``C11``, ``C12``, ``C21``, ``C22`` (with
+    C12 == C21.T exactly), ``W1``, ``W2``, ``active_idx`` and ``inactive_idx``
+    are read-only views derived on access.  ``active_solver`` factorises C11
+    on first use and keeps the factor, so every consumer of one blocked Gram
+    shares a single factorisation.
     """
 
     C: np.ndarray
-    C11: np.ndarray
-    C12: np.ndarray
-    C21: np.ndarray
-    C22: np.ndarray
     W: np.ndarray
-    W1: np.ndarray
-    W2: np.ndarray
+    perm: np.ndarray
     q: int
-    active_idx: np.ndarray
-    inactive_idx: np.ndarray
 
     def __post_init__(self):
-        for name in ("C", "C11", "C12", "C21", "C22", "W", "W1", "W2"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-        for name in ("active_idx", "inactive_idx"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name), dtype=np.int64))
+        object.__setattr__(self, "C", _as_readonly(self.C))
+        object.__setattr__(self, "W", _as_readonly(self.W))
+        object.__setattr__(self, "perm", _as_readonly(self.perm, dtype=np.int64))
 
     @property
     def p(self) -> int:
         return self.C.shape[0]
+
+    @property
+    def C11(self) -> np.ndarray:
+        return self.C[: self.q, : self.q]
+
+    @property
+    def C12(self) -> np.ndarray:
+        return self.C[: self.q, self.q :]
+
+    @property
+    def C21(self) -> np.ndarray:
+        return self.C[self.q :, : self.q]
+
+    @property
+    def C22(self) -> np.ndarray:
+        return self.C[self.q :, self.q :]
+
+    @property
+    def W1(self) -> np.ndarray:
+        return self.W[: self.q]
+
+    @property
+    def W2(self) -> np.ndarray:
+        return self.W[self.q :]
+
+    @property
+    def active_idx(self) -> np.ndarray:
+        return self.perm[: self.q]
+
+    @property
+    def inactive_idx(self) -> np.ndarray:
+        return self.perm[self.q :]
 
     @cached_property
     def active_solver(self):
         """``(solve, lambda_min)`` for C11; raises SingularBlockError if singular."""
         return _active_solver(self.C11)
 
+    def _check_truth(self, beta_star: CoefVector) -> None:
+        """Raise ValueError unless the active set is exactly beta_star's support."""
+        if beta_star.p != self.p or not np.array_equal(self.active_idx, beta_star.support):
+            raise ValueError(
+                f"blocked Gram has active set {self.active_idx.tolist()} of p={self.p}, "
+                f"but beta_star has support {beta_star.support.tolist()} of p={beta_star.p}"
+            )
 
-def _permute_and_split(C_full: np.ndarray, support):
-    """Reorder a p x p Gram so the support comes first, and cut it into blocks.
 
-    Returns ``(perm, q, (C, C11, C12, C21, C22))``: ``perm[:q]`` are the active
-    and ``perm[q:]`` the inactive coordinates, ``C`` is ``C_full`` in that
-    order and the four blocks are views of it.  ``perm`` and ``C`` are
-    read-only, and so are the views.
-    """
-    p = C_full.shape[0]
+def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
+    """Split C and W of a working problem by the given active index set."""
+    p = problem.p
     active = np.unique(np.asarray(support, dtype=np.int64))
     if active.size == 0:
         raise EmptySupportError("support must contain at least one index")
@@ -80,29 +107,47 @@ def _permute_and_split(C_full: np.ndarray, support):
     mask = np.zeros(p, dtype=bool)
     mask[active] = True
     perm = np.concatenate([active, np.flatnonzero(~mask)])
-    C = C_full[np.ix_(perm, perm)]
-    _freeze(perm, C)
-    q = active.size
-    return perm, q, (C, C[:q, :q], C[:q, q:], C[q:, :q], C[q:, q:])
-
-
-def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
-    """Split C and W of a working problem by the given active index set."""
-    perm, q, (C, C11, C12, C21, C22) = _permute_and_split(problem.gram(), support)
+    C = problem.gram()[np.ix_(perm, perm)]
     W = problem.noise()[perm]
-    _freeze(W)
-    return BlockedGram(
-        C=C,
-        C11=C11,
-        C12=C12,
-        C21=C21,
-        C22=C22,
-        W=W,
-        W1=W[:q],
-        W2=W[q:],
-        q=q,
-        active_idx=perm[:q],
-        inactive_idx=perm[q:],
+    _freeze(C, W, perm)
+    return BlockedGram(C=C, W=W, perm=perm, q=active.size)
+
+
+@dataclass(frozen=True)
+class PopulationGram:
+    """Blocked Gram of the truth-weighted design sqrt(lambda*) x rowwise.
+
+    ``gram`` is the blocked Gram of the working problem at beta_tilde = beta*,
+    so ``gram.C`` is x*^T x* / n with x* = sqrt(lambda*) x rowwise.  That
+    problem is built from a zero response, so ``gram.W`` has no meaning here.
+    ``lambda_star`` holds the true intensities exp(x_i beta*) and
+    ``lambda_bar`` is max(1, max intensity).
+    """
+
+    gram: BlockedGram
+    lambda_star: np.ndarray
+    lambda_bar: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "lambda_star", _as_readonly(self.lambda_star))
+
+
+def population_gram(X: DesignMatrix, beta_star: CoefVector, support) -> PopulationGram:
+    """Blocked Gram built from the true intensities exp(x_i beta_star).
+
+    Raises
+    ------
+    DegenerateWeightError
+        If a true intensity falls below the weight floor (1e-12).
+    OverflowError
+        If a linear predictor exceeds the overflow guard.
+    """
+    problem = build_working_problem(X, beta_star, np.zeros(X.n, dtype=np.int64))
+    lam = problem.lambda_tilde
+    return PopulationGram(
+        gram=blocked_gram(problem, support),
+        lambda_star=lam,
+        lambda_bar=float(max(1.0, np.max(lam))),
     )
 
 
@@ -190,6 +235,7 @@ class ConditionReport:
 
 def irrepresentable_vector(bg: BlockedGram, beta_star: CoefVector) -> np.ndarray:
     """C21 C11^{-1} sign(beta*_active); empty when every coordinate is active."""
+    bg._check_truth(beta_star)
     if bg.q == bg.p:
         return np.zeros(0)
     solve, _ = bg.active_solver
@@ -199,20 +245,23 @@ def irrepresentable_vector(bg: BlockedGram, beta_star: CoefVector) -> np.ndarray
 
 def check_assumptions(
     X: DesignMatrix,
-    problem: WorkingProblem,
+    bg: BlockedGram,
     beta_star: CoefVector,
     constants: AssumptionConstants | None = None,
 ) -> ConditionReport:
     """Evaluate the recovery conditions of the weighted design at beta_star's support.
 
+    ``bg`` is the blocked Gram of the weighted design at that support.
+
     Raises
     ------
     SingularBlockError
         If the active-block Gram has an eigenvalue at or below 1e-12.
+    ValueError
+        If ``bg``'s active set is not beta_star's support.
     """
+    bg._check_truth(beta_star)
     constants = constants or AssumptionConstants()
-    support = beta_star.support
-    bg = blocked_gram(problem, support)
     _, eigmin = bg.active_solver
 
     n = X.n
@@ -301,12 +350,12 @@ def proposition_diagnostics(
     n: int,
 ) -> PropositionDiagnostics:
     """Evaluate the sufficient sign-recovery events for one problem instance."""
-    if beta_star.p != bg.p or beta_tilde.p != bg.p:
-        raise ValueError("coefficient vectors must match the Gram dimension")
+    bg._check_truth(beta_star)
+    if beta_tilde.p != bg.p:
+        raise ValueError("beta_tilde must match the Gram dimension")
     solve, _ = bg.active_solver
 
-    perm = np.concatenate([bg.active_idx, bg.inactive_idx])
-    diff = beta_star.values[perm] - beta_tilde.values[perm]
+    diff = beta_star.values[bg.perm] - beta_tilde.values[bg.perm]
     R = bg.C @ diff
     R1, R2 = R[: bg.q], R[bg.q :]
 

@@ -25,6 +25,7 @@ from .conditions import (
     blocked_gram,
     check_assumptions,
     irrepresentable_margin,
+    population_gram,
     proposition_diagnostics,
 )
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     SingularBlockError,
 )
 from .fileio import format_float, read_matrix_csv
-from .model import CoefVector, DesignMatrix, simulate
+from .model import _MAX_INTENSITY, CoefVector, DesignMatrix, simulate
 from .prelim import fit_mle, oracle_perturbation
 from .schema import write_json
 from .solver import SolverConfig, fit
@@ -311,14 +312,19 @@ def _run_replicate(config: ExperimentConfig, design: DesignMatrix, n: int, r: in
 def _reference_report(config: ExperimentConfig, design: DesignMatrix) -> ConditionReport:
     """Condition report at the idealized expansion point beta_tilde = beta_star.
 
-    The noise vector plays no role in the report, so zero counts are used as a
-    placeholder response.
+    This is the condition report of the population Gram.  Raises ConfigError
+    on ``design`` if an intensity at beta_star reaches 2**62, where every
+    replicate's count sampler would fail.
     """
-    problem = build_working_problem(
-        design, config.beta_star, np.zeros(design.n, dtype=np.int64)
-    )
+    pg = population_gram(design, config.beta_star, config.beta_star.support)
+    if pg.lambda_bar >= _MAX_INTENSITY:
+        raise ConfigError(
+            "design",
+            f"reference design at n={design.n}: intensity {pg.lambda_bar:.6g} at beta* is "
+            "at or above 2**62; every replicate would fail to draw counts",
+        )
     constants = replace(config.constants or AssumptionConstants(), tau=config.tau)
-    return check_assumptions(design, problem, config.beta_star, constants)
+    return check_assumptions(design, pg.gram, config.beta_star, constants)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

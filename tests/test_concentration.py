@@ -6,6 +6,7 @@ import pytest
 
 from signlasso import (
     CoefVector,
+    DegenerateWeightError,
     DesignMatrix,
     RangeError,
     active_gram_gap,
@@ -141,11 +142,11 @@ def test_bernstein_dominates_empirical_projection_tails():
     X, beta_star, pg = _projection_instance(rng)
     n = X.n
     lam = pg.lambda_star
-    lmin = float(np.linalg.eigvalsh(pg.C11_star)[0])
+    lmin = float(np.linalg.eigvalsh(pg.gram.C11)[0])
     nu = 2.0 * pg.lambda_bar / lmin
     c = math.sqrt(pg.lambda_bar / (n * lmin))
-    x1 = X.values[:, pg.active_idx]
-    G = np.linalg.solve(pg.C11_star, x1.T * np.sqrt(lam)) / n
+    x1 = X.values[:, pg.gram.active_idx]
+    G = np.linalg.solve(pg.gram.C11, x1.T * np.sqrt(lam)) / n
 
     replicates = 100_000
     lam_matrix = np.tile(lam, replicates)
@@ -178,17 +179,21 @@ def test_population_gram_equals_blocked_gram_at_truth():
     problem = build_working_problem(X, beta_star, rng.integers(0, 5, 30))
     bg = blocked_gram(problem, support)
     pg = population_gram(X, beta_star, support)
-    np.testing.assert_allclose(pg.C_star, bg.C, rtol=1e-13)
-    assert active_gram_gap(bg.C11, pg.C11_star) <= 1e-14
+    assert np.array_equal(pg.gram.C, bg.C)
     assert pg.lambda_bar == pytest.approx(max(1.0, float(np.max(pg.lambda_star))))
-    assert pg.lambda_bar_source == "true_coefficients"
 
 
 def test_population_gram_single_observation():
     X = DesignMatrix([[2.0]])
     beta_star = CoefVector([0.5])
     pg = population_gram(X, beta_star, [0])
-    assert pg.C11_star[0, 0] == pytest.approx(math.exp(1.0) * 4.0)
+    assert pg.gram.C11[0, 0] == pytest.approx(math.exp(1.0) * 4.0)
+
+
+def test_population_gram_obeys_the_weight_floor():
+    # exp(-30) is below the working problem's weight floor of 1e-12.
+    with pytest.raises(DegenerateWeightError):
+        population_gram(DesignMatrix([[1.0], [-1.0]]), CoefVector([30.0]), [0])
 
 
 def test_active_gap_shrinks_along_fixed_design_sequence():
@@ -207,6 +212,6 @@ def test_active_gap_shrinks_along_fixed_design_sequence():
         problem = build_working_problem(X, beta_tilde, np.zeros(n, dtype=int))
         bg = blocked_gram(problem, support)
         pg = population_gram(X, beta_star, support)
-        gaps.append(active_gram_gap(bg.C11, pg.C11_star))
+        gaps.append(active_gram_gap(bg.C11, pg.gram.C11))
     slope = np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
     assert slope <= -0.8

@@ -73,8 +73,8 @@ def test_blocked_gram_blocks_are_readonly_views():
     with pytest.raises(ValueError):
         bg.C[0, 0] = 1.0
     pg = population_gram(inst["X"], inst["beta_star"], support)
-    assert np.shares_memory(pg.C11_star, pg.C_star)
-    assert np.shares_memory(pg.C22_star, pg.C_star)
+    assert np.shares_memory(pg.gram.C11, pg.gram.C)
+    assert np.shares_memory(pg.gram.C22, pg.gram.C)
 
 
 def test_blocked_gram_rejects_empty_support():
@@ -88,7 +88,9 @@ def test_check_assumptions_orthogonal_design():
     X = DesignMatrix(H)
     problem = _unweighted_problem(H)
     beta_star = CoefVector([1.0, 0.0])
-    report = check_assumptions(X, problem, beta_star, AssumptionConstants(min_eigen_active=1.0))
+    report = check_assumptions(
+        X, blocked_gram(problem, [0]), beta_star, AssumptionConstants(min_eigen_active=1.0)
+    )
     assert report.irrep_margin == 1.0
     assert report.lambda_min_C11 == pytest.approx(1.0)
     assert report.passes["eigen_active"]
@@ -101,7 +103,8 @@ def test_check_assumptions_full_support_conventions():
     rng = np.random.default_rng(223)
     inst = make_instance(rng, n=25, p=3, q=3)
     report = check_assumptions(
-        inst["X"], inst["problem"], inst["beta_star"], AssumptionConstants()
+        inst["X"], blocked_gram(inst["problem"], inst["beta_star"].support),
+        inst["beta_star"], AssumptionConstants(),
     )
     assert report.irrep_margin == 1.0
     assert report.lambda_max_C22 == 0.0
@@ -123,7 +126,7 @@ def test_check_assumptions_two_predictor_closed_form():
     c11 = float(np.sum(lam * x1 * x1) / n)
     c21 = float(np.sum(lam * x2 * x1) / n)
     expected_margin = 1.0 - abs(c21 / c11)
-    report = check_assumptions(X, problem, beta_star, AssumptionConstants())
+    report = check_assumptions(X, blocked_gram(problem, [0]), beta_star, AssumptionConstants())
     assert report.irrep_margin == pytest.approx(expected_margin, abs=1e-10)
 
 
@@ -131,7 +134,8 @@ def test_check_assumptions_reports_observed_constants():
     rng = np.random.default_rng(229)
     inst = make_instance(rng, n=50, p=4, q=2)
     X = inst["X"]
-    report = check_assumptions(X, inst["problem"], inst["beta_star"], None)
+    bg = blocked_gram(inst["problem"], inst["beta_star"].support)
+    report = check_assumptions(X, bg, inst["beta_star"], None)
     assert report.row_norm_max == pytest.approx(float(np.max(X.row_norms())))
     assert report.col_norm_max == pytest.approx(float(np.max(X.col_norms())))
     # beta_min statistic with default c1 = 1 is just min |active beta|.
@@ -143,7 +147,8 @@ def test_beta_min_scaling_with_c1():
     rng = np.random.default_rng(233)
     inst = make_instance(rng, n=100, p=3, q=1)
     report = check_assumptions(
-        inst["X"], inst["problem"], inst["beta_star"], AssumptionConstants(c1=0.5)
+        inst["X"], blocked_gram(inst["problem"], inst["beta_star"].support),
+        inst["beta_star"], AssumptionConstants(c1=0.5),
     )
     expected = 100 ** 0.25 * float(np.abs(inst["beta_star"].values[0]))
     assert report.beta_min_scaled == pytest.approx(expected)
@@ -154,7 +159,23 @@ def test_singular_active_block_raises():
     problem = _unweighted_problem(X)
     beta_star = CoefVector([1.0, 1.0, 0.0])
     with pytest.raises(SingularBlockError):
-        check_assumptions(DesignMatrix(X), problem, beta_star, None)
+        check_assumptions(DesignMatrix(X), blocked_gram(problem, [0, 1]), beta_star, None)
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda X, bg, beta: check_assumptions(X, bg, beta),
+    lambda X, bg, beta: irrepresentable_vector(bg, beta),
+    lambda X, bg, beta: proposition_diagnostics(bg, beta, beta, 1.0, X.n),
+], ids=["check_assumptions", "irrepresentable_vector", "proposition_diagnostics"])
+def test_consumers_reject_a_gram_blocked_off_the_support(consumer):
+    rng = np.random.default_rng(239)
+    X = DesignMatrix(rng.standard_normal((50, 4)))
+    beta_star = CoefVector([1.0, -1.0, 0.0, 0.0])
+    problem = build_working_problem(X, beta_star, rng.integers(0, 4, 50))
+    # A wrong active set, and the right one for a beta of the wrong length.
+    for support, beta in (([2], beta_star), ([0, 1], CoefVector([1.0, -1.0, 0.0]))):
+        with pytest.raises(ValueError, match="support"):
+            consumer(X, blocked_gram(problem, support), beta)
 
 
 def test_proposition_zero_remainder_when_tilde_is_truth():
