@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 from .concentration import (
     BernsteinParams,
-    active_gram_gap,
     bernstein_tail,
     poisson_raw_moment,
     stirling2,
@@ -70,10 +69,8 @@ from .solver import (
     KktReport,
     SolverConfig,
     fit,
-    gram_form_gradient,
     kkt_check,
     objective_value,
-    soft_threshold,
 )
 from .working import WorkingProblem, build_working_problem
 
@@ -107,7 +104,6 @@ __all__ = [
     "SolverConfig",
     "SummaryRow",
     "WorkingProblem",
-    "active_gram_gap",
     "bernstein_tail",
     "blocked_gram",
     "build_working_problem",
@@ -115,7 +111,6 @@ __all__ = [
     "derive_seed",
     "fit",
     "fit_mle",
-    "gram_form_gradient",
     "intensities",
     "irrepresentable_vector",
     "kkt_check",
@@ -129,6 +124,5 @@ __all__ = [
     "run_experiment",
     "score_and_hessian",
     "simulate",
-    "soft_threshold",
     "stirling2",
 ]

@@ -33,6 +33,7 @@ from .errors import ConfigError, SignLassoError, SingularBlockError
 from .fileio import read_counts_csv, read_matrix_csv, read_vector_csv
 from .harness import (
     ExperimentConfig,
+    expansion_point,
     parse_beta_tilde_mode,
     run_experiment,
     write_report_json,
@@ -40,7 +41,6 @@ from .harness import (
     write_summary_csv,
 )
 from .model import CoefVector, DesignMatrix
-from .prelim import fit_mle, oracle_perturbation
 from .schema import from_json, jsonable, read_json, write_json
 from .solver import SolverConfig, fit
 from .working import build_working_problem
@@ -86,33 +86,12 @@ def _read_coefficients(path: str, name: str, X: DesignMatrix) -> CoefVector:
         return CoefVector(values)
 
 
-def _resolve_beta_tilde(mode: str, X: DesignMatrix, counts, beta_star, seed: int) -> CoefVector:
-    """Resolve --beta-tilde: a CSV path, 'mle', or 'oracle:SCALE'."""
-    if seed < 0:
-        raise ConfigError("seed", f"must be nonnegative, got {seed}")
-    if mode != "mle" and not mode.startswith("oracle:"):
-        if not Path(mode).exists():
-            raise ConfigError(
-                "beta-tilde",
-                f"{mode!r} is neither a mode ('mle' or 'oracle:SCALE') nor an existing file",
-            )
-        return _read_coefficients(mode, "beta-tilde", X)
-    try:
-        kind, scale = parse_beta_tilde_mode(mode)
-    except ValueError as exc:
-        raise ConfigError("beta-tilde", str(exc)) from exc
-    if kind == "mle":
-        result = fit_mle(X, counts)
-        if not result.converged:
-            logger.warning("MLE stopped without convergence (grad norm %.3g)", result.grad_norm)
-        return result.beta
-    if beta_star is None:
-        raise ConfigError("beta-tilde", "oracle mode requires --beta-star")
-    return oracle_perturbation(beta_star, X.n, scale, seed)
-
-
 def _load_problem(args):
-    """fit's or check's X, beta_star (or None), beta_tilde and working problem."""
+    """fit's or check's X, beta_star (or None) and working problem.
+
+    --beta-tilde is a CSV path, 'mle' or 'oracle:SCALE'; an unconverged MLE
+    is a warning, not an error.
+    """
     with _input("x"):
         X = DesignMatrix(read_matrix_csv(args.x))
     with _input("y"):
@@ -120,8 +99,25 @@ def _load_problem(args):
         if counts.size != X.n:
             raise ValueError(f"has {counts.size} entries, but X has {X.n} rows")
     beta_star = _read_coefficients(args.beta_star, "beta-star", X) if args.beta_star else None
-    beta_tilde = _resolve_beta_tilde(args.beta_tilde, X, counts, beta_star, args.seed)
-    return X, beta_star, beta_tilde, build_working_problem(X, beta_tilde, counts)
+    mode = args.beta_tilde
+    if args.seed < 0:
+        raise ConfigError("seed", f"must be nonnegative, got {args.seed}")
+    if mode != "mle" and not mode.startswith("oracle:"):
+        if not Path(mode).exists():
+            raise ConfigError(
+                "beta-tilde",
+                f"{mode!r} is neither a mode ('mle' or 'oracle:SCALE') nor an existing file",
+            )
+        beta_tilde = _read_coefficients(mode, "beta-tilde", X)
+    else:
+        with _input("beta-tilde"):
+            kind, _ = parse_beta_tilde_mode(mode)
+        if kind == "oracle" and beta_star is None:
+            raise ConfigError("beta-tilde", "oracle mode requires --beta-star")
+        beta_tilde, mle = expansion_point(mode, X, counts, beta_star, args.seed)
+        if mle is not None and not mle.converged:
+            logger.warning("MLE stopped without convergence (grad norm %.3g)", mle.grad_norm)
+    return X, beta_star, build_working_problem(X, beta_tilde, counts)
 
 
 def _load_constants(path: str | None) -> AssumptionConstants:
@@ -141,7 +137,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def cmd_fit(args) -> int:
-    _, _, beta_tilde, problem = _load_problem(args)
+    _, _, problem = _load_problem(args)
     result = fit(problem, SolverConfig(alpha=args.alpha))
 
     out_dir = Path(args.out)
@@ -156,7 +152,7 @@ def cmd_fit(args) -> int:
         **fitted,
         "kkt": kkt,
         "alpha": args.alpha,
-        "beta_tilde": beta_tilde,
+        "beta_tilde": problem.beta_tilde,
     }
     target = out_dir / "fit.json"
     write_json(target, payload)
@@ -168,11 +164,11 @@ def cmd_check(args) -> int:
     # The events take the same penalty as fit: SolverConfig rejects a
     # non-finite or negative alpha with a ConfigError on "alpha".
     SolverConfig(alpha=args.alpha)
-    X, beta_star, beta_tilde, problem = _load_problem(args)
+    X, beta_star, problem = _load_problem(args)
     constants = _load_constants(args.constants)
     bg = blocked_gram(problem, beta_star.support)
     report = check_assumptions(X, bg, beta_star, constants)
-    diag = proposition_diagnostics(bg, beta_star, beta_tilde, args.alpha, X.n)
+    diag = proposition_diagnostics(bg, beta_star, args.alpha)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,7 @@
 """Moment and tail-bound numerics backing the variance analysis.
 
-Exact Stirling-number arithmetic for Poisson raw moments, the two-sided
-Bernstein tail bound, and the spectral gap between an estimated and a
-population active block.  The bound calculator is descriptive: it reports
+Exact Stirling-number arithmetic for Poisson raw moments and the two-sided
+Bernstein tail bound.  The bound calculator is descriptive: it reports
 numbers and never gates the solver.
 """
 
@@ -10,8 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import RangeError
 
@@ -73,8 +70,3 @@ class BernsteinParams:
 def bernstein_tail(params: BernsteinParams) -> float:
     """Two-sided tail bound 2 exp(-t^2 / (2 (nu + c t))) in (0, 2]."""
     return 2.0 * math.exp(-params.t**2 / (2.0 * (params.nu + params.c * params.t)))
-
-
-def active_gram_gap(C11: np.ndarray, C11_population: np.ndarray) -> float:
-    """Spectral-norm distance between estimated and population active blocks."""
-    return float(np.linalg.norm(np.asarray(C11) - np.asarray(C11_population), 2))

@@ -29,17 +29,21 @@ class BlockedGram:
 
     ``C`` is the full p x p Gram and ``W`` the noise vector, both in the order
     ``perm``: ``perm[:q]`` are the active and ``perm[q:]`` the inactive
-    coordinates.  The blocks ``C11``, ``C12``, ``C21``, ``C22`` (with
-    C12 == C21.T exactly), ``W1``, ``W2``, ``active_idx`` and ``inactive_idx``
-    are read-only views derived on access.  ``active_solver`` factorises C11
-    on first use and keeps the factor, so every consumer of one blocked Gram
-    shares a single factorisation.
+    coordinates.  ``n`` and ``beta_tilde`` are the sample size and expansion
+    point of the working problem the Gram was built from.  The blocks
+    ``C11``, ``C12``, ``C21``, ``C22`` (with C12 == C21.T exactly), ``W1``,
+    ``W2``, ``active_idx`` and ``inactive_idx`` are read-only views derived
+    on access.  ``active_solver`` factorises C11 on first use and keeps the
+    factor, so every consumer of one blocked Gram shares a single
+    factorisation.
     """
 
     C: np.ndarray
     W: np.ndarray
     perm: np.ndarray
     q: int
+    n: int
+    beta_tilde: CoefVector
 
     def __post_init__(self):
         object.__setattr__(self, "C", _as_readonly(self.C))
@@ -110,7 +114,9 @@ def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
     C = problem.gram()[np.ix_(perm, perm)]
     W = problem.noise()[perm]
     _freeze(C, W, perm)
-    return BlockedGram(C=C, W=W, perm=perm, q=active.size)
+    return BlockedGram(
+        C=C, W=W, perm=perm, q=active.size, n=problem.n, beta_tilde=problem.beta_tilde
+    )
 
 
 @dataclass(frozen=True)
@@ -251,20 +257,25 @@ def check_assumptions(
 ) -> ConditionReport:
     """Evaluate the recovery conditions of the weighted design at beta_star's support.
 
-    ``bg`` is the blocked Gram of the weighted design at that support.
+    ``bg`` is the blocked Gram of the weighted design X at that support.
 
     Raises
     ------
     SingularBlockError
         If the active-block Gram has an eigenvalue at or below 1e-12.
     ValueError
-        If ``bg``'s active set is not beta_star's support.
+        If ``bg``'s active set is not beta_star's support, or ``bg`` was built
+        from a design of another shape than X.
     """
     bg._check_truth(beta_star)
+    if (X.n, X.p) != (bg.n, bg.p):
+        raise ValueError(
+            f"X has shape ({X.n}, {X.p}), but the blocked Gram was built "
+            f"from a design of shape ({bg.n}, {bg.p})"
+        )
     constants = constants or AssumptionConstants()
     _, eigmin = bg.active_solver
 
-    n = X.n
     row_norm_max = float(np.max(X.row_norms()))
     col_norm_max = float(np.max(X.col_norms()))
     lambda_max_c12 = _largest_singular_value(bg.C12)
@@ -273,7 +284,7 @@ def check_assumptions(
         float(np.linalg.eigvalsh(bg.C22)[-1]) if bg.C22.size else 0.0
     )
     beta_min = float(np.min(np.abs(beta_star.values[bg.active_idx])))
-    beta_min_scaled = float(n ** ((1.0 - constants.c1) / 2.0) * beta_min)
+    beta_min_scaled = float(bg.n ** ((1.0 - constants.c1) / 2.0) * beta_min)
     d = irrepresentable_vector(bg, beta_star)
     irrep_margin = irrepresentable_margin(d)
 
@@ -294,7 +305,7 @@ def check_assumptions(
         passes["beta_min"] = beta_min_scaled >= constants.min_beta_scaled
 
     return ConditionReport(
-        n=n,
+        n=bg.n,
         q=bg.q,
         lambda_min_C11=eigmin,
         lambda_max_C12=lambda_max_c12,
@@ -343,19 +354,16 @@ class PropositionDiagnostics:
 
 
 def proposition_diagnostics(
-    bg: BlockedGram,
-    beta_star: CoefVector,
-    beta_tilde: CoefVector,
-    alpha: float,
-    n: int,
+    bg: BlockedGram, beta_star: CoefVector, alpha: float
 ) -> PropositionDiagnostics:
-    """Evaluate the sufficient sign-recovery events for one problem instance."""
+    """Evaluate the sufficient sign-recovery events at penalty ``alpha``.
+
+    The expansion point and the sample size are ``bg.beta_tilde`` and ``bg.n``.
+    """
     bg._check_truth(beta_star)
-    if beta_tilde.p != bg.p:
-        raise ValueError("beta_tilde must match the Gram dimension")
     solve, _ = bg.active_solver
 
-    diff = beta_star.values[bg.perm] - beta_tilde.values[bg.perm]
+    diff = beta_star.values[bg.perm] - bg.beta_tilde.values[bg.perm]
     R = bg.C @ diff
     R1, R2 = R[: bg.q], R[bg.q :]
 
@@ -364,7 +372,7 @@ def proposition_diagnostics(
     # One solve for the three right-hand sides; each column is bit-identical
     # to its own solve.
     xi, b, inv_R1 = solve(np.column_stack([W1, s1, R1])).T
-    ratio = alpha / (2.0 * n)
+    ratio = alpha / (2.0 * bg.n)
 
     beta1_abs = np.abs(beta_star.values[bg.active_idx])
     an_slack = beta1_abs - ratio * np.abs(b) - np.abs(inv_R1) - np.abs(xi)

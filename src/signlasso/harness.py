@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fileio import format_float, read_matrix_csv
 from .model import _MAX_INTENSITY, CoefVector, DesignMatrix, simulate
-from .prelim import fit_mle, oracle_perturbation
+from .prelim import MleFit, fit_mle, oracle_perturbation
 from .schema import write_json
 from .solver import SolverConfig, fit
 from .working import build_working_problem
@@ -147,6 +147,8 @@ def parse_beta_tilde_mode(mode: str) -> tuple[str, float]:
             scale = float(mode.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad oracle scale in beta_tilde mode {mode!r}") from exc
+        if not math.isfinite(scale):
+            raise ValueError(f"oracle scale must be finite, got {scale}")
         if scale < 0:
             raise ValueError("oracle scale must be nonnegative")
         return "oracle", scale
@@ -267,28 +269,40 @@ class ExperimentResult:
         return tuple((rec.n, rec.replicate, rec.error) for rec in self.records if not rec.ok)
 
 
+def expansion_point(
+    mode: str, X: DesignMatrix, counts, beta_star: CoefVector, seed: int
+) -> tuple[CoefVector, MleFit | None]:
+    """The expansion point beta_tilde of ``mode``, 'mle' or 'oracle:SCALE'.
+
+    In mle mode returns the MLE's last iterate and the ``MleFit``, which the
+    caller checks for convergence.  In oracle mode returns beta_star perturbed
+    by at most SCALE / X.n per coordinate, drawn from ``seed``, and None.
+    """
+    kind, scale = parse_beta_tilde_mode(mode)
+    if kind == "mle":
+        mle = fit_mle(X, counts)
+        return mle.beta, mle
+    return oracle_perturbation(beta_star, X.n, scale, seed), None
+
+
 def _run_replicate(config: ExperimentConfig, design: DesignMatrix, n: int, r: int) -> ReplicateRecord:
     alpha_n = config.alpha_for(n)
     seed_used = derive_seed(config.seed, _TAG_COUNTS, n, r)
-    kind, scale = parse_beta_tilde_mode(config.beta_tilde_mode)
     record = partial(ReplicateRecord, n=n, replicate=r, seed_used=seed_used, alpha_n=alpha_n)
     try:
         sample = simulate(design, config.beta_star, seed_used)
-        if kind == "mle":
-            mle = fit_mle(design, sample.counts)
-            if not mle.converged:
-                return record(ok=False, error="mle did not converge")
-            beta_tilde = mle.beta
-        else:
-            beta_tilde = oracle_perturbation(
-                config.beta_star, n, scale, derive_seed(config.seed, _TAG_PRELIM, n, r)
-            )
+        beta_tilde, mle = expansion_point(
+            config.beta_tilde_mode, design, sample.counts, config.beta_star,
+            derive_seed(config.seed, _TAG_PRELIM, n, r),
+        )
+        if mle is not None and not mle.converged:
+            return record(ok=False, error="mle did not converge")
         problem = build_working_problem(design, beta_tilde, sample.counts)
         result = fit(problem, config.solver_config(n))
         if not result.converged:
             return record(ok=False, error="solver did not converge")
         bg = blocked_gram(problem, config.beta_star.support)
-        diag = proposition_diagnostics(bg, config.beta_star, beta_tilde, alpha_n, n)
+        diag = proposition_diagnostics(bg, config.beta_star, alpha_n)
         sign_match = bool(
             np.array_equal(result.beta_hat.signs(), config.beta_star.signs())
         )
@@ -438,33 +452,6 @@ def _write_csv(path, columns, rows) -> None:
 
 def write_results_csv(result: ExperimentResult, path) -> None:
     _write_csv(path, RESULTS_COLUMNS, result.records)
-
-
-def read_results_csv(path) -> list[ReplicateRecord]:
-    records = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != RESULTS_COLUMNS:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            cells = dict(zip(RESULTS_COLUMNS, row))
-            ok = cells["sign_match"] != ""
-            records.append(
-                ReplicateRecord(
-                    n=int(cells["n"]),
-                    replicate=int(cells["replicate"]),
-                    seed_used=int(cells["seed_used"]),
-                    alpha_n=float(cells["alpha_n"]),
-                    ok=ok,
-                    sign_match=cells["sign_match"] == "1" if ok else None,
-                    An=cells["An"] == "1" if ok else None,
-                    Bn=cells["Bn"] == "1" if ok else None,
-                    irrep_margin=float(cells["irrep_margin"]) if ok else None,
-                    kkt_pass=cells["kkt_pass"] == "1" if ok else None,
-                )
-            )
-    return records
 
 
 def write_summary_csv(summary, path) -> None:

@@ -9,6 +9,7 @@ rate is 1/sqrt(n)); both modes are reported separately by the harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,9 +131,14 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
 
 
 def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed: int) -> CoefVector:
-    """beta_star plus a uniform perturbation bounded by scale/n per coordinate."""
+    """beta_star plus a uniform perturbation bounded by scale/n per coordinate.
+
+    ``scale`` must be finite and nonnegative.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     rng = np.random.default_rng(seed)

@@ -29,11 +29,6 @@ from .model import ZERO_TOL, CoefVector, _as_readonly, _freeze
 from .working import WorkingProblem
 
 
-def soft_threshold(z, gamma):
-    """sign(z) * max(|z| - gamma, 0); at |z| == gamma exactly, returns 0."""
-    return np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     alpha: float
@@ -118,19 +113,6 @@ def kkt_check(problem: WorkingProblem, beta: CoefVector, alpha: float, kkt_tol: 
         subgradient_slack=slack,
         passed=passed,
     )
-
-
-def gram_form_gradient(problem: WorkingProblem, beta_values: np.ndarray) -> np.ndarray:
-    """The optimality conditions in Gram form: C (beta - beta_tilde) - W.
-
-    Equals -1/n times the raw correlations x_work^T (y_work - x_work beta);
-    a minimizer has (C (beta - beta_tilde) - W)_j = -(alpha/2n) sign(beta_j)
-    on its active set.  Kept alongside the raw form so the two can be checked
-    against each other.
-    """
-    C = problem.gram()
-    W = problem.noise()
-    return C @ (np.asarray(beta_values, dtype=float) - problem.beta_tilde.values) - W
 
 
 def fit(problem: WorkingProblem, config: SolverConfig) -> FitResult:

@@ -76,6 +76,23 @@ def make_instance(
     }
 
 
+def soft_threshold(z, gamma):
+    """sign(z) * max(|z| - gamma, 0); at |z| == gamma exactly, returns 0."""
+    return np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
+
+
+def gram_form_gradient(problem, beta_values) -> np.ndarray:
+    """The optimality conditions in Gram form: C (beta - beta_tilde) - W.
+
+    Equals -1/n times the raw correlations x_work^T (y_work - x_work beta);
+    a minimizer has (C (beta - beta_tilde) - W)_j = -(alpha/2n) sign(beta_j)
+    on its active set, so the solver's raw form can be checked against it.
+    """
+    C = problem.gram()
+    W = problem.noise()
+    return C @ (np.asarray(beta_values, dtype=float) - problem.beta_tilde.values) - W
+
+
 def penalized_objective(problem, beta_values, alpha: float) -> float:
     r = problem.y_work - problem.x_work @ np.asarray(beta_values, dtype=float)
     return float(r @ r + alpha * np.sum(np.abs(beta_values)))

@@ -152,7 +152,7 @@ def test_acceptance_event_dominance():
         alpha = float(rng.choice([0.5, 1.0, 2.0])) * n**0.75
         problem = inst["problem"]
         bg = blocked_gram(problem, inst["beta_star"].support)
-        diag = proposition_diagnostics(bg, inst["beta_star"], inst["beta_tilde"], alpha, n)
+        diag = proposition_diagnostics(bg, inst["beta_star"], alpha)
         if not (diag.An_holds and diag.Bn_holds):
             continue
         events += 1

@@ -1,23 +1,69 @@
-"""Every function the benchmark traces is still a function of the program.
+"""Every function the benchmark traces is still a function of the program,
+and the program still calls it.
 
 ``perfbench/spans.py`` patches names in signlasso's modules; a renamed or
-moved name would otherwise surface only when the benchmark runs.
+moved name, or a call moved off the patched binding, would otherwise surface
+only when the benchmark runs.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
+
+import signlasso.cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_every_benchmark_target_is_a_callable_of_its_owner(monkeypatch):
+@pytest.fixture()
+def spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # The module's dataclasses look themselves up in sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_target_is_a_callable_of_its_owner(spans):
     resolved = spans.targets()
     assert len(resolved) == len(spans.TARGETS)
     for name, owner, attr in resolved:
         assert callable(owner.__dict__.get(attr)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_every_traced_layer_records_calls(spans, tmp_path, capsys):
+    config = {
+        "design": {"kind": "correlated_gaussian", "rho": 0.2, "scale": 0.6},
+        "beta_star": [1.0, -1.0, 0.0, 0.0],
+        "n_grid": [60, 120],
+        "c1": 1.0,
+        "c2": 0.5,
+        "alpha_coef": 1.0,
+        "replicates": 2,
+        "seed": 90210,
+        "tau": 0.3,
+    }
+    counts = {}
+    for mode in ("oracle:1.0", "mle"):
+        path = tmp_path / f"{mode.replace(':', '_')}.json"
+        path.write_text(json.dumps({**config, "beta_tilde_mode": mode}))
+        tracer = spans.Tracer()
+        with spans.traced(tracer):
+            # Looked up at call time: cli.main itself is a traced name.
+            code = signlasso.cli.main(
+                ["simulate", "--config", str(path), "--out", str(tmp_path / mode)]
+            )
+        assert code == 0
+        counts[mode] = tracer.counts
+    # Exactly one preliminary estimator runs per mode.
+    assert counts["mle"]["prelim.oracle_perturbation.calls"] == 0
+    assert counts["oracle:1.0"]["prelim.fit_mle.calls"] == 0
+    silent = [
+        name for name in spans.SPAN_NAMES
+        if not any(c[name + ".calls"] for c in counts.values())
+    ]
+    assert silent == []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import signlasso
-import signlasso.cli as cli
+import signlasso.harness as harness
 from signlasso import AssumptionConstants, CoefVector, DesignSpec, ExperimentConfig
 from signlasso.cli import main
 from signlasso.schema import from_json, jsonable
@@ -472,6 +472,20 @@ OUT_OF_RANGE_INPUTS = {
     "check_beta_star_one_row": ("beta-star", lambda tmp, data: [
         *_check_argv(data), "--beta-star", _text_file(tmp, "beta_row.csv", "0.9,-0.7,0\n"),
     ]),
+    # A non-finite oracle scale used to pass validation: simulate then failed
+    # every replicate, and fit and check named no field.
+    "simulate_oracle_scale_nan": ("beta_tilde_mode", lambda tmp, data: _simulate_argv(
+        tmp, beta_tilde_mode="oracle:nan"
+    )),
+    "simulate_oracle_scale_overflows": ("beta_tilde_mode", lambda tmp, data: _simulate_argv(
+        tmp, beta_tilde_mode="oracle:1e400"
+    )),
+    "fit_oracle_scale_inf": ("beta-tilde", lambda tmp, data: _fit_argv(
+        data, "--beta-tilde", "oracle:inf", "--beta-star", str(data["beta_star"]),
+    )),
+    "check_oracle_scale_nan": ("beta-tilde", lambda tmp, data: _check_argv(
+        data, "--beta-tilde", "oracle:nan"
+    )),
 }
 
 
@@ -626,12 +640,12 @@ def test_stdout_stays_machine_readable_under_debug_logging(tmp_path):
 
 def test_unconverged_mle_warning_shows_at_the_default_level(small_dataset, monkeypatch, capsys):
     monkeypatch.delenv("SIGNLASSO_LOG", raising=False)
-    real_fit_mle = cli.fit_mle
+    real_fit_mle = harness.fit_mle
 
     def unconverged(X, counts):
         return replace(real_fit_mle(X, counts), converged=False)
 
-    monkeypatch.setattr(cli, "fit_mle", unconverged)
+    monkeypatch.setattr(harness, "fit_mle", unconverged)
     code = main([
         "fit", "--x", str(small_dataset["x"]), "--y", str(small_dataset["y"]),
         "--alpha", "2.0", "--out", str(small_dataset["out"]),
@@ -640,6 +654,38 @@ def test_unconverged_mle_warning_shows_at_the_default_level(small_dataset, monke
     assert code == 0
     assert captured.out.strip() == str(small_dataset["out"] / "fit.json")
     assert captured.err.startswith("WARNING signlasso: MLE stopped without convergence")
+
+
+def test_simulate_records_an_unconverged_mle_as_a_failure(tmp_path, monkeypatch, capsys):
+    real_fit_mle = harness.fit_mle
+
+    def unconverged(X, counts):
+        return replace(real_fit_mle(X, counts), converged=False)
+
+    monkeypatch.setattr(harness, "fit_mle", unconverged)
+    argv = _simulate_argv(tmp_path, beta_tilde_mode="mle", n_grid=[60], replicates=3)
+    assert main(argv) == 0
+    out = tmp_path / "out"
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.split(",")[2:7] == [""] * 5 for row in rows), rows
+    report = json.loads((out / "report.json").read_text())
+    assert [f["error"] for f in report["failures"]] == ["mle did not converge"] * 3
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("oracle:1.0", "oracle mode requires --beta-star"),
+    # A bad scale is reported before the missing --beta-star.
+    ("oracle:abc", "bad oracle scale in beta_tilde mode 'oracle:abc'"),
+    ("oracle:-1", "oracle scale must be nonnegative"),
+])
+def test_fit_oracle_mode_errors_name_beta_tilde(mode, message, small_dataset, capsys):
+    code = main(_fit_argv(small_dataset, "--beta-tilde", mode))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: beta-tilde: {message}"]
+    assert not small_dataset["out"].exists()
 
 
 def test_unknown_log_level_is_named_on_one_stderr_line(tmp_path, monkeypatch, capsys):

@@ -165,7 +165,7 @@ def test_singular_active_block_raises():
 @pytest.mark.parametrize("consumer", [
     lambda X, bg, beta: check_assumptions(X, bg, beta),
     lambda X, bg, beta: irrepresentable_vector(bg, beta),
-    lambda X, bg, beta: proposition_diagnostics(bg, beta, beta, 1.0, X.n),
+    lambda X, bg, beta: proposition_diagnostics(bg, beta, 1.0),
 ], ids=["check_assumptions", "irrepresentable_vector", "proposition_diagnostics"])
 def test_consumers_reject_a_gram_blocked_off_the_support(consumer):
     rng = np.random.default_rng(239)
@@ -178,11 +178,35 @@ def test_consumers_reject_a_gram_blocked_off_the_support(consumer):
             consumer(X, blocked_gram(problem, support), beta)
 
 
+def test_check_assumptions_rejects_a_design_the_gram_was_not_built_from():
+    # X supplies the norms and the beta-min scaling, bg the Gram: a 1000-row
+    # X with the Gram of a 50-row design used to give a report mixing the two.
+    rng = np.random.default_rng(239)
+    beta_star = CoefVector([1.0, -1.0, 0.0, 0.0])
+    small = DesignMatrix(rng.standard_normal((50, 4)))
+    bg = blocked_gram(
+        build_working_problem(small, beta_star, rng.integers(0, 4, 50)), beta_star.support
+    )
+    for X in (DesignMatrix(rng.standard_normal((1000, 4))),
+              DesignMatrix(rng.standard_normal((50, 5)))):
+        with pytest.raises(ValueError, match="shape"):
+            check_assumptions(X, bg, beta_star)
+    assert check_assumptions(small, bg, beta_star).n == 50
+
+
+def test_blocked_gram_carries_its_problems_n_and_expansion_point():
+    rng = np.random.default_rng(241)
+    inst = make_instance(rng, n=40, p=5, q=2)
+    bg = blocked_gram(inst["problem"], inst["beta_star"].support)
+    assert bg.n == 40
+    assert bg.beta_tilde is inst["problem"].beta_tilde
+
+
 def test_proposition_zero_remainder_when_tilde_is_truth():
     rng = np.random.default_rng(239)
     inst = make_instance(rng, n=30, p=4, q=2, tilde_scale=0.0)
     bg = blocked_gram(inst["problem"], inst["beta_star"].support)
-    diag = proposition_diagnostics(bg, inst["beta_star"], inst["beta_star"], 1.0, 30)
+    diag = proposition_diagnostics(bg, inst["beta_star"], 1.0)
     assert np.all(diag.R1 == 0.0)
     assert np.all(diag.R2 == 0.0)
 
@@ -206,7 +230,7 @@ def test_proposition_noise_free_events():
         beta_tilde=beta_star,
     )
     bg = blocked_gram(problem, [0])
-    diag = proposition_diagnostics(bg, beta_star, beta_star, 0.0, 3)
+    diag = proposition_diagnostics(bg, beta_star, 0.0)
     assert np.all(bg.W == 0.0)
     assert diag.An_holds
     assert diag.Bn_holds
@@ -216,7 +240,7 @@ def test_d_matches_irrepresentable_vector():
     rng = np.random.default_rng(241)
     inst = make_instance(rng, n=40, p=5, q=2, rho=0.3)
     bg = blocked_gram(inst["problem"], inst["beta_star"].support)
-    diag = proposition_diagnostics(bg, inst["beta_star"], inst["beta_tilde"], 2.0, 40)
+    diag = proposition_diagnostics(bg, inst["beta_star"], 2.0)
     np.testing.assert_array_equal(diag.d, irrepresentable_vector(bg, inst["beta_star"]))
     # The candidate minimizer lives on the true active set.
     assert set(diag.beta_check.support) <= set(bg.active_idx)
@@ -226,7 +250,7 @@ def test_full_support_makes_inactive_event_vacuous():
     rng = np.random.default_rng(251)
     inst = make_instance(rng, n=30, p=3, q=3)
     bg = blocked_gram(inst["problem"], inst["beta_star"].support)
-    diag = proposition_diagnostics(bg, inst["beta_star"], inst["beta_tilde"], 1.0, 30)
+    diag = proposition_diagnostics(bg, inst["beta_star"], 1.0)
     assert diag.Bn_holds
     assert diag.d.size == 0
     assert diag.zeta.size == 0
@@ -247,7 +271,7 @@ def _implication_sweep(rng, count):
         alpha = float(rng.choice([0.5, 1.0, 2.0])) * n**0.75
         problem = inst["problem"]
         bg = blocked_gram(problem, inst["beta_star"].support)
-        diag = proposition_diagnostics(bg, inst["beta_star"], inst["beta_tilde"], alpha, n)
+        diag = proposition_diagnostics(bg, inst["beta_star"], alpha)
         if not (diag.An_holds and diag.Bn_holds):
             continue
         events += 1
@@ -281,7 +305,7 @@ def test_stacked_solve_equals_three_separate_solves():
         inst = make_instance(rng, n=n, p=p, q=q, rho=float(rng.choice([0.0, 0.3])))
         bg = blocked_gram(inst["problem"], inst["beta_star"].support)
         alpha = n**0.75
-        diag = proposition_diagnostics(bg, inst["beta_star"], inst["beta_tilde"], alpha, n)
+        diag = proposition_diagnostics(bg, inst["beta_star"], alpha)
 
         solve, _ = _active_solver(bg.C11)
         perm = np.concatenate([bg.active_idx, bg.inactive_idx])

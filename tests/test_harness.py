@@ -16,7 +16,6 @@ from signlasso import (
 )
 from signlasso.harness import (
     _reference_report,
-    read_results_csv,
     summarize_records,
     write_results_csv,
     write_summary_csv,
@@ -255,22 +254,6 @@ def test_summary_definitions():
         assert row.failures == 0
         assert row.recovery_rate >= row.event_rate - 2.0 / np.sqrt(row.replicates)
     assert tuple(summarize_records(config, result.records)) == result.summary
-
-
-def test_results_csv_roundtrip(tmp_path):
-    config = _small_config(replicates=12)
-    result = run_experiment(config)
-    results_path = tmp_path / "results.csv"
-    summary_path = tmp_path / "summary.csv"
-    write_results_csv(result, results_path)
-    write_summary_csv(result.summary, summary_path)
-
-    records = read_results_csv(results_path)
-    assert len(records) == len(result.records)
-    recomputed = summarize_records(config, records)
-    second_path = tmp_path / "summary2.csv"
-    write_summary_csv(recomputed, second_path)
-    assert summary_path.read_bytes() == second_path.read_bytes()
 
 
 def test_results_csv_has_one_row_per_replicate(tmp_path):

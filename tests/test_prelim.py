@@ -104,6 +104,15 @@ def test_oracle_perturbation_bound_and_determinism():
     assert not np.array_equal(a.values, c.values)
 
 
+@pytest.mark.parametrize("scale, message", [
+    (float("nan"), "finite"), (float("inf"), "finite"), (-1.0, "nonnegative"),
+])
+def test_oracle_perturbation_rejects_a_bad_scale(scale, message):
+    # A non-finite scale used to fail later, in CoefVector, without naming it.
+    with pytest.raises(ValueError, match=f"scale must be {message}"):
+        oracle_perturbation(CoefVector([1.0, 0.0]), n=10, scale=scale, seed=0)
+
+
 def test_oracle_perturbation_rate_by_construction():
     beta = CoefVector([0.5, -0.5])
     for n in (10, 100, 1000, 10_000):

@@ -8,8 +8,10 @@ import pytest
 from conftest import (
     dense_grid_oracle,
     exact_minimizer_from_pattern,
+    gram_form_gradient,
     make_instance,
     refined_grid_oracle,
+    soft_threshold,
 )
 from signlasso import (
     CoefVector,
@@ -17,10 +19,8 @@ from signlasso import (
     SolverConfig,
     build_working_problem,
     fit,
-    gram_form_gradient,
     kkt_check,
     objective_value,
-    soft_threshold,
 )
 from signlasso.errors import NumericalError
 
