@@ -15,12 +15,7 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .concentration import (
-    BernsteinParams,
-    bernstein_tail,
-    poisson_raw_moment,
-    stirling2,
-)
+from .concentration import bernstein_tail, poisson_raw_moment, stirling2
 from .conditions import (
     AssumptionConstants,
     BlockedGram,
@@ -57,7 +52,6 @@ from .harness import (
 from .model import (
     CoefVector,
     DesignMatrix,
-    PoissonSample,
     intensities,
     log_likelihood,
     score_and_hessian,
@@ -78,7 +72,6 @@ __all__ = [
     "__version__",
     "AssumptionConstants",
     "BadGeneratorError",
-    "BernsteinParams",
     "BlockedGram",
     "CoefVector",
     "ConditionReport",
@@ -93,7 +86,6 @@ __all__ = [
     "KktReport",
     "MleFit",
     "NumericalError",
-    "PoissonSample",
     "PopulationGram",
     "PropositionDiagnostics",
     "RangeError",

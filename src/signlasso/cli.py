@@ -87,7 +87,7 @@ def _read_coefficients(path: str, name: str, X: DesignMatrix) -> CoefVector:
 
 
 def _load_problem(args):
-    """fit's or check's X, beta_star (or None) and working problem.
+    """fit's or check's beta_star (or None) and working problem.
 
     --beta-tilde is a CSV path, 'mle' or 'oracle:SCALE'; an unconverged MLE
     is a warning, not an error.
@@ -117,7 +117,7 @@ def _load_problem(args):
         beta_tilde, mle = expansion_point(mode, X, counts, beta_star, args.seed)
         if mle is not None and not mle.converged:
             logger.warning("MLE stopped without convergence (grad norm %.3g)", mle.grad_norm)
-    return X, beta_star, build_working_problem(X, beta_tilde, counts)
+    return beta_star, build_working_problem(X, beta_tilde, counts)
 
 
 def _load_constants(path: str | None) -> AssumptionConstants:
@@ -129,15 +129,18 @@ def _load_constants(path: str | None) -> AssumptionConstants:
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse and validate an experiment JSON file with field-path diagnostics."""
     raw = read_json(path)
-    # The reference reports always use the top-level tau.
+    # The reference reports always use the top-level c1 and tau.
     constants = raw.get("constants") if isinstance(raw, dict) else None
-    if isinstance(constants, dict) and "tau" in constants:
-        raise ConfigError("constants.tau", "is not read by simulate; set the top-level tau")
+    for key in ("c1", "tau"):
+        if isinstance(constants, dict) and key in constants:
+            raise ConfigError(
+                f"constants.{key}", f"is not read by simulate; set the top-level {key}"
+            )
     return from_json(ExperimentConfig, raw)
 
 
 def cmd_fit(args) -> int:
-    _, _, problem = _load_problem(args)
+    _, problem = _load_problem(args)
     result = fit(problem, SolverConfig(alpha=args.alpha))
 
     out_dir = Path(args.out)
@@ -164,10 +167,10 @@ def cmd_check(args) -> int:
     # The events take the same penalty as fit: SolverConfig rejects a
     # non-finite or negative alpha with a ConfigError on "alpha".
     SolverConfig(alpha=args.alpha)
-    X, beta_star, problem = _load_problem(args)
+    beta_star, problem = _load_problem(args)
     constants = _load_constants(args.constants)
     bg = blocked_gram(problem, beta_star.support)
-    report = check_assumptions(X, bg, beta_star, constants)
+    report = check_assumptions(bg, beta_star, constants)
     diag = proposition_diagnostics(bg, beta_star, args.alpha)
 
     out_dir = Path(args.out)

@@ -8,7 +8,6 @@ numbers and never gates the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import RangeError
 
@@ -47,26 +46,19 @@ def stirling2(ell: int, i: int) -> int:
 
 def poisson_raw_moment(lam: float, ell: int) -> float:
     """E[Y^ell] for Y ~ Poisson(lam): sum_i lam^i * stirling2(ell, i)."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     if not 1 <= ell <= STIRLING_MAX:
         raise RangeError(f"ell must lie in [1, {STIRLING_MAX}], got {ell}")
     return float(sum(lam**i * stirling2(ell, i) for i in range(1, ell + 1)))
 
 
-@dataclass(frozen=True)
-class BernsteinParams:
-    """Variance proxy nu, moment scale c, and deviation level t."""
+def bernstein_tail(nu: float, c: float, t: float) -> float:
+    """Two-sided tail bound 2 exp(-t^2 / (2 (nu + c t))) in (0, 2].
 
-    nu: float
-    c: float
-    t: float
-
-    def __post_init__(self):
-        if self.nu <= 0 or self.c <= 0 or self.t <= 0:
-            raise ValueError("nu, c, and t must all be positive")
-
-
-def bernstein_tail(params: BernsteinParams) -> float:
-    """Two-sided tail bound 2 exp(-t^2 / (2 (nu + c t))) in (0, 2]."""
-    return 2.0 * math.exp(-params.t**2 / (2.0 * (params.nu + params.c * params.t)))
+    ``nu`` is the variance proxy, ``c`` the moment scale and ``t`` the
+    deviation level; each must be finite and positive.
+    """
+    if not all(math.isfinite(v) and v > 0 for v in (nu, c, t)):
+        raise ValueError(f"nu, c and t must be finite and positive, got {nu}, {c}, {t}")
+    return 2.0 * math.exp(-t**2 / (2.0 * (nu + c * t)))

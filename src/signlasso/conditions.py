@@ -29,8 +29,8 @@ class BlockedGram:
 
     ``C`` is the full p x p Gram and ``W`` the noise vector, both in the order
     ``perm``: ``perm[:q]`` are the active and ``perm[q:]`` the inactive
-    coordinates.  ``n`` and ``beta_tilde`` are the sample size and expansion
-    point of the working problem the Gram was built from.  The blocks
+    coordinates.  ``problem`` is the working problem the Gram was built
+    from; its ``n``, ``beta_tilde`` and ``design`` are the Gram's.  The blocks
     ``C11``, ``C12``, ``C21``, ``C22`` (with C12 == C21.T exactly), ``W1``,
     ``W2``, ``active_idx`` and ``inactive_idx`` are read-only views derived
     on access.  ``active_solver`` factorises C11 on first use and keeps the
@@ -42,8 +42,7 @@ class BlockedGram:
     W: np.ndarray
     perm: np.ndarray
     q: int
-    n: int
-    beta_tilde: CoefVector
+    problem: WorkingProblem
 
     def __post_init__(self):
         object.__setattr__(self, "C", _as_readonly(self.C))
@@ -114,9 +113,7 @@ def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
     C = problem.gram()[np.ix_(perm, perm)]
     W = problem.noise()[perm]
     _freeze(C, W, perm)
-    return BlockedGram(
-        C=C, W=W, perm=perm, q=active.size, n=problem.n, beta_tilde=problem.beta_tilde
-    )
+    return BlockedGram(C=C, W=W, perm=perm, q=active.size, problem=problem)
 
 
 @dataclass(frozen=True)
@@ -126,16 +123,12 @@ class PopulationGram:
     ``gram`` is the blocked Gram of the working problem at beta_tilde = beta*,
     so ``gram.C`` is x*^T x* / n with x* = sqrt(lambda*) x rowwise.  That
     problem is built from a zero response, so ``gram.W`` has no meaning here.
-    ``lambda_star`` holds the true intensities exp(x_i beta*) and
-    ``lambda_bar`` is max(1, max intensity).
+    ``gram.problem.lambda_tilde`` holds the true intensities exp(x_i beta*)
+    and ``lambda_bar`` is max(1, max intensity).
     """
 
     gram: BlockedGram
-    lambda_star: np.ndarray
     lambda_bar: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_star", _as_readonly(self.lambda_star))
 
 
 def population_gram(X: DesignMatrix, beta_star: CoefVector, support) -> PopulationGram:
@@ -149,11 +142,9 @@ def population_gram(X: DesignMatrix, beta_star: CoefVector, support) -> Populati
         If a linear predictor exceeds the overflow guard.
     """
     problem = build_working_problem(X, beta_star, np.zeros(X.n, dtype=np.int64))
-    lam = problem.lambda_tilde
     return PopulationGram(
         gram=blocked_gram(problem, support),
-        lambda_star=lam,
-        lambda_bar=float(max(1.0, np.max(lam))),
+        lambda_bar=float(max(1.0, np.max(problem.lambda_tilde))),
     )
 
 
@@ -250,31 +241,24 @@ def irrepresentable_vector(bg: BlockedGram, beta_star: CoefVector) -> np.ndarray
 
 
 def check_assumptions(
-    X: DesignMatrix,
-    bg: BlockedGram,
-    beta_star: CoefVector,
-    constants: AssumptionConstants | None = None,
+    bg: BlockedGram, beta_star: CoefVector, constants: AssumptionConstants | None = None
 ) -> ConditionReport:
     """Evaluate the recovery conditions of the weighted design at beta_star's support.
 
-    ``bg`` is the blocked Gram of the weighted design X at that support.
+    ``bg`` is the blocked Gram at that support; the row and column norms are
+    those of ``bg.problem.design``.
 
     Raises
     ------
     SingularBlockError
         If the active-block Gram has an eigenvalue at or below 1e-12.
     ValueError
-        If ``bg``'s active set is not beta_star's support, or ``bg`` was built
-        from a design of another shape than X.
+        If ``bg``'s active set is not beta_star's support.
     """
     bg._check_truth(beta_star)
-    if (X.n, X.p) != (bg.n, bg.p):
-        raise ValueError(
-            f"X has shape ({X.n}, {X.p}), but the blocked Gram was built "
-            f"from a design of shape ({bg.n}, {bg.p})"
-        )
     constants = constants or AssumptionConstants()
     _, eigmin = bg.active_solver
+    X, n = bg.problem.design, bg.problem.n
 
     row_norm_max = float(np.max(X.row_norms()))
     col_norm_max = float(np.max(X.col_norms()))
@@ -284,7 +268,7 @@ def check_assumptions(
         float(np.linalg.eigvalsh(bg.C22)[-1]) if bg.C22.size else 0.0
     )
     beta_min = float(np.min(np.abs(beta_star.values[bg.active_idx])))
-    beta_min_scaled = float(bg.n ** ((1.0 - constants.c1) / 2.0) * beta_min)
+    beta_min_scaled = float(n ** ((1.0 - constants.c1) / 2.0) * beta_min)
     d = irrepresentable_vector(bg, beta_star)
     irrep_margin = irrepresentable_margin(d)
 
@@ -305,7 +289,7 @@ def check_assumptions(
         passes["beta_min"] = beta_min_scaled >= constants.min_beta_scaled
 
     return ConditionReport(
-        n=bg.n,
+        n=n,
         q=bg.q,
         lambda_min_C11=eigmin,
         lambda_max_C12=lambda_max_c12,
@@ -358,12 +342,12 @@ def proposition_diagnostics(
 ) -> PropositionDiagnostics:
     """Evaluate the sufficient sign-recovery events at penalty ``alpha``.
 
-    The expansion point and the sample size are ``bg.beta_tilde`` and ``bg.n``.
+    The expansion point and the sample size are those of ``bg.problem``.
     """
     bg._check_truth(beta_star)
     solve, _ = bg.active_solver
 
-    diff = beta_star.values[bg.perm] - bg.beta_tilde.values[bg.perm]
+    diff = beta_star.values[bg.perm] - bg.problem.beta_tilde.values[bg.perm]
     R = bg.C @ diff
     R1, R2 = R[: bg.q], R[bg.q :]
 
@@ -372,7 +356,7 @@ def proposition_diagnostics(
     # One solve for the three right-hand sides; each column is bit-identical
     # to its own solve.
     xi, b, inv_R1 = solve(np.column_stack([W1, s1, R1])).T
-    ratio = alpha / (2.0 * bg.n)
+    ratio = alpha / (2.0 * bg.problem.n)
 
     beta1_abs = np.abs(beta_star.values[bg.active_idx])
     an_slack = beta1_abs - ratio * np.abs(b) - np.abs(inv_R1) - np.abs(xi)

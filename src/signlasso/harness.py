@@ -290,14 +290,14 @@ def _run_replicate(config: ExperimentConfig, design: DesignMatrix, n: int, r: in
     seed_used = derive_seed(config.seed, _TAG_COUNTS, n, r)
     record = partial(ReplicateRecord, n=n, replicate=r, seed_used=seed_used, alpha_n=alpha_n)
     try:
-        sample = simulate(design, config.beta_star, seed_used)
+        counts = simulate(design, config.beta_star, seed_used)
         beta_tilde, mle = expansion_point(
-            config.beta_tilde_mode, design, sample.counts, config.beta_star,
+            config.beta_tilde_mode, design, counts, config.beta_star,
             derive_seed(config.seed, _TAG_PRELIM, n, r),
         )
         if mle is not None and not mle.converged:
             return record(ok=False, error="mle did not converge")
-        problem = build_working_problem(design, beta_tilde, sample.counts)
+        problem = build_working_problem(design, beta_tilde, counts)
         result = fit(problem, config.solver_config(n))
         if not result.converged:
             return record(ok=False, error="solver did not converge")
@@ -337,8 +337,8 @@ def _reference_report(config: ExperimentConfig, design: DesignMatrix) -> Conditi
             f"reference design at n={design.n}: intensity {pg.lambda_bar:.6g} at beta* is "
             "at or above 2**62; every replicate would fail to draw counts",
         )
-    constants = replace(config.constants or AssumptionConstants(), tau=config.tau)
-    return check_assumptions(design, pg.gram, config.beta_star, constants)
+    constants = replace(config.constants or AssumptionConstants(), c1=config.c1, tau=config.tau)
+    return check_assumptions(pg.gram, config.beta_star, constants)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

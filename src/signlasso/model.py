@@ -119,31 +119,6 @@ class CoefVector:
         return out
 
 
-@dataclass(frozen=True)
-class PoissonSample:
-    """Simulated counts with the generating intensities and seed."""
-
-    counts: np.ndarray
-    intensities: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.counts, dtype=np.int64))
-        lam = np.atleast_1d(np.asarray(self.intensities, dtype=float))
-        if c.shape != lam.shape:
-            raise ValueError("counts and intensities must have matching length")
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
-        if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
-            raise ValueError("intensities must be finite and positive")
-        object.__setattr__(self, "counts", _as_readonly(c, dtype=np.int64))
-        object.__setattr__(self, "intensities", _as_readonly(lam))
-
-    @property
-    def n(self) -> int:
-        return self.counts.size
-
-
 def _check_counts(counts, n: int) -> np.ndarray:
     """``counts`` as n int64 values; each must be an integer in [0, 2**63)."""
     y = np.atleast_1d(np.asarray(counts))
@@ -287,9 +262,11 @@ def poisson_counts(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def simulate(X: DesignMatrix, beta_star: CoefVector, seed: int) -> PoissonSample:
-    """Simulate Y_i ~ Poisson(exp(x_i beta_star)), deterministically in seed."""
-    lam = intensities(X, beta_star)
-    rng = np.random.default_rng(seed)
-    counts = poisson_counts(lam, rng)
-    return PoissonSample(counts=counts, intensities=lam, seed=int(seed))
+def simulate(X: DesignMatrix, beta_star: CoefVector, seed: int) -> np.ndarray:
+    """Counts Y_i ~ Poisson(exp(x_i beta_star)) as a read-only int64 array.
+
+    Deterministic in seed.  The intensities are ``intensities(X, beta_star)``.
+    """
+    counts = poisson_counts(intensities(X, beta_star), np.random.default_rng(seed))
+    _freeze(counts)
+    return counts

@@ -27,8 +27,9 @@ class WorkingProblem:
     """Weighted least-squares problem equivalent to one Newton step.
 
     Satisfies y_work = x_work @ beta_tilde.values + eps_tilde exactly, and
-    x_work[i, :] = sqrt(lambda_tilde[i]) * x[i, :].  The arrays are read-only;
-    ``xtx`` is formed once, on first use, as the solver's G and ``gram()``'s base.
+    x_work[i, :] = sqrt(lambda_tilde[i]) * design.values[i, :].  The arrays
+    are read-only; ``xtx`` is formed once, on first use, as the solver's G
+    and ``gram()``'s base.
     """
 
     y_work: np.ndarray
@@ -36,10 +37,16 @@ class WorkingProblem:
     lambda_tilde: np.ndarray
     eps_tilde: np.ndarray
     beta_tilde: CoefVector
+    design: DesignMatrix
 
     def __post_init__(self):
         for name in ("y_work", "x_work", "lambda_tilde", "eps_tilde"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        if self.design.values.shape != self.x_work.shape:
+            raise ValueError(
+                f"design has shape {self.design.values.shape}, "
+                f"but x_work has shape {self.x_work.shape}"
+            )
 
     @property
     def n(self) -> int:
@@ -94,4 +101,5 @@ def build_working_problem(X: DesignMatrix, beta_tilde: CoefVector, counts) -> Wo
         lambda_tilde=lam,
         eps_tilde=eps,
         beta_tilde=beta_tilde,
+        design=X,
     )

@@ -62,15 +62,15 @@ def make_instance(
     beta = np.zeros(p)
     beta[:q] = magnitudes * signs
     beta_star = CoefVector(beta)
-    sample = simulate(X, beta_star, int(rng.integers(0, 2**63 - 1)))
+    counts = simulate(X, beta_star, int(rng.integers(0, 2**63 - 1)))
     beta_tilde = oracle_perturbation(
         beta_star, n, tilde_scale, int(rng.integers(0, 2**63 - 1))
     )
-    problem = build_working_problem(X, beta_tilde, sample.counts)
+    problem = build_working_problem(X, beta_tilde, counts)
     return {
         "X": X,
         "beta_star": beta_star,
-        "sample": sample,
+        "counts": counts,
         "beta_tilde": beta_tilde,
         "problem": problem,
     }

@@ -40,7 +40,7 @@ from signlasso import (
     stirling2,
 )
 from signlasso.cli import main as cli_main
-from signlasso.concentration import BernsteinParams, poisson_raw_moment
+from signlasso.concentration import poisson_raw_moment
 from signlasso.model import poisson_counts
 
 
@@ -241,7 +241,7 @@ def test_acceptance_conditions_engine():
         DesignMatrix(H), CoefVector([0.0, 0.0]), np.zeros(4, dtype=int)
     )
     beta_star = CoefVector([1.0, 0.0])
-    report = check_assumptions(DesignMatrix(H), blocked_gram(problem, [0]), beta_star, None)
+    report = check_assumptions(blocked_gram(problem, [0]), beta_star, None)
     assert report.irrep_margin == 1.0
     d = irrepresentable_vector(blocked_gram(problem, [0]), beta_star)
     assert np.all(d == 0.0)
@@ -256,7 +256,7 @@ def test_acceptance_conditions_engine():
     problem = build_working_problem(X, beta_star, rng.integers(0, 4, n))
     lam = problem.lambda_tilde
     expected = 1.0 - abs(float(np.sum(lam * x2 * x1)) / float(np.sum(lam * x1 * x1)))
-    report = check_assumptions(X, blocked_gram(problem, [0]), beta_star, None)
+    report = check_assumptions(blocked_gram(problem, [0]), beta_star, None)
     assert report.irrep_margin == pytest.approx(expected, abs=1e-10)
 
     # Exact reassembly of the blocks.
@@ -297,7 +297,7 @@ def test_acceptance_concentration():
     beta_star = CoefVector([0.8, -0.6, 0.0])
     pg = population_gram(X, beta_star, beta_star.support)
     n = X.n
-    lam = pg.lambda_star
+    lam = pg.gram.problem.lambda_tilde
     lmin = float(np.linalg.eigvalsh(pg.gram.C11)[0])
     nu = 2.0 * pg.lambda_bar / lmin
     c = math.sqrt(pg.lambda_bar / (n * lmin))
@@ -308,7 +308,7 @@ def test_acceptance_concentration():
     counts = poisson_counts(np.tile(lam, replicates), rng).reshape(replicates, n)
     sums = ((counts - lam) / np.sqrt(lam)) @ G[0]
     for t in np.linspace(0.05, 3.0, 12):
-        bound = bernstein_tail(BernsteinParams(nu=nu, c=c, t=float(t)))
+        bound = bernstein_tail(nu, c, float(t))
         freq = float(np.mean(np.abs(sums) >= t))
         allowance = 2.33 * math.sqrt(max(bound * (1 - bound), 1e-12) / replicates)
         assert freq <= min(bound, 1.0) + allowance, f"t={t}: {freq} above {bound}"

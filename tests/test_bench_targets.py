@@ -1,9 +1,10 @@
 """Every function the benchmark traces is still a function of the program,
-and the program still calls it.
+the program still calls it, and every benchmark config still loads.
 
-``perfbench/spans.py`` patches names in signlasso's modules; a renamed or
-moved name, or a call moved off the patched binding, would otherwise surface
-only when the benchmark runs.
+``perfbench/spans.py`` patches names in signlasso's modules and
+``perfbench/ops.py`` builds the configs it runs; a renamed or moved name, a
+call moved off the patched binding, or a loader rule that rejects a
+benchmark config would otherwise surface only when the benchmark runs.
 """
 
 import importlib.util
@@ -15,17 +16,26 @@ import pytest
 
 import signlasso.cli
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture()
-def spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # The module's dataclasses look themselves up in sys.modules.
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture()
+def spans(monkeypatch):
+    return _load(monkeypatch, "spans")
+
+
+@pytest.fixture()
+def ops(monkeypatch):
+    return _load(monkeypatch, "ops")
 
 
 def test_every_benchmark_target_is_a_callable_of_its_owner(spans):
@@ -67,3 +77,12 @@ def test_every_traced_layer_records_calls(spans, tmp_path, capsys):
         if not any(c[name + ".calls"] for c in counts.values())
     ]
     assert silent == []
+
+
+def test_every_benchmark_config_loads(ops, tmp_path):
+    for name, workload in ops.WORKLOADS.items():
+        for seed in (0, 1):
+            config = workload.make_config(seed)
+            path = tmp_path / f"{name}_{seed}.json"
+            path.write_text(json.dumps(config))
+            assert signlasso.cli.load_experiment_config(path).seed == config["seed"]

@@ -385,6 +385,11 @@ OUT_OF_RANGE_INPUTS = {
     "check_constants_tau": ("constants.tau", lambda tmp, data: _check_argv(
         data, "--constants", _constants_file(tmp, {"tau": -0.1})
     )),
+    # The reference reports use the top-level c1; constants.c1 = 0.3 used to
+    # run, although it breaks c2 < c1.
+    "simulate_constants_c1": ("constants.c1", lambda tmp, data: _simulate_argv(
+        tmp, constants={"c1": 0.3}
+    )),
     "simulate_seed_negative": ("seed", lambda tmp, data: _simulate_argv(tmp, seed=-5)),
     "simulate_seed_flag_negative": ("seed", lambda tmp, data: [
         *_simulate_argv(tmp), "--seed", "-1",
@@ -550,6 +555,15 @@ def test_config_round_trips_through_json():
     )
     dumped = jsonable(config)
     assert jsonable(from_json(ExperimentConfig, dumped, "")) == dumped
+
+
+def test_simulate_reference_report_uses_the_top_level_c1(tmp_path):
+    # beta_min_scaled is n^((1 - c1) / 2) * min |beta*_active|; it used to
+    # read the default c1 = 1 and report 1.0.
+    argv = _simulate_argv(tmp_path, c1=0.6, c2=0.5, n_grid=[400], replicates=1)
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["conditions"]["400"]["beta_min_scaled"] == pytest.approx(400**0.2)
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):

@@ -17,7 +17,6 @@ from signlasso import (
     population_gram,
     stirling2,
 )
-from signlasso.concentration import BernsteinParams
 from signlasso.model import poisson_counts
 
 
@@ -89,6 +88,13 @@ def test_low_order_moments():
     assert poisson_raw_moment(lam, 3) == pytest.approx(lam + 3 * lam**2 + lam**3)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_raw_moment_rejects_a_bad_intensity(lam):
+    # An infinite intensity used to give an infinite moment.
+    with pytest.raises(ValueError, match="finite and positive"):
+        poisson_raw_moment(lam, 2)
+
+
 def test_moment_recursion_identity():
     # E[Y^{l+1}] = lam * sum_k C(l, k) E[Y^k] with E[Y^0] = 1.
     for lam in (0.3, 1.0, 2.5, 7.0):
@@ -109,19 +115,27 @@ def test_moment_against_monte_carlo():
 
 
 def test_bernstein_limit_and_value():
-    tiny = bernstein_tail(BernsteinParams(nu=1.0, c=1.0, t=1e-12))
+    tiny = bernstein_tail(nu=1.0, c=1.0, t=1e-12)
     assert tiny == pytest.approx(2.0, abs=1e-9)
-    value = bernstein_tail(BernsteinParams(nu=1.0, c=1e-12, t=2.0))
+    value = bernstein_tail(nu=1.0, c=1e-12, t=2.0)
     assert value == pytest.approx(2.0 * math.exp(-2.0), rel=1e-9)
 
 
 def test_bernstein_monotonicity():
-    base = BernsteinParams(nu=1.0, c=0.5, t=1.0)
-    assert bernstein_tail(BernsteinParams(nu=1.0, c=0.5, t=2.0)) < bernstein_tail(base)
-    assert bernstein_tail(BernsteinParams(nu=2.0, c=0.5, t=1.0)) > bernstein_tail(base)
-    assert bernstein_tail(BernsteinParams(nu=1.0, c=1.0, t=1.0)) > bernstein_tail(base)
-    with pytest.raises(ValueError):
-        BernsteinParams(nu=0.0, c=1.0, t=1.0)
+    base = bernstein_tail(1.0, 0.5, 1.0)
+    assert bernstein_tail(1.0, 0.5, 2.0) < base
+    assert bernstein_tail(2.0, 0.5, 1.0) > base
+    assert bernstein_tail(1.0, 1.0, 1.0) > base
+
+
+@pytest.mark.parametrize("nu, c, t", [
+    (0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0),
+    (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.inf),
+])
+def test_bernstein_tail_rejects_a_bad_parameter(nu, c, t):
+    # nu = nan used to give a NaN bound and nu = inf the vacuous bound 2.
+    with pytest.raises(ValueError, match="finite and positive"):
+        bernstein_tail(nu, c, t)
 
 
 def _projection_instance(rng, n=40, p=3, q=1):
@@ -140,7 +154,7 @@ def test_bernstein_dominates_empirical_projection_tails():
     rng = np.random.default_rng(313)
     X, beta_star, pg = _projection_instance(rng)
     n = X.n
-    lam = pg.lambda_star
+    lam = pg.gram.problem.lambda_tilde
     lmin = float(np.linalg.eigvalsh(pg.gram.C11)[0])
     nu = 2.0 * pg.lambda_bar / lmin
     c = math.sqrt(pg.lambda_bar / (n * lmin))
@@ -164,7 +178,7 @@ def test_bernstein_dominates_empirical_projection_tails():
     assert np.sum(G[0] ** 2 * (1.0 + lam)) <= nu * (1 + 1e-12)
 
     for t in np.linspace(0.05, 3.0, 12):
-        bound = bernstein_tail(BernsteinParams(nu=nu, c=c, t=float(t)))
+        bound = bernstein_tail(nu, c, float(t))
         freq = float(np.mean(np.abs(sums) >= t))
         allowance = 2.33 * math.sqrt(max(bound * (1 - bound), 1e-12) / replicates)
         assert freq <= min(bound, 1.0) + allowance
@@ -179,7 +193,7 @@ def test_population_gram_equals_blocked_gram_at_truth():
     bg = blocked_gram(problem, support)
     pg = population_gram(X, beta_star, support)
     assert np.array_equal(pg.gram.C, bg.C)
-    assert pg.lambda_bar == pytest.approx(max(1.0, float(np.max(pg.lambda_star))))
+    assert pg.lambda_bar == pytest.approx(max(1.0, float(np.max(pg.gram.problem.lambda_tilde))))
 
 
 def test_population_gram_single_observation():

@@ -85,11 +85,10 @@ def test_blocked_gram_rejects_empty_support():
 
 def test_check_assumptions_orthogonal_design():
     H = np.array([[1, 1], [1, -1], [1, 1], [1, -1]], dtype=float)
-    X = DesignMatrix(H)
     problem = _unweighted_problem(H)
     beta_star = CoefVector([1.0, 0.0])
     report = check_assumptions(
-        X, blocked_gram(problem, [0]), beta_star, AssumptionConstants(min_eigen_active=1.0)
+        blocked_gram(problem, [0]), beta_star, AssumptionConstants(min_eigen_active=1.0)
     )
     assert report.irrep_margin == 1.0
     assert report.lambda_min_C11 == pytest.approx(1.0)
@@ -103,7 +102,7 @@ def test_check_assumptions_full_support_conventions():
     rng = np.random.default_rng(223)
     inst = make_instance(rng, n=25, p=3, q=3)
     report = check_assumptions(
-        inst["X"], blocked_gram(inst["problem"], inst["beta_star"].support),
+        blocked_gram(inst["problem"], inst["beta_star"].support),
         inst["beta_star"], AssumptionConstants(),
     )
     assert report.irrep_margin == 1.0
@@ -126,7 +125,7 @@ def test_check_assumptions_two_predictor_closed_form():
     c11 = float(np.sum(lam * x1 * x1) / n)
     c21 = float(np.sum(lam * x2 * x1) / n)
     expected_margin = 1.0 - abs(c21 / c11)
-    report = check_assumptions(X, blocked_gram(problem, [0]), beta_star, AssumptionConstants())
+    report = check_assumptions(blocked_gram(problem, [0]), beta_star, AssumptionConstants())
     assert report.irrep_margin == pytest.approx(expected_margin, abs=1e-10)
 
 
@@ -135,7 +134,7 @@ def test_check_assumptions_reports_observed_constants():
     inst = make_instance(rng, n=50, p=4, q=2)
     X = inst["X"]
     bg = blocked_gram(inst["problem"], inst["beta_star"].support)
-    report = check_assumptions(X, bg, inst["beta_star"], None)
+    report = check_assumptions(bg, inst["beta_star"], None)
     assert report.row_norm_max == pytest.approx(float(np.max(X.row_norms())))
     assert report.col_norm_max == pytest.approx(float(np.max(X.col_norms())))
     # beta_min statistic with default c1 = 1 is just min |active beta|.
@@ -147,7 +146,7 @@ def test_beta_min_scaling_with_c1():
     rng = np.random.default_rng(233)
     inst = make_instance(rng, n=100, p=3, q=1)
     report = check_assumptions(
-        inst["X"], blocked_gram(inst["problem"], inst["beta_star"].support),
+        blocked_gram(inst["problem"], inst["beta_star"].support),
         inst["beta_star"], AssumptionConstants(c1=0.5),
     )
     expected = 100 ** 0.25 * float(np.abs(inst["beta_star"].values[0]))
@@ -159,13 +158,13 @@ def test_singular_active_block_raises():
     problem = _unweighted_problem(X)
     beta_star = CoefVector([1.0, 1.0, 0.0])
     with pytest.raises(SingularBlockError):
-        check_assumptions(DesignMatrix(X), blocked_gram(problem, [0, 1]), beta_star, None)
+        check_assumptions(blocked_gram(problem, [0, 1]), beta_star, None)
 
 
 @pytest.mark.parametrize("consumer", [
-    lambda X, bg, beta: check_assumptions(X, bg, beta),
-    lambda X, bg, beta: irrepresentable_vector(bg, beta),
-    lambda X, bg, beta: proposition_diagnostics(bg, beta, 1.0),
+    lambda bg, beta: check_assumptions(bg, beta),
+    lambda bg, beta: irrepresentable_vector(bg, beta),
+    lambda bg, beta: proposition_diagnostics(bg, beta, 1.0),
 ], ids=["check_assumptions", "irrepresentable_vector", "proposition_diagnostics"])
 def test_consumers_reject_a_gram_blocked_off_the_support(consumer):
     rng = np.random.default_rng(239)
@@ -175,31 +174,15 @@ def test_consumers_reject_a_gram_blocked_off_the_support(consumer):
     # A wrong active set, and the right one for a beta of the wrong length.
     for support, beta in (([2], beta_star), ([0, 1], CoefVector([1.0, -1.0, 0.0]))):
         with pytest.raises(ValueError, match="support"):
-            consumer(X, blocked_gram(problem, support), beta)
+            consumer(blocked_gram(problem, support), beta)
 
 
-def test_check_assumptions_rejects_a_design_the_gram_was_not_built_from():
-    # X supplies the norms and the beta-min scaling, bg the Gram: a 1000-row
-    # X with the Gram of a 50-row design used to give a report mixing the two.
-    rng = np.random.default_rng(239)
-    beta_star = CoefVector([1.0, -1.0, 0.0, 0.0])
-    small = DesignMatrix(rng.standard_normal((50, 4)))
-    bg = blocked_gram(
-        build_working_problem(small, beta_star, rng.integers(0, 4, 50)), beta_star.support
-    )
-    for X in (DesignMatrix(rng.standard_normal((1000, 4))),
-              DesignMatrix(rng.standard_normal((50, 5)))):
-        with pytest.raises(ValueError, match="shape"):
-            check_assumptions(X, bg, beta_star)
-    assert check_assumptions(small, bg, beta_star).n == 50
-
-
-def test_blocked_gram_carries_its_problems_n_and_expansion_point():
+def test_blocked_gram_keeps_its_problem():
     rng = np.random.default_rng(241)
     inst = make_instance(rng, n=40, p=5, q=2)
     bg = blocked_gram(inst["problem"], inst["beta_star"].support)
-    assert bg.n == 40
-    assert bg.beta_tilde is inst["problem"].beta_tilde
+    assert bg.problem is inst["problem"]
+    assert bg.problem.design is inst["X"]
 
 
 def test_proposition_zero_remainder_when_tilde_is_truth():
@@ -228,6 +211,7 @@ def test_proposition_noise_free_events():
         lambda_tilde=lam,
         eps_tilde=np.zeros(3),
         beta_tilde=beta_star,
+        design=X,
     )
     bg = blocked_gram(problem, [0])
     diag = proposition_diagnostics(bg, beta_star, 0.0)

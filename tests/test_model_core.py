@@ -108,16 +108,24 @@ def test_simulate_is_deterministic_in_seed():
     beta = CoefVector([0.4, -0.3])
     a = simulate(X, beta, 123456)
     b = simulate(X, beta, 123456)
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a, b)
     c = simulate(X, beta, 123457)
-    assert not np.array_equal(a.counts, c.counts)
+    assert not np.array_equal(a, c)
+
+
+def test_simulate_returns_read_only_int64_counts():
+    X = DesignMatrix(np.random.default_rng(4).standard_normal((30, 2)))
+    counts = simulate(X, CoefVector([0.4, -0.3]), 99)
+    assert isinstance(counts, np.ndarray)
+    assert counts.dtype == np.int64 and counts.shape == (30,)
+    assert not counts.flags.writeable
 
 
 def test_simulate_unit_intensity_mean():
     X = DesignMatrix(np.zeros((100_000, 1)))
-    sample = simulate(X, CoefVector([3.0]), 2024)
-    np.testing.assert_array_equal(sample.intensities, 1.0)
-    assert abs(sample.counts.mean() - 1.0) < 0.02
+    beta = CoefVector([3.0])
+    np.testing.assert_array_equal(intensities(X, beta), 1.0)
+    assert abs(simulate(X, beta, 2024).mean() - 1.0) < 0.02
 
 
 @pytest.mark.parametrize("lam", [4.0, 25.0])

@@ -28,8 +28,8 @@ def test_intercept_only_closed_form():
 def test_gradient_tolerance_postcondition():
     rng = np.random.default_rng(101)
     X = DesignMatrix(0.5 * rng.standard_normal((60, 3)))
-    sample = simulate(X, CoefVector([0.5, -0.4, 0.2]), 7)
-    result = fit_mle(X, sample.counts)
+    counts = simulate(X, CoefVector([0.5, -0.4, 0.2]), 7)
+    result = fit_mle(X, counts)
     assert result.converged
     assert result.grad_norm <= prelim._GRAD_TOL
 
@@ -39,8 +39,8 @@ def test_consistency_at_null_truth():
     # about 1/sqrt(n), so 0.05 is a 5-sigma envelope at n = 10^4.
     rng = np.random.default_rng(103)
     X = DesignMatrix(rng.choice([-1.0, 1.0], size=(10_000, 3)))
-    sample = simulate(X, CoefVector(np.zeros(3)), 11)
-    result = fit_mle(X, sample.counts)
+    counts = simulate(X, CoefVector(np.zeros(3)), 11)
+    result = fit_mle(X, counts)
     assert result.converged
     assert np.max(np.abs(result.beta.values)) <= 0.05
 
@@ -52,10 +52,10 @@ def test_likelihood_improves_from_start():
     for _ in range(12):
         n = int(rng.integers(20, 80))
         X = DesignMatrix(0.6 * rng.standard_normal((n, 2)))
-        sample = simulate(X, CoefVector([1.0, -0.5]), int(rng.integers(0, 2**31)))
-        result = fit_mle(X, sample.counts)
+        counts = simulate(X, CoefVector([1.0, -0.5]), int(rng.integers(0, 2**31)))
+        result = fit_mle(X, counts)
         assert result.converged
-        start = log_likelihood(X, CoefVector(np.zeros(2)), sample.counts)
+        start = log_likelihood(X, CoefVector(np.zeros(2)), counts)
         assert result.log_likelihood >= start - 1e-9
 
 
@@ -79,8 +79,8 @@ def test_mle_error_scales_like_root_n():
         errors = []
         for _ in range(40):
             X = DesignMatrix(rng.choice([-1.0, 1.0], size=(n, 2)))
-            sample = simulate(X, beta_star, int(rng.integers(0, 2**63 - 1)))
-            result = fit_mle(X, sample.counts)
+            counts = simulate(X, beta_star, int(rng.integers(0, 2**63 - 1)))
+            result = fit_mle(X, counts)
             assert result.converged
             errors.append(np.max(np.abs(result.beta.values - beta_star.values)))
         medians.append(float(np.median(errors)))
@@ -128,7 +128,7 @@ def test_reported_likelihood_is_log_likelihood_at_the_estimate():
         n, p = int(rng.integers(30, 300)), int(rng.integers(1, 5))
         X = DesignMatrix(0.5 * rng.standard_normal((n, p)))
         beta = CoefVector(rng.uniform(-1.0, 1.0, p))
-        counts = simulate(X, beta, int(rng.integers(0, 2**32))).counts
+        counts = simulate(X, beta, int(rng.integers(0, 2**32)))
         result = fit_mle(X, counts)
         assert result.log_likelihood == log_likelihood(X, result.beta, counts)
 
@@ -145,8 +145,8 @@ def test_rank_check_runs_one_svd_per_design(monkeypatch):
     rng = np.random.default_rng(31)
     X = DesignMatrix(0.5 * rng.standard_normal((80, 3)))
     beta_star = CoefVector([0.4, -0.3, 0.0])
-    first = fit_mle(X, simulate(X, beta_star, 1).counts)
-    second = fit_mle(X, simulate(X, beta_star, 2).counts)
+    first = fit_mle(X, simulate(X, beta_star, 1))
+    second = fit_mle(X, simulate(X, beta_star, 2))
     assert first.converged and second.converged
     assert len(calls) == 1
     assert not X.singular_values.flags.writeable

@@ -1,5 +1,6 @@
 """Working-response construction and its defining identities."""
 
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +29,16 @@ def test_zero_expansion_point_gives_unweighted_problem():
     np.testing.assert_allclose(problem.y_work, y - 1.0, atol=1e-15)
 
 
+def test_working_problem_keeps_its_design():
+    rng = np.random.default_rng(19)
+    inst = make_instance(rng, n=30, p=3, q=1)
+    problem = inst["problem"]
+    assert problem.design is inst["X"]
+    # A design of another shape cannot stand in for the one x_work came from.
+    with pytest.raises(ValueError, match="shape"):
+        replace(problem, design=DesignMatrix(rng.standard_normal((70, 3))))
+
+
 def test_defining_identity_holds_exactly():
     rng = np.random.default_rng(17)
     inst = make_instance(rng, n=40, p=4, q=2)
@@ -39,7 +50,7 @@ def test_defining_identity_holds_exactly():
     np.testing.assert_allclose(problem.x_work, inst["X"].values * root[:, None], rtol=1e-15)
     np.testing.assert_allclose(
         problem.eps_tilde,
-        (inst["sample"].counts - problem.lambda_tilde) / root,
+        (inst["counts"] - problem.lambda_tilde) / root,
         rtol=1e-13,
     )
 
@@ -51,7 +62,7 @@ def test_quadratic_form_matches_taylor_expansion():
     inst = make_instance(rng, n=25, p=3, q=2)
     problem = inst["problem"]
     X = inst["X"].values
-    y = inst["sample"].counts
+    y = inst["counts"]
     lam = problem.lambda_tilde
     bt = problem.beta_tilde.values
     base = problem.y_work - problem.x_work @ bt
@@ -71,7 +82,7 @@ def test_argmin_agrees_with_expansion_argmax_on_grid():
     inst = make_instance(rng, n=30, p=2, q=1)
     problem = inst["problem"]
     X = inst["X"].values
-    y = inst["sample"].counts
+    y = inst["counts"]
     lam = problem.lambda_tilde
     bt = problem.beta_tilde.values
     axis = np.linspace(-2.0, 2.0, 161)
