@@ -45,12 +45,24 @@ def stirling2(ell: int, i: int) -> int:
 
 
 def poisson_raw_moment(lam: float, ell: int) -> float:
-    """E[Y^ell] for Y ~ Poisson(lam): sum_i lam^i * stirling2(ell, i)."""
+    """E[Y^ell] for Y ~ Poisson(lam): sum_i lam^i * stirling2(ell, i).
+
+    Raises ValueError unless ``lam`` is finite and positive and the moment
+    is finite as a float.
+    """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
     if not 1 <= ell <= STIRLING_MAX:
         raise RangeError(f"ell must lie in [1, {STIRLING_MAX}], got {ell}")
-    return float(sum(lam**i * stirling2(ell, i) for i in range(1, ell + 1)))
+    # Python-float arithmetic, so a numpy scalar overflows the same way.
+    lam = float(lam)
+    try:
+        moment = sum(lam**i * stirling2(ell, i) for i in range(1, ell + 1))
+    except OverflowError:
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise ValueError(f"E[Y^{ell}] overflows a float at lam={lam}")
+    return moment
 
 
 def bernstein_tail(nu: float, c: float, t: float) -> float:

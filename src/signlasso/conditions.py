@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
 
 from .errors import ConfigError, EmptySupportError, SingularBlockError
-from .model import CoefVector, DesignMatrix, _as_readonly, _freeze
+from .model import CoefVector, DesignMatrix, _as_readonly, _cholesky_solver, _freeze
 from .working import WorkingProblem, build_working_problem
 
 # Smallest active-block eigenvalue treated as invertible.
@@ -156,13 +156,9 @@ def _active_solver(C11: np.ndarray):
             f"active-block Gram is numerically singular: lambda_min = {eigmin:.3g}"
         )
     try:
-        factor = cho_factor(C11, lower=True)
+        solve = _cholesky_solver(C11)
     except LinAlgError as exc:  # pragma: no cover - caught by the eigen check
         raise SingularBlockError(str(exc)) from exc
-
-    def solve(rhs):
-        return cho_solve(factor, rhs)
-
     return solve, eigmin
 
 

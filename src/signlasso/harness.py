@@ -162,7 +162,9 @@ class ExperimentConfig:
     The penalty schedule is alpha_n = alpha_coef * n^{(c2+1)/2} with
     0 < c2 < c1 <= 1.  ``beta_tilde_mode`` is 'mle' or 'oracle:SCALE'.  The
     design is regenerated per n from the master seed and held fixed across
-    replicates unless ``redraw_design`` is set.
+    replicates unless ``redraw_design`` is set.  ``constants``, when given,
+    takes the top-level ``c1`` and ``tau``, the values the reference reports
+    use.
     """
 
     design: DesignSpec
@@ -198,6 +200,12 @@ class ExperimentConfig:
             raise ConfigError("alpha_coef", "must be nonnegative")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("tau", f"must lie in [0, 1], got {self.tau}")
+        if self.constants is not None:
+            # The reference reports use the top-level c1 and tau, so the
+            # constants carry them: report.json echoes the values used.
+            object.__setattr__(
+                self, "constants", replace(self.constants, c1=self.c1, tau=self.tau)
+            )
         if self.beta_star.q < 1:
             raise ConfigError("beta_star", "needs at least one nonzero coefficient")
         try:
@@ -337,7 +345,7 @@ def _reference_report(config: ExperimentConfig, design: DesignMatrix) -> Conditi
             f"reference design at n={design.n}: intensity {pg.lambda_bar:.6g} at beta* is "
             "at or above 2**62; every replicate would fail to draw counts",
         )
-    constants = replace(config.constants or AssumptionConstants(), c1=config.c1, tau=config.tau)
+    constants = config.constants or AssumptionConstants(c1=config.c1, tau=config.tau)
     return check_assumptions(pg.gram, config.beta_star, constants)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.special import gammaln
 
 # Linear predictors above this raise OverflowError.  Downstream code squares
@@ -46,6 +47,33 @@ def _freeze(*arrays: np.ndarray) -> None:
     """Mark arrays a builder just made read-only, so its container shares them."""
     for a in arrays:
         a.flags.writeable = False
+
+
+# The double-precision LAPACK routines behind scipy's cho_factor and cho_solve.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def _cholesky_solver(a: np.ndarray):
+    """``solve(rhs)`` for the symmetric positive-definite ``a``, by its lower Cholesky factor.
+
+    The same LAPACK calls as ``cho_solve(cho_factor(a, lower=True), rhs)``,
+    so the same bits, without those functions' per-call argument handling.
+    A non-finite entry raises ValueError; a matrix that is not positive
+    definite raises LinAlgError.
+    """
+    factor, info = _POTRF(np.asarray_chkfinite(a), lower=True, overwrite_a=False, clean=False)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrf")
+
+    def solve(rhs):
+        x, info = _POTRS(factor, np.asarray_chkfinite(rhs), lower=True, overwrite_b=False)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return x
+
+    return solve
 
 
 @dataclass(frozen=True)
@@ -185,19 +213,14 @@ def score_and_hessian(X: DesignMatrix, beta: CoefVector, counts):
     return gradient, hessian
 
 
-def _poisson_inversion(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inversion by sequential search; exact for small intensities.
+def _sequential_search(k, idx, lam, u, prob, cum, step: int) -> None:
+    """Finish the inversion of lanes that have taken ``step`` terms with ``u > cum``.
 
-    Only the lanes still searching are carried, compacted: at search step
-    ``step`` each of them has taken ``step`` terms, so ``lam / step`` is the
-    next term's factor for all of them at once.
+    Writes each lane's count to ``k[idx]``.  Only the lanes still searching
+    are carried, compacted: at search step ``step`` each of them has taken
+    ``step`` terms, so ``lam / step`` is the next term's factor for all of
+    them at once.  ``prob`` and ``cum`` are updated in place.
     """
-    u = rng.random(lam.size)
-    prob = np.exp(-lam)
-    k = np.zeros(lam.size, dtype=np.int64)
-    idx = np.flatnonzero(u > prob)
-    prob, cum, lam, u = prob[idx], prob[idx], lam[idx], u[idx]
-    step = 0
     while idx.size:
         step += 1
         prob *= lam / step
@@ -208,18 +231,98 @@ def _poisson_inversion(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             k[idx[~pending]] = step
             idx, prob, cum = idx[pending], prob[pending], cum[pending]
             lam, u = lam[pending], u[pending]
+
+
+def _poisson_inversion(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inversion by sequential search (Devroye 1986); exact for small intensities."""
+    u = rng.random(lam.size)
+    prob = np.exp(-lam)
+    k = np.zeros(lam.size, dtype=np.int64)
+    idx = np.flatnonzero(u > prob)
+    _sequential_search(k, idx, lam[idx], u[idx], prob[idx], prob[idx], 0)
     return k
 
 
-def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Transformed-rejection sampler with squeeze, valid for lam >= 10."""
-    out = np.zeros(lam.size, dtype=np.int64)
-    log_lam = np.log(lam)
-    b = 0.931 + 2.53 * np.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
+# The inversion table keeps the columns a lane can reach with probability at
+# least this; a lane drawn past them finishes in the sequential search.
+_TABLE_TAIL = 1e-12
+# Lanes share a table tier when their depths round up to the same multiple
+# of this, which keeps the tiers few and the padding small.
+_TIER_STEP = 8
 
+
+class _InversionTable:
+    """The sequential search's cumulative probabilities, tabulated per lane.
+
+    Column ``s`` of a lane holds ``cum`` after ``s`` search steps, formed
+    with the search's own ``prob *= lam / step; cum += prob`` arithmetic,
+    and ``+inf`` once the term has underflowed, where the search stops.  So
+    a lane's count is the number of its columns below its uniform, as long
+    as that number is short of the lane's depth.  A lane is as deep as its
+    tail ``1 - cum`` needs to fall below ``_TABLE_TAIL``, rounded up to a
+    multiple of ``_TIER_STEP``.  Lanes of one depth form a tier, held as one
+    (depth, lanes) array; intensities below 10 need at most about 41
+    columns, so a count fits in uint8.  ``lanes`` are the places of the
+    intensities in the sample, which ``counts`` returns in tier order.
+    """
+
+    def __init__(self, lam: np.ndarray, lanes: np.ndarray):
+        p0 = np.exp(-lam)
+        prob, cum = p0.copy(), p0.copy()
+        need = np.ones(lam.size, dtype=np.int64)
+        short = np.flatnonzero(1.0 - cum >= _TABLE_TAIL)
+        step = 0
+        while short.size:
+            step += 1
+            prob *= lam / step
+            cum += prob
+            need[short] = step + 1
+            short = short[(1.0 - cum[short] >= _TABLE_TAIL) & (prob[short] > 0.0)]
+        depth = -(-need // _TIER_STEP) * _TIER_STEP
+        # Lanes in tier order; stable, so each tier keeps the lanes' order.
+        self.order = np.argsort(depth, kind="stable")
+        self.lanes = lanes[self.order]
+        self.depth = depth[self.order].astype(np.uint8)
+        self.tiers = []
+        bounds = np.flatnonzero(np.diff(self.depth)) + 1
+        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, lam.size]):
+            members = self.order[lo:hi]
+            lam_t = lam[members]
+            prob = p0[members]
+            cum = prob.copy()
+            rows = np.empty((int(self.depth[lo]), members.size))
+            rows[0] = cum
+            for s in range(1, rows.shape[0]):
+                prob *= lam_t / s
+                cum += prob
+                rows[s] = np.where(prob > 0.0, cum, np.inf)
+            self.tiers.append((lo, hi, rows, lam_t, prob))
+
+    def counts(self, u: np.ndarray) -> np.ndarray:
+        """The search's counts for uniforms ``u``, in the order of ``self.lanes``."""
+        u = u[self.order]
+        k = np.empty(u.size, dtype=np.int64)
+        for lo, hi, rows, _, _ in self.tiers:
+            k[lo:hi] = np.add.reduce(rows < u[lo:hi], axis=0, dtype=np.uint8)
+        past = k == self.depth
+        if past.any():
+            # ``prob`` is each lane's term at the tier's last column.
+            for lo, hi, rows, lam_t, prob in self.tiers:
+                sel = np.flatnonzero(past[lo:hi])
+                if sel.size:
+                    _sequential_search(k, lo + sel, lam_t[sel], u[lo:hi][sel], prob[sel],
+                                       rows[-1, sel], rows.shape[0] - 1)
+        return k
+
+
+def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator,
+                                   constants=None) -> np.ndarray:
+    """Transformed rejection with squeeze (Hoermann's PTRS, 1993), valid for lam >= 10.
+
+    ``constants`` is ``_ptrs_constants(lam)`` when the caller already has it.
+    """
+    log_lam, b, a, inv_alpha, v_r = _ptrs_constants(lam) if constants is None else constants
+    out = np.zeros(lam.size, dtype=np.int64)
     todo = np.arange(lam.size)
     while todo.size:
         u = rng.random(todo.size) - 0.5
@@ -242,6 +345,56 @@ def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator) ->
     return out
 
 
+def _ptrs_constants(lam: np.ndarray) -> tuple:
+    """PTRS's per-intensity constants ``(log_lam, b, a, inv_alpha, v_r)``."""
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    return (
+        np.log(lam),
+        b,
+        -0.059 + 0.02483 * b,
+        1.1239 + 1.1328 / (b - 3.4),
+        0.9277 - 3.6224 / (b - 2.0),
+    )
+
+
+class _CountSampler:
+    """What a count draw needs of its intensities, kept for the next draw.
+
+    It holds the validated intensities split at 10 into the inversion and
+    rejection lanes, and the PTRS constants of the latter.  The first draw
+    searches sequentially; the second builds an ``_InversionTable`` and
+    every later draw looks its counts up there.  The counts and the
+    generator's use are the same on either path.
+    """
+
+    def __init__(self, lam):
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        if not np.all((lam > 0) & (lam < _MAX_INTENSITY)):
+            raise ValueError("intensities must lie in (0, 2**62)")
+        self.small = lam < _SAMPLER_SPLIT
+        self.large = ~self.small
+        self.lam_small = lam[self.small]
+        self.lam_large = lam[self.large]
+        self.ptrs = _ptrs_constants(self.lam_large)
+        self.table = None
+        self.drawn = False
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One count per intensity; the inversion lanes take the generator first."""
+        out = np.zeros(self.small.size, dtype=np.int64)
+        if self.lam_small.size:
+            if self.drawn and self.table is None:
+                self.table = _InversionTable(self.lam_small, np.flatnonzero(self.small))
+            if self.table is None:
+                out[self.small] = _poisson_inversion(self.lam_small, rng)
+            else:
+                out[self.table.lanes] = self.table.counts(rng.random(self.lam_small.size))
+        if self.lam_large.size:
+            out[self.large] = _poisson_transformed_rejection(self.lam_large, rng, self.ptrs)
+        self.drawn = True
+        return out
+
+
 def poisson_counts(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw independent Poisson counts for an array of intensities.
 
@@ -249,24 +402,31 @@ def poisson_counts(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     above, so the marginals are exact at every scale.  Consumes the generator
     deterministically: the small-intensity block is sampled first.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if not np.all((lam > 0) & (lam < _MAX_INTENSITY)):
-        raise ValueError("intensities must lie in (0, 2**62)")
-    out = np.zeros(lam.size, dtype=np.int64)
-    small = lam < _SAMPLER_SPLIT
-    if small.any():
-        out[small] = _poisson_inversion(lam[small], rng)
-    large = ~small
-    if large.any():
-        out[large] = _poisson_transformed_rejection(lam[large], rng)
-    return out
+    return _CountSampler(lam).draw(rng)
+
+
+def _count_sampler(X: DesignMatrix, beta_star: CoefVector) -> _CountSampler:
+    """The count sampler of ``(X, beta_star)``, kept on ``X`` for its next draw.
+
+    A design keeps the sampler of the last ``beta_star`` drawn from it.  A
+    sampler that fails to build raises and is not kept.
+    """
+    key = beta_star.values.tobytes()
+    kept = X.__dict__.get("_count_sampler")
+    if kept is None or kept[0] != key:
+        kept = (key, _CountSampler(intensities(X, beta_star)))
+        # A frozen dataclass's __dict__, written as functools.cached_property does.
+        X.__dict__["_count_sampler"] = kept
+    return kept[1]
 
 
 def simulate(X: DesignMatrix, beta_star: CoefVector, seed: int) -> np.ndarray:
     """Counts Y_i ~ Poisson(exp(x_i beta_star)) as a read-only int64 array.
 
-    Deterministic in seed.  The intensities are ``intensities(X, beta_star)``.
+    Deterministic in seed.  The intensities are ``intensities(X, beta_star)``;
+    the sampler built from them is kept on ``X``, so later draws for the same
+    ``beta_star`` skip the replicate-invariant work.
     """
-    counts = poisson_counts(intensities(X, beta_star), np.random.default_rng(seed))
+    counts = _count_sampler(X, beta_star).draw(np.random.default_rng(seed))
     _freeze(counts)
     return counts

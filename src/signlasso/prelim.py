@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
 from scipy.special import gammaln
 
 from .errors import RankDeficientError
-from .model import CoefVector, DesignMatrix, _check_counts, linear_predictor
+from .model import CoefVector, DesignMatrix, _check_counts, _cholesky_solver, linear_predictor
 
 # Relative singular-value cutoff for the full-column-rank precondition.
 _RANK_RTOL = 1e-8
@@ -89,10 +89,10 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
 
         neg_hess = (X.values.T * lam) @ X.values
         try:
-            factor = cho_factor(neg_hess, lower=True)
+            solve = _cholesky_solver(neg_hess)
         except LinAlgError:
-            factor = cho_factor(neg_hess + _NEWTON_RIDGE * np.eye(X.p), lower=True)
-        direction = cho_solve(factor, grad)
+            solve = _cholesky_solver(neg_hess + _NEWTON_RIDGE * np.eye(X.p))
+        direction = solve(grad)
 
         # Near the optimum the true improvement drops below the float
         # resolution of the log-likelihood; the slack keeps the full Newton

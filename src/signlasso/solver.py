@@ -13,8 +13,11 @@ All internal formulas follow this single convention to avoid factor drift.
 G = x_work^T x_work is the problem's cached ``xtx``, c = x_work^T y_work is
 formed once, the gradient g = c - G beta is kept current with one length-p
 update per coordinate that moves, and g is rebuilt from G after every sweep.
-A sweep then costs O(p^2) instead of O(n p).  Each sweep refreshes the
-raw-form objective, and convergence is certified by the raw-form ``kkt_check``.
+A sweep then costs O(p^2) instead of O(n p).  Each sweep checks that the
+objective did not rise in Gram form, y^T y - 2 c^T beta + beta^T G beta +
+alpha ||beta||_1, with the G beta that starts the next sweep.  The raw-form
+objective is taken once, at the final iterate, and convergence is certified
+by the raw-form ``kkt_check``.
 """
 
 from __future__ import annotations
@@ -139,17 +142,28 @@ def fit(problem: WorkingProblem, config: SolverConfig) -> FitResult:
     beta[col_sq == 0.0] = 0.0
     col_sq = col_sq.tolist()
 
-    prev_obj = objective_value(problem, beta, config.alpha)
-    if not math.isfinite(prev_obj):
+    # A non-finite response is caught here, before it reaches a matmul.
+    yty = float(problem.y_work @ problem.y_work)
+    if not math.isfinite(yty):
         raise NumericalError("objective is non-finite at the warm start")
     c = problem.x_work.T @ problem.y_work
+
+    def gram_objective(Gb):
+        # Python floats, so a non-finite term gives inf or nan without a warning.
+        return (yty - 2.0 * float(c @ beta) + float(beta @ Gb)
+                + config.alpha * float(np.abs(beta).sum()))
+
+    Gb = G @ beta
+    prev_obj = gram_objective(Gb)
+    if not math.isfinite(prev_obj):
+        raise NumericalError("objective is non-finite at the warm start")
 
     report = None
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
         # Rebuilt from G every sweep so float drift in g cannot accumulate.
-        g = c - G @ beta
+        g = c - Gb
         max_delta = 0.0
         for j in range(p):
             d = col_sq[j]
@@ -172,8 +186,9 @@ def fit(problem: WorkingProblem, config: SolverConfig) -> FitResult:
             if delta > max_delta:
                 max_delta = delta
 
-        # Enforce monotonicity of the true (raw-form) objective.
-        obj = objective_value(problem, beta, config.alpha)
+        # Enforce monotonicity of the objective; Gb also starts the next sweep.
+        Gb = G @ beta
+        obj = gram_objective(Gb)
         if not math.isfinite(obj):
             raise NumericalError(f"objective became non-finite at sweep {sweeps}")
         if obj > prev_obj + 1e-10 * (1.0 + abs(prev_obj)):
@@ -199,5 +214,5 @@ def fit(problem: WorkingProblem, config: SolverConfig) -> FitResult:
         sweeps_used=sweeps,
         kkt_report=report,
         converged=converged,
-        objective=prev_obj,
+        objective=objective_value(problem, beta, config.alpha),
     )

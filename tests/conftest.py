@@ -26,13 +26,13 @@ from signlasso import (
 def cho_factor_calls(monkeypatch):
     """A list that grows by one entry per active-block Cholesky factorisation."""
     calls = []
-    real = signlasso.conditions.cho_factor
+    real = signlasso.conditions._cholesky_solver
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(signlasso.conditions, "cho_factor", counted)
+    monkeypatch.setattr(signlasso.conditions, "_cholesky_solver", counted)
     return calls
 
 

@@ -566,6 +566,19 @@ def test_simulate_reference_report_uses_the_top_level_c1(tmp_path):
     assert report["conditions"]["400"]["beta_min_scaled"] == pytest.approx(400**0.2)
 
 
+def test_simulate_report_echoes_the_constants_it_used(tmp_path):
+    # report.json used to echo the constants block's default c1 = 1 and
+    # tau = 0.67 while the reference reports used the top-level 0.9 and 0.3.
+    argv = _simulate_argv(
+        tmp_path, c1=0.9, tau=0.3, n_grid=[400], replicates=1, constants={"max_row_norm": 10}
+    )
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    constants = report["config"]["constants"]
+    assert (constants["c1"], constants["tau"], constants["max_row_norm"]) == (0.9, 0.3, 10)
+    assert report["conditions"]["400"]["beta_min_scaled"] == pytest.approx(400**0.05)
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     config = _experiment_config(tmp_path)
     out1 = tmp_path / "run1"

@@ -95,6 +95,15 @@ def test_raw_moment_rejects_a_bad_intensity(lam):
         poisson_raw_moment(lam, 2)
 
 
+@pytest.mark.parametrize(
+    "lam", [1e200, np.float64(1e200), 1e154], ids=["float", "numpy_float", "cube_overflows"]
+)
+def test_raw_moment_rejects_an_overflowing_moment(lam):
+    # A Python float raised OverflowError and a numpy float gave inf.
+    with pytest.raises(ValueError, match="overflows"):
+        poisson_raw_moment(lam, 3)
+
+
 def test_moment_recursion_identity():
     # E[Y^{l+1}] = lam * sum_k C(l, k) E[Y^k] with E[Y^0] = 1.
     for lam in (0.3, 1.0, 2.5, 7.0):

@@ -1,5 +1,6 @@
 """Poisson model primitives: intensities, likelihood, derivatives, sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,13 @@ from signlasso import (
     score_and_hessian,
     simulate,
 )
-from signlasso.model import MAX_LINEAR_PREDICTOR, _check_counts, _poisson_inversion, poisson_counts
+from signlasso.model import (
+    MAX_LINEAR_PREDICTOR,
+    _check_counts,
+    _CountSampler,
+    _poisson_inversion,
+    poisson_counts,
+)
 
 
 def test_intensities_zero_predictor():
@@ -163,15 +170,112 @@ def test_compacted_inversion_matches_masked_loop(regime):
     for seed in range(60):
         shape = np.random.default_rng(seed)
         size = int(shape.integers(1, 400))
-        if regime == "near_zero":
-            lam = shape.uniform(1e-12, 1e-2, size)
-        elif regime == "near_ten":
-            lam = np.nextafter(10.0, 0.0) - shape.uniform(0.0, 0.5, size)
-        else:
-            lam = np.exp(shape.uniform(np.log(1e-8), np.log(9.999), size))
+        lam = _inversion_regime(regime, shape, size)
         ours, theirs = np.random.default_rng(1000 + seed), np.random.default_rng(1000 + seed)
         np.testing.assert_array_equal(_poisson_inversion(lam, ours), _masked_inversion(lam, theirs))
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _inversion_regime(regime, shape, size):
+    if regime == "near_zero":
+        return shape.uniform(1e-12, 1e-2, size)
+    if regime == "near_ten":
+        return np.nextafter(10.0, 0.0) - shape.uniform(0.0, 0.5, size)
+    return np.exp(shape.uniform(np.log(1e-8), np.log(9.999), size))
+
+
+@pytest.mark.parametrize("regime", ["near_zero", "near_ten", "mixed"])
+def test_inversion_table_matches_masked_loop(regime):
+    # The second draw of a sampler builds the table and every later draw
+    # looks its counts up there; each must be the masked loop's, bit for bit.
+    for seed in range(40):
+        shape = np.random.default_rng(seed)
+        lam = _inversion_regime(regime, shape, int(shape.integers(1, 400)))
+        sampler = _CountSampler(lam)
+        ours, theirs = np.random.default_rng(2000 + seed), np.random.default_rng(2000 + seed)
+        for draw in range(3):
+            np.testing.assert_array_equal(sampler.draw(ours), _masked_inversion(lam, theirs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert (sampler.table is None) == (draw == 0)
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("u", [np.nextafter(1.0, 0.0), 2.0])
+def test_inversion_table_hands_lanes_past_it_to_the_search(u):
+    # A uniform above a lane's largest cum pushes it past the table's last
+    # column and on until its term underflows; a lane whose term underflows
+    # inside the table meets its +inf entries.
+    lam = np.array([1e-150, 1e-15, 1e-8, 0.3, 1.0, 4.0, 9.0, np.nextafter(10.0, 0.0)])
+    uniforms = np.full(lam.size, u)
+    sampler = _CountSampler(lam)
+    reference = _masked_inversion(lam, _FixedUniforms(uniforms))
+    for draw in range(2):
+        np.testing.assert_array_equal(sampler.draw(_FixedUniforms(uniforms)), reference)
+    depth = sampler.table.depth[np.argsort(sampler.table.order)]
+    past = reference >= depth
+    assert past.any()
+    if u > 1.0:
+        # lam = 1e-150: the third term underflows, so column 3 is +inf.
+        assert reference[0] == 3 < depth[0] and past[1:].all()
+
+
+def test_poisson_counts_draws_as_before():
+    # Counts and generator state of both branches, taken from the one-shot
+    # sampler before per-design samplers existed.
+    lam = np.exp(np.random.default_rng(5).uniform(np.log(1e-6), np.log(1e4), 500))
+    rng = np.random.default_rng(11)
+    counts = poisson_counts(lam, rng)
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+        "01dd556903e5586e75c90e7ebb16498ecc90e19652ea873b1dce1247650b6ee6"
+    )
+    assert rng.bit_generator.state["state"] == {
+        "state": 299304154746140065633313718946618603358,
+        "inc": 7937318808080196428804369945471644491,
+    }
+
+
+def _kept_sampler(X):
+    kept = X.__dict__.get("_count_sampler")
+    return None if kept is None else kept[1]
+
+
+def test_simulate_keeps_one_sampler_per_design():
+    X = DesignMatrix(np.random.default_rng(3).standard_normal((300, 3)))
+    beta = CoefVector([1.5, -1.0, 0.5])
+    first = simulate(X, beta, 17)
+    sampler = _kept_sampler(X)
+    # A design drawn once builds no table.
+    assert sampler is not None and sampler.table is None
+    second = simulate(X, beta, 17)
+    assert _kept_sampler(X) is sampler and sampler.table is not None
+    np.testing.assert_array_equal(first, second)
+    np.testing.assert_array_equal(simulate(X, beta, 17), first)
+    # Another beta_star replaces the design's sampler; equal values share it.
+    simulate(X, CoefVector([1.0, 0.0, 0.0]), 17)
+    assert _kept_sampler(X) is not sampler
+    kept = _kept_sampler(X)
+    simulate(X, CoefVector([1.0, 0.0, 0.0]), 18)
+    assert _kept_sampler(X) is kept
+
+
+def test_simulate_never_keeps_a_failing_sampler():
+    # exp(43) is above 2**62; the sampler fails to build on every call.
+    X = DesignMatrix([[1.0], [0.0]])
+    beta = CoefVector([43.0])
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"\(0, 2\*\*62\)"):
+            simulate(X, beta, 1)
+        assert _kept_sampler(X) is None
 
 
 def test_sampler_rejects_bad_intensities():

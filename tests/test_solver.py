@@ -162,6 +162,8 @@ def test_objective_monotone_and_below_start():
     start = objective_value(problem, problem.beta_tilde.values, alpha)
     result = fit(problem, SolverConfig(alpha=alpha))
     assert result.objective <= start + 1e-12
+    # Sweeps are checked in Gram form; the reported objective is the raw form.
+    assert result.objective == objective_value(problem, result.beta_hat.values, alpha)
 
 
 def test_null_threshold_by_bisection():
