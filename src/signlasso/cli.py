@@ -29,7 +29,7 @@ from .conditions import (
     check_assumptions,
     proposition_diagnostics,
 )
-from .errors import ConfigError, SignLassoError, SingularBlockError
+from .errors import ConfigError, DegenerateWeightError, SignLassoError, SingularBlockError
 from .fileio import read_counts_csv, read_matrix_csv, read_vector_csv
 from .harness import (
     ExperimentConfig,
@@ -69,11 +69,11 @@ def _setup_logging() -> None:
 
 
 @contextmanager
-def _input(name: str):
-    """Report a ValueError raised while reading input ``name`` as a ConfigError on it."""
+def _input(name: str, errors=ValueError):
+    """Report an ``errors`` exception raised reading input ``name`` as a ConfigError on it."""
     try:
         yield
-    except ValueError as exc:
+    except errors as exc:
         raise ConfigError(name, str(exc)) from exc
 
 
@@ -117,7 +117,11 @@ def _load_problem(args):
         beta_tilde, mle = expansion_point(mode, X, counts, beta_star, args.seed)
         if mle is not None and not mle.converged:
             logger.warning("MLE stopped without convergence (grad norm %.3g)", mle.grad_norm)
-    return beta_star, build_working_problem(X, beta_tilde, counts)
+    # An expansion point whose intensities overflow or fall below the weight
+    # floor is a bad --beta-tilde.
+    with _input("beta-tilde", (OverflowError, DegenerateWeightError)):
+        problem = build_working_problem(X, beta_tilde, counts)
+    return beta_star, problem
 
 
 def _load_constants(path: str | None) -> AssumptionConstants:
@@ -168,6 +172,8 @@ def cmd_check(args) -> int:
     # non-finite or negative alpha with a ConfigError on "alpha".
     SolverConfig(alpha=args.alpha)
     beta_star, problem = _load_problem(args)
+    if beta_star.q == 0:
+        raise ConfigError("beta-star", "needs at least one nonzero coefficient")
     constants = _load_constants(args.constants)
     bg = blocked_gram(problem, beta_star.support)
     report = check_assumptions(bg, beta_star, constants)

@@ -35,8 +35,13 @@ _MAX_INTENSITY = 2.0**62
 
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
-    """A read-only ``dtype`` array of ``values``: shared if it already is one, else a copy."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+    """A read-only ``dtype`` array of ``values``.
+
+    Shared if it already is one that owns its data, else a copy: a read-only
+    view of a writeable base would still change when the base is written.
+    """
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and not values.flags.writeable and values.flags.owndata):
         return values
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
@@ -243,85 +248,58 @@ def _poisson_inversion(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return k
 
 
-# The inversion table keeps the columns a lane can reach with probability at
-# least this; a lane drawn past them finishes in the sequential search.
+# The inversion table is as deep as the lanes' tails need to fall below this;
+# a lane drawn past it finishes in the sequential search.
 _TABLE_TAIL = 1e-12
-# Lanes share a table tier when their depths round up to the same multiple
-# of this, which keeps the tiers few and the padding small.
-_TIER_STEP = 8
 
 
 class _InversionTable:
-    """The sequential search's cumulative probabilities, tabulated per lane.
+    """The sequential search's cumulative probabilities, tabulated for every lane.
 
-    Column ``s`` of a lane holds ``cum`` after ``s`` search steps, formed
-    with the search's own ``prob *= lam / step; cum += prob`` arithmetic,
-    and ``+inf`` once the term has underflowed, where the search stops.  So
-    a lane's count is the number of its columns below its uniform, as long
-    as that number is short of the lane's depth.  A lane is as deep as its
-    tail ``1 - cum`` needs to fall below ``_TABLE_TAIL``, rounded up to a
-    multiple of ``_TIER_STEP``.  Lanes of one depth form a tier, held as one
-    (depth, lanes) array; intensities below 10 need at most about 41
-    columns, so a count fits in uint8.  ``lanes`` are the places of the
-    intensities in the sample, which ``counts`` returns in tier order.
+    ``rows`` has shape (depth, lanes), lanes in sample order.  Row ``s`` is
+    every lane's ``cum`` after ``s`` search steps, formed with the search's
+    own ``prob *= lam / step; cum += prob`` arithmetic, and ``+inf`` once the
+    lane's term has underflowed, where the search stops.  Rows are added
+    until no lane has both a tail ``1 - cum`` of at least ``_TABLE_TAIL`` and
+    a live term, so a lane's count is the number of its rows below its
+    uniform as long as that is short of the depth.  Intensities below 10
+    need at most 40 rows, so a count fits in uint8; at n=4000 the canonical
+    design's table holds about 154k entries (1.2 MB).
     """
 
-    def __init__(self, lam: np.ndarray, lanes: np.ndarray):
-        p0 = np.exp(-lam)
-        prob, cum = p0.copy(), p0.copy()
-        need = np.ones(lam.size, dtype=np.int64)
-        short = np.flatnonzero(1.0 - cum >= _TABLE_TAIL)
+    def __init__(self, lam: np.ndarray):
+        prob = np.exp(-lam)
+        cum = prob.copy()
+        rows = [cum.copy()]
         step = 0
-        while short.size:
+        while np.any((1.0 - cum >= _TABLE_TAIL) & (prob > 0.0)):
             step += 1
             prob *= lam / step
             cum += prob
-            need[short] = step + 1
-            short = short[(1.0 - cum[short] >= _TABLE_TAIL) & (prob[short] > 0.0)]
-        depth = -(-need // _TIER_STEP) * _TIER_STEP
-        # Lanes in tier order; stable, so each tier keeps the lanes' order.
-        self.order = np.argsort(depth, kind="stable")
-        self.lanes = lanes[self.order]
-        self.depth = depth[self.order].astype(np.uint8)
-        self.tiers = []
-        bounds = np.flatnonzero(np.diff(self.depth)) + 1
-        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, lam.size]):
-            members = self.order[lo:hi]
-            lam_t = lam[members]
-            prob = p0[members]
-            cum = prob.copy()
-            rows = np.empty((int(self.depth[lo]), members.size))
-            rows[0] = cum
-            for s in range(1, rows.shape[0]):
-                prob *= lam_t / s
-                cum += prob
-                rows[s] = np.where(prob > 0.0, cum, np.inf)
-            self.tiers.append((lo, hi, rows, lam_t, prob))
+            rows.append(np.where(prob > 0.0, cum, np.inf))
+        self.rows = np.array(rows)
+        # Each lane's term at the last row, where a lane past the table resumes.
+        self.lam, self.prob = lam, prob
 
     def counts(self, u: np.ndarray) -> np.ndarray:
-        """The search's counts for uniforms ``u``, in the order of ``self.lanes``."""
-        u = u[self.order]
-        k = np.empty(u.size, dtype=np.int64)
-        for lo, hi, rows, _, _ in self.tiers:
-            k[lo:hi] = np.add.reduce(rows < u[lo:hi], axis=0, dtype=np.uint8)
-        past = k == self.depth
-        if past.any():
-            # ``prob`` is each lane's term at the tier's last column.
-            for lo, hi, rows, lam_t, prob in self.tiers:
-                sel = np.flatnonzero(past[lo:hi])
-                if sel.size:
-                    _sequential_search(k, lo + sel, lam_t[sel], u[lo:hi][sel], prob[sel],
-                                       rows[-1, sel], rows.shape[0] - 1)
+        """The search's counts for uniforms ``u``, one per lane."""
+        depth = self.rows.shape[0]
+        # int64: a lane the search takes past the table can count beyond 255.
+        k = np.add.reduce(self.rows < u, axis=0, dtype=np.uint8).astype(np.int64)
+        past = np.flatnonzero(k == depth)
+        if past.size:
+            _sequential_search(k, past, self.lam[past], u[past], self.prob[past],
+                               self.rows[-1, past], depth - 1)
         return k
 
 
 def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator,
-                                   constants=None) -> np.ndarray:
+                                   constants: tuple) -> np.ndarray:
     """Transformed rejection with squeeze (Hoermann's PTRS, 1993), valid for lam >= 10.
 
-    ``constants`` is ``_ptrs_constants(lam)`` when the caller already has it.
+    ``constants`` is ``_ptrs_constants(lam)``.
     """
-    log_lam, b, a, inv_alpha, v_r = _ptrs_constants(lam) if constants is None else constants
+    log_lam, b, a, inv_alpha, v_r = constants
     out = np.zeros(lam.size, dtype=np.int64)
     todo = np.arange(lam.size)
     while todo.size:
@@ -384,11 +362,11 @@ class _CountSampler:
         out = np.zeros(self.small.size, dtype=np.int64)
         if self.lam_small.size:
             if self.drawn and self.table is None:
-                self.table = _InversionTable(self.lam_small, np.flatnonzero(self.small))
+                self.table = _InversionTable(self.lam_small)
             if self.table is None:
                 out[self.small] = _poisson_inversion(self.lam_small, rng)
             else:
-                out[self.table.lanes] = self.table.counts(rng.random(self.lam_small.size))
+                out[self.small] = self.table.counts(rng.random(self.lam_small.size))
         if self.lam_large.size:
             out[self.large] = _poisson_transformed_rejection(self.lam_large, rng, self.ptrs)
         self.drawn = True

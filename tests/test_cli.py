@@ -491,6 +491,17 @@ OUT_OF_RANGE_INPUTS = {
     "check_oracle_scale_nan": ("beta-tilde", lambda tmp, data: _check_argv(
         data, "--beta-tilde", "oracle:nan"
     )),
+    # check used to name no flag for an all-zero --beta-star, and fit and
+    # check none for an expansion point whose intensities overflow.
+    "check_beta_star_all_zero": ("beta-star", lambda tmp, data: [
+        *_check_argv(data), "--beta-star", _vector_file(tmp, [0.0, 0.0, 0.0]),
+    ]),
+    "fit_beta_tilde_overflows": ("beta-tilde", lambda tmp, data: _fit_argv(
+        data, "--beta-tilde", _vector_file(tmp, [400.0, 0.0, 0.0]),
+    )),
+    "check_oracle_scale_overflows": ("beta-tilde", lambda tmp, data: _check_argv(
+        data, "--beta-tilde", "oracle:1e300"
+    )),
 }
 
 

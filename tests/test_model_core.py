@@ -19,7 +19,9 @@ from signlasso import (
 from signlasso.model import (
     MAX_LINEAR_PREDICTOR,
     _check_counts,
+    _SAMPLER_SPLIT,
     _CountSampler,
+    _InversionTable,
     _poisson_inversion,
     poisson_counts,
 )
@@ -213,7 +215,7 @@ class _FixedUniforms:
 @pytest.mark.parametrize("u", [np.nextafter(1.0, 0.0), 2.0])
 def test_inversion_table_hands_lanes_past_it_to_the_search(u):
     # A uniform above a lane's largest cum pushes it past the table's last
-    # column and on until its term underflows; a lane whose term underflows
+    # row and on until its term underflows; a lane whose term underflows
     # inside the table meets its +inf entries.
     lam = np.array([1e-150, 1e-15, 1e-8, 0.3, 1.0, 4.0, 9.0, np.nextafter(10.0, 0.0)])
     uniforms = np.full(lam.size, u)
@@ -221,12 +223,19 @@ def test_inversion_table_hands_lanes_past_it_to_the_search(u):
     reference = _masked_inversion(lam, _FixedUniforms(uniforms))
     for draw in range(2):
         np.testing.assert_array_equal(sampler.draw(_FixedUniforms(uniforms)), reference)
-    depth = sampler.table.depth[np.argsort(sampler.table.order)]
-    past = reference >= depth
-    assert past.any()
+    past = reference >= sampler.table.rows.shape[0]
+    assert past[5:].all()
     if u > 1.0:
-        # lam = 1e-150: the third term underflows, so column 3 is +inf.
-        assert reference[0] == 3 < depth[0] and past[1:].all()
+        # lam = 1e-150: the third term underflows, so row 3 is +inf; the
+        # terms of 1e-15 and 1e-8 underflow inside the table too.
+        assert reference[0] == 3 and not past[:3].any() and past[3:].all()
+
+
+def test_inversion_table_counts_fit_in_uint8():
+    # A lookup counts rows in uint8, so the deepest table, just below the
+    # split at 10, must have fewer than 256 rows.
+    table = _InversionTable(np.array([np.nextafter(_SAMPLER_SPLIT, 0.0)]))
+    assert table.rows.shape[0] < 256
 
 
 def test_poisson_counts_draws_as_before():
@@ -337,9 +346,11 @@ def test_containers_copy_writeable_input_and_share_readonly_arrays():
     values[0, 0] = 99.0
     assert X.values[0, 0] == 3.0
     assert not X.values.flags.writeable
-    # An array that is already read-only is shared, not copied again.
+    # A read-only array that owns its data is shared, not copied again; a
+    # read-only view is copied, since its base may be writeable.
     assert DesignMatrix(X.values).values is X.values
-    assert CoefVector(X.values[0]).values.base is X.values
+    row = CoefVector(X.values[0]).values
+    assert row.flags.owndata and not np.shares_memory(row, X.values)
     # A read-only array of another dtype is converted, which copies it.
     ints = np.array([1, 2])
     ints.flags.writeable = False
@@ -349,3 +360,18 @@ def test_containers_copy_writeable_input_and_share_readonly_arrays():
     beta = CoefVector(listed)
     listed[0] = 5.0
     assert beta.values[0] == 1.0 and not beta.values.flags.writeable
+
+
+def test_design_does_not_share_a_read_only_view_of_a_writeable_base():
+    # A shared view used to follow its base, so the design changed under its
+    # kept count sampler and cached SVD.
+    base = np.zeros((4, 1))
+    view = base.view()
+    view.flags.writeable = False
+    X = DesignMatrix(view)
+    beta = CoefVector([1.0])
+    first = simulate(X, beta, 1)
+    base[:] = 3.0
+    np.testing.assert_array_equal(X.values, 0.0)
+    np.testing.assert_array_equal(X.singular_values, [0.0])
+    np.testing.assert_array_equal(simulate(X, beta, 1), first)
