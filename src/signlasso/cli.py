@@ -29,7 +29,13 @@ from .conditions import (
     check_assumptions,
     proposition_diagnostics,
 )
-from .errors import ConfigError, DegenerateWeightError, SignLassoError, SingularBlockError
+from .errors import (
+    ConfigError,
+    DegenerateWeightError,
+    RankDeficientError,
+    SignLassoError,
+    SingularBlockError,
+)
 from .fileio import read_counts_csv, read_matrix_csv, read_vector_csv
 from .harness import (
     ExperimentConfig,
@@ -90,7 +96,7 @@ def _load_problem(args):
     """fit's or check's beta_star (or None) and working problem.
 
     --beta-tilde is a CSV path, 'mle' or 'oracle:SCALE'; an unconverged MLE
-    is a warning, not an error.
+    is a warning, not an error, and a converged one is logged at info level.
     """
     with _input("x"):
         X = DesignMatrix(read_matrix_csv(args.x))
@@ -114,9 +120,16 @@ def _load_problem(args):
             kind, _ = parse_beta_tilde_mode(mode)
         if kind == "oracle" and beta_star is None:
             raise ConfigError("beta-tilde", "oracle mode requires --beta-star")
-        beta_tilde, mle = expansion_point(mode, X, counts, beta_star, args.seed)
-        if mle is not None and not mle.converged:
-            logger.warning("MLE stopped without convergence (grad norm %.3g)", mle.grad_norm)
+        # The MLE needs a design of full column rank.
+        with _input("beta-tilde", RankDeficientError):
+            beta_tilde, mle = expansion_point(mode, X, counts, beta_star, args.seed)
+        if mle is not None:
+            if mle.converged:
+                logger.info("MLE converged in %d iterations (grad norm %.3g)",
+                            mle.iterations, mle.grad_norm)
+            else:
+                logger.warning("MLE stopped without convergence (grad norm %.3g)",
+                               mle.grad_norm)
     # An expansion point whose intensities overflow or fall below the weight
     # floor is a bad --beta-tilde.
     with _input("beta-tilde", (OverflowError, DegenerateWeightError)):

@@ -153,10 +153,18 @@ class CoefVector:
 
 
 def _check_counts(counts, n: int) -> np.ndarray:
-    """``counts`` as n int64 values; each must be an integer in [0, 2**63)."""
+    """``counts`` as n int64 values; each must be an integer in [0, 2**63).
+
+    An int64 array is finite, integral and below 2**63 by its type, so it is
+    only checked for sign and returned itself.
+    """
     y = np.atleast_1d(np.asarray(counts))
     if y.shape != (n,):
         raise ValueError(f"counts must have length {n}, got shape {y.shape}")
+    if y.dtype == np.int64:
+        if y.size and y.min() < 0:
+            raise ValueError("counts must be nonnegative integers")
+        return y
     if not np.all(np.isfinite(y.astype(float))):
         raise ValueError("counts must be finite")
     if np.any(y < 0) or np.any(y != np.floor(y)):
@@ -173,8 +181,12 @@ def linear_predictor(X: DesignMatrix, beta: CoefVector) -> np.ndarray:
     """Compute eta = X beta, refusing values that would overflow exp."""
     if X.p != beta.p:
         raise ValueError(f"dimension mismatch: X has p={X.p}, beta has p={beta.p}")
-    eta = X.values @ beta.values
-    worst = float(np.max(eta)) if eta.size else 0.0
+    return _guard_overflow(X.values @ beta.values)
+
+
+def _guard_overflow(eta: np.ndarray) -> np.ndarray:
+    """``eta`` itself; OverflowError if an entry exceeds ``MAX_LINEAR_PREDICTOR``."""
+    worst = float(eta.max()) if eta.size else 0.0
     if worst > MAX_LINEAR_PREDICTOR:
         raise OverflowError(
             f"linear predictor {worst:.6g} exceeds the overflow guard "

@@ -17,7 +17,14 @@ from scipy.linalg import LinAlgError
 from scipy.special import gammaln
 
 from .errors import RankDeficientError
-from .model import CoefVector, DesignMatrix, _check_counts, _cholesky_solver, linear_predictor
+from .model import (
+    CoefVector,
+    DesignMatrix,
+    _check_counts,
+    _cholesky_solver,
+    _freeze,
+    _guard_overflow,
+)
 
 # Relative singular-value cutoff for the full-column-rank precondition.
 _RANK_RTOL = 1e-8
@@ -27,6 +34,8 @@ _NEWTON_RIDGE = 1e-10
 _MAX_ITER = 100
 _STEP_HALVING_MAX = 30
 _GRAD_TOL = 1e-8
+# A step may lower the log-likelihood by this many ulps of 1 + |ll|.
+_SLACK = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,44 @@ class MleFit:
     log_likelihood: float
 
 
+def _newton_solver(Xv: np.ndarray, lam: np.ndarray):
+    """Solver of the negated Hessian (X^T lam) X, ridged if it is not positive definite."""
+    neg_hess = (Xv.T * lam) @ Xv
+    try:
+        return _cholesky_solver(neg_hess)
+    except LinAlgError:
+        return _cholesky_solver(neg_hess + _NEWTON_RIDGE * np.eye(Xv.shape[1]))
+
+
+class _NewtonStart:
+    """Newton's state at beta = 0 on one design, which every fit on it shares.
+
+    There eta = X 0 and lam = exp(eta) = 1 do not depend on the counts, and
+    neither does the negated Hessian; its solver is formed on first use.
+    """
+
+    def __init__(self, X: DesignMatrix):
+        self.values = X.values
+        self.eta = X.values @ np.zeros(X.p)
+        self.lam = np.exp(self.eta)
+        _freeze(self.eta, self.lam)
+        self._solve = None
+
+    def solver(self):
+        if self._solve is None:
+            self._solve = _newton_solver(self.values, self.lam)
+        return self._solve
+
+
+def _newton_start(X: DesignMatrix) -> _NewtonStart:
+    """The ``_NewtonStart`` of ``X``, kept on ``X`` for its next fit."""
+    start = X.__dict__.get("_newton_start")
+    if start is None:
+        # A frozen dataclass's __dict__, written as functools.cached_property does.
+        start = X.__dict__["_newton_start"] = _NewtonStart(X)
+    return start
+
+
 def fit_mle(X: DesignMatrix, counts) -> MleFit:
     """Unpenalized Poisson MLE by damped Newton with step halving.
 
@@ -50,11 +97,19 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
     acceptable step exists or iterations run out, the last iterate is
     returned flagged ``converged=False`` rather than raised.
 
+    Every fit starts at beta = 0, whose linear predictor, intensities and
+    Newton solver are kept on ``X`` and shared by all fits on it.  ln(y!) is
+    looked up in a table of ln(k!) for k up to the largest count when that
+    count is below n, and computed per count otherwise; both give the same
+    floats.
+
     Raises
     ------
     RankDeficientError
         If n < p or the smallest singular value of X is below 1e-8 times the
         largest.
+    ValueError
+        If a Newton step leaves the finite coefficients.
     """
     y = _check_counts(counts, X.n)
     if X.n < X.p:
@@ -66,47 +121,50 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
             f"= {sv[-1]:.3g}/{sv[0]:.3g}"
         )
 
-    # log_likelihood's expression with the counts checked and ln(y!) taken
-    # once per fit; it also hands back exp(eta), the next iteration's lam.
-    log_factorial = gammaln(y + 1.0)
+    # numpy casts int64 counts to these floats inside each ufunc anyway.
+    y_f = y.astype(float)
+    # The table is no longer than the counts, however large a count is.
+    top = int(y.max())
+    if top < X.n:
+        log_factorial = gammaln(np.arange(top + 1) + 1.0)[y]
+    else:
+        log_factorial = gammaln(y_f + 1.0)
 
-    def loglik_and_lam(beta_values):
-        eta = linear_predictor(X, CoefVector(beta_values))
-        lam = np.exp(eta)
-        return float(np.sum(y * eta - lam - log_factorial)), lam
-
-    beta = np.zeros(X.p)
-    ll, lam = loglik_and_lam(beta)
+    Xv = X.values
+    start = _newton_start(X)
+    beta, lam = np.zeros(X.p), start.lam
+    ll = float((y_f * start.eta - lam - log_factorial).sum())
     grad_norm = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, _MAX_ITER + 1):
-        grad = X.values.T @ (y - lam)
-        grad_norm = float(np.max(np.abs(grad)))
+        grad = Xv.T @ (y_f - lam)
+        grad_norm = float(np.abs(grad).max())
         if grad_norm <= _GRAD_TOL:
             converged = True
             break
 
-        neg_hess = (X.values.T * lam) @ X.values
-        try:
-            solve = _cholesky_solver(neg_hess)
-        except LinAlgError:
-            solve = _cholesky_solver(neg_hess + _NEWTON_RIDGE * np.eye(X.p))
+        solve = start.solver() if iterations == 1 else _newton_solver(Xv, lam)
         direction = solve(grad)
 
         # Near the optimum the true improvement drops below the float
         # resolution of the log-likelihood; the slack keeps the full Newton
         # step acceptable there so convergence stays quadratic.
-        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll))
+        slack = _SLACK * (1.0 + abs(ll))
         step = 1.0
         accepted = False
         for _ in range(_STEP_HALVING_MAX):
             candidate = beta + step * direction
+            if not np.isfinite(candidate).all():
+                raise ValueError("coefficient entries must be finite")
+            eta = Xv @ candidate
             try:
-                ll_new, lam_new = loglik_and_lam(candidate)
+                _guard_overflow(eta)
             except OverflowError:
                 step *= 0.5
                 continue
+            lam_new = np.exp(eta)
+            ll_new = float((y_f * eta - lam_new - log_factorial).sum())
             if ll_new >= ll - slack:
                 beta, ll, lam = candidate, ll_new, lam_new
                 accepted = True
@@ -118,7 +176,7 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
     if not converged:
         # Recompute at the final iterate so the flag reflects where we stopped;
         # lam is always exp(eta) at the current beta.
-        grad_norm = float(np.max(np.abs(X.values.T @ (y - lam))))
+        grad_norm = float(np.abs(Xv.T @ (y_f - lam)).max())
         converged = grad_norm <= _GRAD_TOL
 
     return MleFit(

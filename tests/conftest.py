@@ -1,5 +1,5 @@
-"""Shared test helpers: instance generators, solver-independent oracles and a
-factorisation counter.
+"""Shared test helpers: instance generators, solver-independent oracles, a
+reference Newton MLE and a factorisation counter.
 
 Every oracle here evaluates the penalized objective (or the likelihood)
 directly and never calls the coordinate-descent solver, so agreement between
@@ -10,15 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.special import gammaln
 
 import signlasso.conditions
 from signlasso import (
     CoefVector,
     DesignMatrix,
+    RankDeficientError,
     build_working_problem,
     log_likelihood,
     oracle_perturbation,
     simulate,
+)
+from signlasso.model import _check_counts, _cholesky_solver, linear_predictor
+from signlasso.prelim import (
+    _GRAD_TOL,
+    _MAX_ITER,
+    _NEWTON_RIDGE,
+    _RANK_RTOL,
+    _STEP_HALVING_MAX,
+    MleFit,
 )
 
 
@@ -216,3 +228,78 @@ def fd_gradient(X, beta: CoefVector, counts, h: float = 1e-6) -> np.ndarray:
             - log_likelihood(X, CoefVector(minus), counts)
         ) / (2 * h)
     return out
+
+
+def reference_fit_mle(X: DesignMatrix, counts) -> MleFit:
+    """Damped Newton for the Poisson MLE, one library call per step.
+
+    The loop ``prelim.fit_mle`` had before it kept its beta = 0 state on the
+    design and evaluated trial points without ``CoefVector`` and
+    ``linear_predictor``.  It does the same floating-point operations in the
+    same order, so the two must agree bit for bit.
+    """
+    y = _check_counts(counts, X.n)
+    if X.n < X.p:
+        raise RankDeficientError(f"need n >= p, got n={X.n}, p={X.p}")
+    sv = X.singular_values
+    if sv[-1] <= _RANK_RTOL * sv[0]:
+        raise RankDeficientError(
+            f"design is rank deficient: smallest/largest singular value "
+            f"= {sv[-1]:.3g}/{sv[0]:.3g}"
+        )
+
+    log_factorial = gammaln(y + 1.0)
+
+    def loglik_and_lam(beta_values):
+        eta = linear_predictor(X, CoefVector(beta_values))
+        lam = np.exp(eta)
+        return float(np.sum(y * eta - lam - log_factorial)), lam
+
+    beta = np.zeros(X.p)
+    ll, lam = loglik_and_lam(beta)
+    grad_norm = np.inf
+    iterations = 0
+    converged = False
+    for iterations in range(1, _MAX_ITER + 1):
+        grad = X.values.T @ (y - lam)
+        grad_norm = float(np.max(np.abs(grad)))
+        if grad_norm <= _GRAD_TOL:
+            converged = True
+            break
+
+        neg_hess = (X.values.T * lam) @ X.values
+        try:
+            solve = _cholesky_solver(neg_hess)
+        except LinAlgError:
+            solve = _cholesky_solver(neg_hess + _NEWTON_RIDGE * np.eye(X.p))
+        direction = solve(grad)
+
+        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll))
+        step = 1.0
+        accepted = False
+        for _ in range(_STEP_HALVING_MAX):
+            candidate = beta + step * direction
+            try:
+                ll_new, lam_new = loglik_and_lam(candidate)
+            except OverflowError:
+                step *= 0.5
+                continue
+            if ll_new >= ll - slack:
+                beta, ll, lam = candidate, ll_new, lam_new
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+
+    if not converged:
+        grad_norm = float(np.max(np.abs(X.values.T @ (y - lam))))
+        converged = grad_norm <= _GRAD_TOL
+
+    return MleFit(
+        beta=CoefVector(beta),
+        converged=converged,
+        iterations=iterations,
+        grad_norm=grad_norm,
+        log_likelihood=ll,
+    )

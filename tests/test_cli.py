@@ -19,6 +19,8 @@ from signlasso import AssumptionConstants, CoefVector, DesignSpec, ExperimentCon
 from signlasso.cli import main
 from signlasso.schema import from_json, jsonable
 from signlasso.fileio import (
+    read_counts_csv,
+    read_matrix_csv,
     write_counts_csv,
     write_matrix_csv,
     write_vector_csv,
@@ -330,6 +332,16 @@ def _duplicate_column_design(tmp_path):
     return str(path)
 
 
+def _rank_deficient_inputs(tmp_path):
+    # A 50 x 3 design whose first two columns are equal, and counts for it.
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((50, 2))
+    x_path, y_path = tmp_path / "X_rank2.csv", tmp_path / "Y_rank2.csv"
+    write_matrix_csv(x_path, np.column_stack([x[:, 0], x[:, 0], x[:, 1]]))
+    write_counts_csv(y_path, rng.poisson(1.0, 50))
+    return ["--x", str(x_path), "--y", str(y_path)]
+
+
 def _ones_column_design(tmp_path):
     # With an all-ones column, beta* = (45, 0) puts every intensity at
     # e^45 (about 3.5e19), above the sampler's 2**62.
@@ -501,6 +513,13 @@ OUT_OF_RANGE_INPUTS = {
     )),
     "check_oracle_scale_overflows": ("beta-tilde", lambda tmp, data: _check_argv(
         data, "--beta-tilde", "oracle:1e300"
+    )),
+    # The MLE's rank check used to name no flag.
+    "fit_mle_rank_deficient": ("beta-tilde", lambda tmp, data: _fit_argv(
+        data, *_rank_deficient_inputs(tmp)
+    )),
+    "check_mle_rank_deficient": ("beta-tilde", lambda tmp, data: _check_argv(
+        data, *_rank_deficient_inputs(tmp)
     )),
 }
 
@@ -692,6 +711,28 @@ def test_unconverged_mle_warning_shows_at_the_default_level(small_dataset, monke
     assert code == 0
     assert captured.out.strip() == str(small_dataset["out"] / "fit.json")
     assert captured.err.startswith("WARNING signlasso: MLE stopped without convergence")
+
+
+@pytest.mark.parametrize("command", ["fit", "check"])
+def test_converged_mle_is_logged_at_info_level(command, small_dataset, monkeypatch, capsys):
+    argv = [
+        command, "--x", str(small_dataset["x"]), "--y", str(small_dataset["y"]),
+        "--beta-star", str(small_dataset["beta_star"]), "--alpha", "2.0",
+        "--out", str(small_dataset["out"]),
+    ]
+    monkeypatch.delenv("SIGNLASSO_LOG", raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("SIGNLASSO_LOG", "info")
+    assert main(argv) == 0
+    mle = signlasso.fit_mle(
+        signlasso.DesignMatrix(read_matrix_csv(small_dataset["x"])),
+        read_counts_csv(small_dataset["y"]),
+    )
+    assert capsys.readouterr().err.splitlines() == [
+        f"INFO signlasso: MLE converged in {mle.iterations} iterations "
+        f"(grad norm {mle.grad_norm:.3g})"
+    ]
 
 
 def test_simulate_records_an_unconverged_mle_as_a_failure(tmp_path, monkeypatch, capsys):

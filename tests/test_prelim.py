@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import LinAlgError
 
+from conftest import reference_fit_mle
 from signlasso import prelim
 from signlasso import (
     CoefVector,
@@ -15,6 +20,7 @@ from signlasso import (
     oracle_perturbation,
     simulate,
 )
+from signlasso.model import _check_counts
 
 
 def test_intercept_only_closed_form():
@@ -150,3 +156,101 @@ def test_rank_check_runs_one_svd_per_design(monkeypatch):
     assert first.converged and second.converged
     assert len(calls) == 1
     assert not X.singular_values.flags.writeable
+
+
+def _outcome(fit, X, counts):
+    """Every field of ``fit(X, counts)`` as exact bits, or the exception it raised."""
+    try:
+        r = fit(X, counts)
+    except (ValueError, LinAlgError) as exc:
+        return type(exc), str(exc)
+    return r.beta.values.tobytes(), r.iterations, r.converged, r.grad_norm, r.log_likelihood
+
+
+@st.composite
+def _designs_and_counts(draw):
+    n = draw(st.integers(4, 60))
+    p = draw(st.integers(1, min(4, n)))
+    X = draw(arrays(np.float64, (n, p), elements=st.floats(-2.0, 2.0, width=64)))
+    sv = np.linalg.svd(X, compute_uv=False)
+    assume(sv[-1] > 1e-3 * sv[0])
+    counts = draw(arrays(np.int64, n, elements=st.integers(0, 6)))
+    if draw(st.booleans()):
+        # A count of at least n takes ln(y!) off the lookup table.
+        counts[draw(st.integers(0, n - 1))] = draw(st.integers(n, 4 * n))
+    return DesignMatrix(X), counts
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_designs_and_counts())
+def test_fit_mle_matches_the_reference_loop_bit_for_bit(case):
+    X, counts = case
+    expected = _outcome(reference_fit_mle, X, counts)
+    # The second fit on X starts from the beta = 0 state the first one kept.
+    assert _outcome(fit_mle, X, counts) == expected
+    assert _outcome(fit_mle, X, counts) == expected
+
+
+def _start_hessian(X):
+    return (X.values.T * np.ones(X.n)) @ X.values
+
+
+def _recording_solver(monkeypatch, refuse=None):
+    """Patch fit_mle's Cholesky solver to record its matrices, refusing ``refuse``."""
+    seen = []
+    real = prelim._cholesky_solver
+
+    def recorded(a):
+        seen.append(np.array(a))
+        if refuse is not None and np.array_equal(a, refuse):
+            raise LinAlgError("refused")
+        return real(a)
+
+    monkeypatch.setattr(prelim, "_cholesky_solver", recorded)
+    return seen
+
+
+def _two_fits(X):
+    beta_star = CoefVector(np.linspace(0.4, -0.3, X.p))
+    return [fit_mle(X, simulate(X, beta_star, seed)) for seed in (1, 2)]
+
+
+def test_two_fits_on_a_design_form_the_start_hessian_once(monkeypatch):
+    X = DesignMatrix(0.5 * np.random.default_rng(37).standard_normal((80, 3)))
+    seen = _recording_solver(monkeypatch)
+    fits = _two_fits(X)
+    assert all(fit.converged for fit in fits)
+    start = _start_hessian(X)
+    assert sum(np.array_equal(a, start) for a in seen) == 1
+
+
+def test_ridged_start_solver_is_kept_for_the_next_fit(monkeypatch):
+    X = DesignMatrix(0.5 * np.random.default_rng(41).standard_normal((80, 3)))
+    start = _start_hessian(X)
+    seen = _recording_solver(monkeypatch, refuse=start)
+    fits = _two_fits(X)
+    assert all(fit.converged for fit in fits)
+    ridged = start + prelim._NEWTON_RIDGE * np.eye(X.p)
+    assert sum(np.array_equal(a, start) for a in seen) == 1
+    assert sum(np.array_equal(a, ridged) for a in seen) == 1
+
+
+def test_non_finite_newton_step_raises(monkeypatch):
+    def infinite(a):
+        return lambda rhs: np.full(rhs.shape, np.inf)
+
+    monkeypatch.setattr(prelim, "_cholesky_solver", infinite)
+    X = DesignMatrix(0.5 * np.random.default_rng(43).standard_normal((30, 2)))
+    counts = simulate(X, CoefVector([0.5, -0.5]), 3)
+    with pytest.raises(ValueError, match="coefficient entries must be finite"):
+        fit_mle(X, counts)
+
+
+def test_int64_counts_are_checked_for_sign_and_kept():
+    counts = np.array([0, 3, 2**63 - 1])
+    assert _check_counts(counts, 3) is counts
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        _check_counts(np.array([1, -1, 2]), 3)
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        _check_counts(np.array([1, 2**63], dtype=np.uint64), 2)
