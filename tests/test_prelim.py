@@ -182,7 +182,7 @@ def _designs_and_counts(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(_designs_and_counts())
 def test_fit_mle_matches_the_reference_loop_bit_for_bit(case):
     X, counts = case
