@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from .errors import ConfigError, EmptySupportError, SingularBlockError
 from .model import CoefVector, DesignMatrix, _as_readonly, _cholesky_solver, _freeze
@@ -157,7 +156,7 @@ def _active_solver(C11: np.ndarray):
         )
     try:
         solve = _cholesky_solver(C11)
-    except LinAlgError as exc:  # pragma: no cover - caught by the eigen check
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - caught by the eigen check
         raise SingularBlockError(str(exc)) from exc
     return solve, eigmin
 

@@ -104,7 +104,11 @@ class DesignSpec:
 
 
 def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
-    """Generate (or load) an n x p design, enforcing the row-norm cap."""
+    """Generate (or load) an n x p design, enforcing the row-norm cap.
+
+    A file that is not a finite matrix with at least n rows and exactly p
+    columns is a ConfigError on ``design.path``.
+    """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     rng = np.random.default_rng(seed)
@@ -119,12 +123,16 @@ def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
         # has norm scale * sqrt(p) exactly.
         values = spec.scale * rng.choice([-1.0, 1.0], size=(n, p))
     else:  # file
-        values = read_matrix_csv(spec.path)
-        if values.shape[0] < n or values.shape[1] != p:
-            raise ValueError(
-                f"design file {spec.path} has shape {values.shape}, "
-                f"need at least {n} rows and exactly {p} columns"
-            )
+        # A missing file is an OSError and keeps its own message.
+        try:
+            values = DesignMatrix(read_matrix_csv(spec.path)).values
+            if values.shape[0] < n or values.shape[1] != p:
+                raise ValueError(
+                    f"design file {spec.path} has shape {values.shape}, "
+                    f"need at least {n} rows and exactly {p} columns"
+                )
+        except ValueError as exc:
+            raise ConfigError("design.path", str(exc)) from exc
         values = values[:n].copy()
 
     cap = spec.row_norm_cap
@@ -218,6 +226,8 @@ class ExperimentConfig:
         except ConfigError as exc:
             name = {"alpha": "alpha_coef", "tol": "solver_tol"}.get(exc.field, exc.field)
             raise ConfigError(name, exc.message) from exc
+        except OverflowError as exc:
+            raise ConfigError("n_grid", "entries must be below the largest float") from exc
 
     @property
     def p(self) -> int:

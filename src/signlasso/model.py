@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 from scipy.special import gammaln
 
 # Linear predictors above this raise OverflowError.  Downstream code squares
@@ -68,7 +68,9 @@ def _cholesky_solver(a: np.ndarray):
     """
     factor, info = _POTRF(np.asarray_chkfinite(a), lower=True, overwrite_a=False, clean=False)
     if info > 0:
-        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrf")
 
@@ -115,6 +117,22 @@ class DesignMatrix:
         sv = np.linalg.svd(self.values, compute_uv=False)
         _freeze(sv)
         return sv
+
+
+def _kept(X: DesignMatrix, name: str, key, build):
+    """``build()``, kept on ``X`` under ``name`` for the next call with an equal ``key``.
+
+    A design carries the state that does not change between the replicates
+    drawn from it; this is the one place that writes it.  Another key builds
+    afresh and replaces what was kept, and a ``build`` that raises keeps
+    nothing.
+    """
+    kept = X.__dict__.get(name)
+    if kept is None or kept[0] != key:
+        kept = (key, build())
+        # A frozen dataclass's __dict__, written as functools.cached_property does.
+        X.__dict__[name] = kept
+    return kept[1]
 
 
 @dataclass(frozen=True)
@@ -395,28 +413,16 @@ def poisson_counts(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return _CountSampler(lam).draw(rng)
 
 
-def _count_sampler(X: DesignMatrix, beta_star: CoefVector) -> _CountSampler:
-    """The count sampler of ``(X, beta_star)``, kept on ``X`` for its next draw.
-
-    A design keeps the sampler of the last ``beta_star`` drawn from it.  A
-    sampler that fails to build raises and is not kept.
-    """
-    key = beta_star.values.tobytes()
-    kept = X.__dict__.get("_count_sampler")
-    if kept is None or kept[0] != key:
-        kept = (key, _CountSampler(intensities(X, beta_star)))
-        # A frozen dataclass's __dict__, written as functools.cached_property does.
-        X.__dict__["_count_sampler"] = kept
-    return kept[1]
-
-
 def simulate(X: DesignMatrix, beta_star: CoefVector, seed: int) -> np.ndarray:
     """Counts Y_i ~ Poisson(exp(x_i beta_star)) as a read-only int64 array.
 
-    Deterministic in seed.  The intensities are ``intensities(X, beta_star)``;
-    the sampler built from them is kept on ``X``, so later draws for the same
-    ``beta_star`` skip the replicate-invariant work.
+    Deterministic in seed.  The intensities are ``intensities(X, beta_star)``.
+    ``X`` keeps the sampler built from them for the last ``beta_star`` drawn,
+    so later draws for it skip the replicate-invariant work; a sampler that
+    fails to build raises and is not kept.
     """
-    counts = _count_sampler(X, beta_star).draw(np.random.default_rng(seed))
+    sampler = _kept(X, "_count_sampler", beta_star.values.tobytes(),
+                    lambda: _CountSampler(intensities(X, beta_star)))
+    counts = sampler.draw(np.random.default_rng(seed))
     _freeze(counts)
     return counts

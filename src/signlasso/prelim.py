@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
 from scipy.special import gammaln
 
 from .errors import RankDeficientError
@@ -22,8 +21,8 @@ from .model import (
     DesignMatrix,
     _check_counts,
     _cholesky_solver,
-    _freeze,
     _guard_overflow,
+    _kept,
 )
 
 # Relative singular-value cutoff for the full-column-rank precondition.
@@ -54,37 +53,8 @@ def _newton_solver(Xv: np.ndarray, lam: np.ndarray):
     neg_hess = (Xv.T * lam) @ Xv
     try:
         return _cholesky_solver(neg_hess)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         return _cholesky_solver(neg_hess + _NEWTON_RIDGE * np.eye(Xv.shape[1]))
-
-
-class _NewtonStart:
-    """Newton's state at beta = 0 on one design, which every fit on it shares.
-
-    There eta = X 0 and lam = exp(eta) = 1 do not depend on the counts, and
-    neither does the negated Hessian; its solver is formed on first use.
-    """
-
-    def __init__(self, X: DesignMatrix):
-        self.values = X.values
-        self.eta = X.values @ np.zeros(X.p)
-        self.lam = np.exp(self.eta)
-        _freeze(self.eta, self.lam)
-        self._solve = None
-
-    def solver(self):
-        if self._solve is None:
-            self._solve = _newton_solver(self.values, self.lam)
-        return self._solve
-
-
-def _newton_start(X: DesignMatrix) -> _NewtonStart:
-    """The ``_NewtonStart`` of ``X``, kept on ``X`` for its next fit."""
-    start = X.__dict__.get("_newton_start")
-    if start is None:
-        # A frozen dataclass's __dict__, written as functools.cached_property does.
-        start = X.__dict__["_newton_start"] = _NewtonStart(X)
-    return start
 
 
 def fit_mle(X: DesignMatrix, counts) -> MleFit:
@@ -97,11 +67,11 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
     acceptable step exists or iterations run out, the last iterate is
     returned flagged ``converged=False`` rather than raised.
 
-    Every fit starts at beta = 0, whose linear predictor, intensities and
-    Newton solver are kept on ``X`` and shared by all fits on it.  ln(y!) is
-    looked up in a table of ln(k!) for k up to the largest count when that
-    count is below n, and computed per count otherwise; both give the same
-    floats.
+    Every fit starts at beta = 0, where eta = 0 and lam = 1 whatever the
+    counts.  The Newton solver there is kept on ``X`` and shared by all fits
+    on it; one that fails to form is not kept.  ln(y!) is looked up in a
+    table of ln(k!) for k up to the largest count when that count is below
+    n, and computed per count otherwise; both give the same floats.
 
     Raises
     ------
@@ -110,6 +80,8 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
         largest.
     ValueError
         If a Newton step leaves the finite coefficients.
+    numpy.linalg.LinAlgError
+        If a negated Hessian is not positive definite, even ridged.
     """
     y = _check_counts(counts, X.n)
     if X.n < X.p:
@@ -131,9 +103,9 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
         log_factorial = gammaln(y_f + 1.0)
 
     Xv = X.values
-    start = _newton_start(X)
-    beta, lam = np.zeros(X.p), start.lam
-    ll = float((y_f * start.eta - lam - log_factorial).sum())
+    # X 0 and exp(X 0) are exact for every finite X.
+    beta, eta, lam = np.zeros(X.p), np.zeros(X.n), np.ones(X.n)
+    ll = float((y_f * eta - lam - log_factorial).sum())
     grad_norm = np.inf
     iterations = 0
     converged = False
@@ -144,7 +116,10 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
             converged = True
             break
 
-        solve = start.solver() if iterations == 1 else _newton_solver(Xv, lam)
+        if iterations == 1:
+            solve = _kept(X, "_newton_solver", None, lambda: _newton_solver(Xv, lam))
+        else:
+            solve = _newton_solver(Xv, lam)
         direction = solve(grad)
 
         # Near the optimum the true improvement drops below the float

@@ -83,9 +83,13 @@ def _load(tp, raw, path: str):
     if tp is float:
         if not isinstance(raw, (int, float)) or isinstance(raw, bool):
             raise ConfigError(path, "must be a number")
-        if not math.isfinite(raw):
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf  # an int literal beyond the largest float
+        if not math.isfinite(value):
             raise ConfigError(path, "must be a finite number")
-        return float(raw)
+        return value
     if tp is str:
         if not isinstance(raw, str):
             raise ConfigError(path, "must be a string")

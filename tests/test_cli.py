@@ -521,6 +521,36 @@ OUT_OF_RANGE_INPUTS = {
     "check_mle_rank_deficient": ("beta-tilde", lambda tmp, data: _check_argv(
         data, *_rank_deficient_inputs(tmp)
     )),
+    # An integer literal beyond the largest float used to print "int too large
+    # to convert to float" and name no field.
+    "simulate_alpha_coef_huge_int": ("alpha_coef", lambda tmp, data: _simulate_argv(
+        tmp, alpha_coef=10**400
+    )),
+    "design_scale_huge_int": ("design.scale", lambda tmp, data: _simulate_design_argv(
+        tmp, scale=10**400
+    )),
+    "simulate_beta_star_huge_int": ("beta_star[1]", lambda tmp, data: _simulate_argv(
+        tmp, beta_star=[1.0, -10**400, 0.0, 0.0]
+    )),
+    "check_constants_huge_int": ("constants.max_row_norm", lambda tmp, data: _check_argv(
+        data, "--constants", _constants_file(tmp, {"max_row_norm": 10**400})
+    )),
+    "simulate_n_grid_huge_int": ("n_grid", lambda tmp, data: _simulate_argv(
+        tmp, n_grid=[60, 10**400]
+    )),
+    # A file design of the wrong shape or with a non-finite entry used to
+    # name no field.
+    "design_file_too_few_rows": ("design.path", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "file", "path": _text_file(tmp, "X.csv", "1,0,0,1\n" * 50)}
+    )),
+    "design_file_wrong_columns": ("design.path", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "file", "path": _text_file(tmp, "X.csv", "1,0,1\n" * 120)}
+    )),
+    "design_file_nan": ("design.path", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "file", "path": _text_file(
+            tmp, "X.csv", "nan,0,0,1\n" + "1,0,0,1\n" * 119
+        )}
+    )),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from conftest import reference_fit_mle
 from signlasso import prelim
@@ -187,7 +187,7 @@ def _designs_and_counts(draw):
 def test_fit_mle_matches_the_reference_loop_bit_for_bit(case):
     X, counts = case
     expected = _outcome(reference_fit_mle, X, counts)
-    # The second fit on X starts from the beta = 0 state the first one kept.
+    # The second fit on X takes the beta = 0 solver the first one kept.
     assert _outcome(fit_mle, X, counts) == expected
     assert _outcome(fit_mle, X, counts) == expected
 
@@ -196,14 +196,14 @@ def _start_hessian(X):
     return (X.values.T * np.ones(X.n)) @ X.values
 
 
-def _recording_solver(monkeypatch, refuse=None):
-    """Patch fit_mle's Cholesky solver to record its matrices, refusing ``refuse``."""
+def _recording_solver(monkeypatch, refuse=()):
+    """Patch fit_mle's Cholesky solver to record its matrices, refusing those in ``refuse``."""
     seen = []
     real = prelim._cholesky_solver
 
     def recorded(a):
         seen.append(np.array(a))
-        if refuse is not None and np.array_equal(a, refuse):
+        if any(np.array_equal(a, r) for r in refuse):
             raise LinAlgError("refused")
         return real(a)
 
@@ -228,12 +228,31 @@ def test_two_fits_on_a_design_form_the_start_hessian_once(monkeypatch):
 def test_ridged_start_solver_is_kept_for_the_next_fit(monkeypatch):
     X = DesignMatrix(0.5 * np.random.default_rng(41).standard_normal((80, 3)))
     start = _start_hessian(X)
-    seen = _recording_solver(monkeypatch, refuse=start)
+    seen = _recording_solver(monkeypatch, refuse=(start,))
     fits = _two_fits(X)
     assert all(fit.converged for fit in fits)
     ridged = start + prelim._NEWTON_RIDGE * np.eye(X.p)
     assert sum(np.array_equal(a, start) for a in seen) == 1
     assert sum(np.array_equal(a, ridged) for a in seen) == 1
+
+
+def test_fit_mle_never_keeps_a_failing_start_solver(monkeypatch):
+    X = DesignMatrix(0.5 * np.random.default_rng(47).standard_normal((80, 3)))
+    counts = simulate(X, CoefVector([0.4, -0.1, -0.3]), 1)
+    X.singular_values  # the rank check caches it; only kept state may add keys after
+    kept = set(X.__dict__)
+    start = _start_hessian(X)
+    ridged = start + prelim._NEWTON_RIDGE * np.eye(X.p)
+    with monkeypatch.context() as patch:
+        seen = _recording_solver(patch, refuse=(start, ridged))
+        for _ in range(3):
+            with pytest.raises(LinAlgError, match="refused"):
+                fit_mle(X, counts)
+            assert set(X.__dict__) == kept
+        assert len(seen) == 6
+    # The next fit forms the solver afresh and keeps it.
+    assert _outcome(fit_mle, X, counts) == _outcome(reference_fit_mle, X, counts)
+    assert len(set(X.__dict__) - kept) == 1
 
 
 def test_non_finite_newton_step_raises(monkeypatch):
