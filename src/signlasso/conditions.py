@@ -109,7 +109,10 @@ def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
     mask = np.zeros(p, dtype=bool)
     mask[active] = True
     perm = np.concatenate([active, np.flatnonzero(~mask)])
-    C = problem.gram()[np.ix_(perm, perm)]
+    # A C-ordered copy, as np.ix_ makes it: ``C @ diff`` in
+    # proposition_diagnostics takes another BLAS path, with other last bits,
+    # on a copy laid out otherwise (``gram()[perm][:, perm]``, say).
+    C = problem.gram()[perm[:, None], perm]
     W = problem.noise()[perm]
     _freeze(C, W, perm)
     return BlockedGram(C=C, W=W, perm=perm, q=active.size, problem=problem)
@@ -163,7 +166,7 @@ def _active_solver(C11: np.ndarray):
 
 def irrepresentable_margin(d: np.ndarray) -> float:
     """1 - max|d|, or 1 when ``d`` is empty because every coordinate is active."""
-    return float(1.0 - np.max(np.abs(d))) if d.size else 1.0
+    return float(1.0 - np.abs(d).max()) if d.size else 1.0
 
 
 def _largest_singular_value(block: np.ndarray) -> float:
@@ -341,38 +344,38 @@ def proposition_diagnostics(
     """
     bg._check_truth(beta_star)
     solve, _ = bg.active_solver
+    q = bg.q
 
-    diff = beta_star.values[bg.perm] - bg.problem.beta_tilde.values[bg.perm]
-    R = bg.C @ diff
-    R1, R2 = R[: bg.q], R[bg.q :]
+    beta_perm = beta_star.values[bg.perm]
+    R = bg.C @ (beta_perm - bg.problem.beta_tilde.values[bg.perm])
+    R1, R2 = R[:q].copy(), R[q:].copy()
+    beta1 = beta_perm[:q]
 
-    s1 = np.sign(beta_star.values[bg.active_idx])
-    W1, W2 = bg.W1, bg.W2
     # One solve for the three right-hand sides; each column is bit-identical
-    # to its own solve.
-    xi, b, inv_R1 = solve(np.column_stack([W1, s1, R1])).T
+    # to its own solve.  xi and b are copied out, so the diagnostics own them.
+    cols = solve(np.column_stack([bg.W[:q], np.sign(beta1), R1]))
+    xi, b, inv_R1 = cols[:, 0].copy(), cols[:, 1].copy(), cols[:, 2]
     ratio = alpha / (2.0 * bg.problem.n)
 
-    beta1_abs = np.abs(beta_star.values[bg.active_idx])
-    an_slack = beta1_abs - ratio * np.abs(b) - np.abs(inv_R1) - np.abs(xi)
-    an_margin = float(np.min(an_slack))
-    An_holds = bool(np.all(an_slack > 0.0))
+    an_slack = np.abs(beta1) - ratio * np.abs(b) - np.abs(inv_R1) - np.abs(xi)
+    an_margin = float(an_slack.min())
+    An_holds = bool((an_slack > 0.0).all())
 
-    zeta = bg.C21 @ xi - W2
-    d = bg.C21 @ b
-    bn_slack = ratio * (1.0 - np.abs(d)) - np.abs(bg.C21 @ inv_R1 - R2) - np.abs(zeta)
+    C21 = bg.C21
+    zeta = C21 @ xi - bg.W[q:]
+    d = C21 @ b
+    bn_slack = ratio * (1.0 - np.abs(d)) - np.abs(C21 @ inv_R1 - R2) - np.abs(zeta)
     if bn_slack.size:
-        bn_margin = float(np.min(bn_slack))
-        Bn_holds = bool(np.all(bn_slack >= 0.0))
+        bn_margin = float(bn_slack.min())
+        Bn_holds = bool((bn_slack >= 0.0).all())
     else:
         # No inactive coordinates: the event is vacuously true.
         bn_margin = float("inf")
         Bn_holds = True
 
-    check1 = beta_star.values[bg.active_idx] + xi - ratio * b - inv_R1
     beta_check = np.zeros(bg.p)
-    beta_check[bg.active_idx] = check1
-    _freeze(R1, R2, xi, b, zeta, d)
+    beta_check[bg.perm[:q]] = beta1 + xi - ratio * b - inv_R1
+    _freeze(R1, R2, xi, b, zeta, d, beta_check)
 
     return PropositionDiagnostics(
         R1=R1,

@@ -16,6 +16,7 @@ import logging
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,10 +66,110 @@ _TAG_PRELIM = 3
 GENERATORS = ("iid_gaussian", "correlated_gaussian", "orthogonal_ish")
 
 
+# numpy's SeedSequence: a pool of four 32-bit words and its hash and mix
+# constants.  The seeds below are its bits, derived for many lanes at once.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# Replicates per pass of the seed derivation.  A power of two at most 2**32,
+# so no block holds replicate indices of two word counts.
+_SEED_BLOCK = 4096
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's entropy words of a nonnegative int: 32 bits each, low first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed parts must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_entropy(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(1, np.uint64)[0]`` for each column of ``entropy``.
+
+    ``entropy`` is a (words, lanes) uint32 array, one column per lane.
+    numpy's mix of the entropy into the pool and its draw of two words,
+    done in uint32 arithmetic, which wraps as numpy's does, on every lane at
+    once.  The hash constants advance the same way on every lane.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ (value >> 16)
+
+    zero = np.zeros(entropy.shape[1], dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    hash_const = _INIT_B
+    state = []
+    for value in pool[:2]:
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    # The first word is the low half of the uint64.
+    return state[0] | state[1] << 32
+
+
 def derive_seed(*parts: int) -> int:
-    """Deterministic 64-bit seed from a tuple of integers."""
-    ss = np.random.SeedSequence([int(p) for p in parts])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """Deterministic 64-bit seed from nonnegative integers.
+
+    ``SeedSequence(list(parts)).generate_state(1, np.uint64)[0]``, bit for
+    bit: each part contributes its 32-bit words, low first.  This is the
+    one-lane case of the per-n derivation of the replicates' seeds.
+    """
+    entropy = np.array([w for part in parts for w in _words(part)], dtype=np.uint32)
+    return int(_hash_entropy(entropy[:, None])[0])
+
+
+def _block_seeds(seed: int, tags: tuple[int, ...], n: int, r: np.ndarray) -> np.ndarray:
+    """``derive_seed(seed, tag, n, r[i])`` at ``[t, i]``, for tag ``tags[t]``, in one pass.
+
+    ``r`` is a uint64 array of replicate indices that all take the same
+    number of entropy words: all below 2**32, or all at or above it.
+    """
+    head, tail = _words(seed), _words(n)
+    lanes = len(tags) * r.size
+    # Lanes are tag-major: every replicate of the first tag, then the next.
+    entropy = np.array([
+        *(np.full(lanes, w) for w in head),
+        np.repeat(tags, r.size),
+        *(np.full(lanes, w) for w in tail),
+        *(np.tile(r >> 32 * k & _MASK32, len(tags)) for k in range(len(_words(r.max())))),
+    ], dtype=np.uint32)
+    return _hash_entropy(entropy).reshape(len(tags), r.size)
+
+
+def _replicate_seeds(seed: int, tags: tuple[int, ...], n: int, replicates: int):
+    """Yield ``tuple(derive_seed(seed, tag, n, r) for tag in tags)`` for r = 0, 1, ...
+
+    One pass per block of ``_SEED_BLOCK`` replicates derives the seeds of
+    every tag, so a huge ``replicates`` allocates no more than one block.
+    """
+    for start in range(0, replicates, _SEED_BLOCK):
+        r = np.arange(start, min(start + _SEED_BLOCK, replicates), dtype=np.uint64)
+        yield from zip(*_block_seeds(seed, tags, n, r).tolist())
 
 
 @dataclass(frozen=True)
@@ -107,22 +208,13 @@ def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
     """Generate (or load) an n x p design, enforcing the row-norm cap.
 
     A file that is not a finite matrix with at least n rows and exactly p
-    columns is a ConfigError on ``design.path``.
+    columns is a ConfigError on ``design.path``.  So is a file whose row
+    norms overflow under a cap, and a generator's ``design.scale`` that
+    overflows the design or its row norms.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
-    rng = np.random.default_rng(seed)
-    if spec.kind == "iid_gaussian":
-        values = spec.scale * rng.standard_normal((n, p))
-    elif spec.kind == "correlated_gaussian":
-        cov = spec.scale**2 * spec.rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-        chol = np.linalg.cholesky(cov)
-        values = rng.standard_normal((n, p)) @ chol.T
-    elif spec.kind == "orthogonal_ish":
-        # Random-sign design: columns are orthogonal on average and every row
-        # has norm scale * sqrt(p) exactly.
-        values = spec.scale * rng.choice([-1.0, 1.0], size=(n, p))
-    else:  # file
+    if spec.kind == "file":
         # A missing file is an OSError and keeps its own message.
         try:
             values = DesignMatrix(read_matrix_csv(spec.path)).values
@@ -134,16 +226,42 @@ def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
         except ValueError as exc:
             raise ConfigError("design.path", str(exc)) from exc
         values = values[:n].copy()
-
     cap = spec.row_norm_cap
     if cap is None and spec.kind != "file":
         cap = 2.0 * spec.scale * math.sqrt(p)
-    if cap is not None:
-        norms = np.linalg.norm(values, axis=1)
-        over = norms > cap
-        if over.any():
-            values[over] *= (cap / norms[over])[:, None]
+    try:
+        # numpy's overflow warning becomes this error, raised before the
+        # design's first replicate.
+        with np.errstate(over="raise"):
+            if spec.kind != "file":
+                values = _generate(spec, n, p, seed)
+            if cap is not None:
+                norms = np.linalg.norm(values, axis=1)
+                over = norms > cap
+                if over.any():
+                    values[over] *= (cap / norms[over])[:, None]
+    except (OverflowError, FloatingPointError) as exc:
+        if spec.kind == "file":
+            raise ConfigError("design.path", f"{spec.path}: row norms overflow") from exc
+        raise ConfigError(
+            "design.scale", f"{spec.scale} is too large: the {spec.kind} design "
+            "or its row norms overflow"
+        ) from exc
     return DesignMatrix(values)
+
+
+def _generate(spec: DesignSpec, n: int, p: int, seed: int) -> np.ndarray:
+    """The n x p values of a generator design, before the row-norm cap."""
+    rng = np.random.default_rng(seed)
+    if spec.kind == "iid_gaussian":
+        return spec.scale * rng.standard_normal((n, p))
+    if spec.kind == "correlated_gaussian":
+        cov = spec.scale**2 * spec.rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        chol = np.linalg.cholesky(cov)
+        return rng.standard_normal((n, p)) @ chol.T
+    # orthogonal_ish, a random-sign design: columns are orthogonal on average
+    # and every row has norm scale * sqrt(p) exactly.
+    return spec.scale * rng.choice([-1.0, 1.0], size=(n, p))
 
 
 def parse_beta_tilde_mode(mode: str) -> tuple[str, float]:
@@ -192,8 +310,11 @@ class ExperimentConfig:
     constants: AssumptionConstants | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.c2 < self.c1 <= 1.0:
-            raise ConfigError("c2", f"must satisfy 0 < c2 < c1 <= 1, got c1={self.c1}, c2={self.c2}")
+        schedule = f"must satisfy 0 < c2 < c1 <= 1, got c1={self.c1}, c2={self.c2}"
+        if not 0.0 < self.c1 <= 1.0:
+            raise ConfigError("c1", schedule)
+        if not 0.0 < self.c2 < self.c1:
+            raise ConfigError("c2", schedule)
         grid = tuple(int(n) for n in self.n_grid)
         if len(grid) == 0 or any(n < 1 for n in grid):
             raise ConfigError("n_grid", "must be a nonempty list of positive integers")
@@ -228,6 +349,11 @@ class ExperimentConfig:
             raise ConfigError(name, exc.message) from exc
         except OverflowError as exc:
             raise ConfigError("n_grid", "entries must be below the largest float") from exc
+        if grid[-1] * self.p * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(
+                "n_grid", f"entry {grid[-1]} is too large: an n x {self.p} float64 design "
+                "would exceed the largest array"
+            )
 
     @property
     def p(self) -> int:
@@ -303,30 +429,35 @@ def expansion_point(
     return oracle_perturbation(beta_star, X.n, scale, seed), None
 
 
-def _run_replicate(config: ExperimentConfig, design: DesignMatrix, n: int, r: int) -> ReplicateRecord:
-    alpha_n = config.alpha_for(n)
-    seed_used = derive_seed(config.seed, _TAG_COUNTS, n, r)
-    record = partial(ReplicateRecord, n=n, replicate=r, seed_used=seed_used, alpha_n=alpha_n)
+class _PerN(NamedTuple):
+    """What every replicate of one n shares: its solver config and the truth's pattern."""
+
+    n: int
+    solver: SolverConfig
+    support: np.ndarray
+    signs: np.ndarray
+
+
+def _run_replicate(config: ExperimentConfig, per_n: _PerN, design: DesignMatrix, r: int,
+                   seed_used: int, prelim_seed: int) -> ReplicateRecord:
+    record = partial(ReplicateRecord, n=per_n.n, replicate=r, seed_used=seed_used,
+                     alpha_n=per_n.solver.alpha)
     try:
         counts = simulate(design, config.beta_star, seed_used)
         beta_tilde, mle = expansion_point(
-            config.beta_tilde_mode, design, counts, config.beta_star,
-            derive_seed(config.seed, _TAG_PRELIM, n, r),
+            config.beta_tilde_mode, design, counts, config.beta_star, prelim_seed
         )
         if mle is not None and not mle.converged:
             return record(ok=False, error="mle did not converge")
         problem = build_working_problem(design, beta_tilde, counts)
-        result = fit(problem, config.solver_config(n))
+        result = fit(problem, per_n.solver)
         if not result.converged:
             return record(ok=False, error="solver did not converge")
-        bg = blocked_gram(problem, config.beta_star.support)
-        diag = proposition_diagnostics(bg, config.beta_star, alpha_n)
-        sign_match = bool(
-            np.array_equal(result.beta_hat.signs(), config.beta_star.signs())
-        )
+        bg = blocked_gram(problem, per_n.support)
+        diag = proposition_diagnostics(bg, config.beta_star, per_n.solver.alpha)
         return record(
-            ok=True, sign_match=sign_match, An=diag.An_holds, Bn=diag.Bn_holds,
-            irrep_margin=irrepresentable_margin(diag.d),
+            ok=True, sign_match=bool((result.beta_hat.signs() == per_n.signs).all()),
+            An=diag.An_holds, Bn=diag.Bn_holds, irrep_margin=irrepresentable_margin(diag.d),
             kkt_pass=result.kkt_report.all_passed,
         )
     except (
@@ -369,6 +500,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     records: list[ReplicateRecord] = []
     condition_reports: dict = {}
+    support, signs = config.beta_star.support, config.beta_star.signs()
     for n in config.n_grid:
         design = make_design(
             config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n)
@@ -385,17 +517,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 f"is below tau={config.tau}; the scheduled penalty cannot "
                 "be expected to recover signs",
             )
+        solver = config.solver_config(n)
         logger.info(
             "n=%d: irrep_margin=%.4f lambda_min_C11=%.4g alpha_n=%.6g",
-            n, report.irrep_margin, report.lambda_min_C11, config.alpha_for(n),
+            n, report.irrep_margin, report.lambda_min_C11, solver.alpha,
         )
+        per_n = _PerN(n, solver, support, signs)
+        tags = (_TAG_COUNTS, _TAG_PRELIM) + ((_TAG_DESIGN,) if config.redraw_design else ())
         batch = []
-        for r in range(config.replicates):
+        for r, seeds in enumerate(_replicate_seeds(config.seed, tags, n, config.replicates)):
             if config.redraw_design:
-                design = make_design(
-                    config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n, r)
-                )
-            batch.append(_run_replicate(config, design, n, r))
+                design = make_design(config.design, n, config.p, seeds[2])
+            batch.append(_run_replicate(config, per_n, design, r, seeds[0], seeds[1]))
         records.extend(batch)
         done = sum(1 for rec in batch if rec.ok)
         logger.info("n=%d: %d/%d replicates ok", n, done, len(batch))

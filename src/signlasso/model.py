@@ -145,7 +145,7 @@ class CoefVector:
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         if v.ndim != 1 or v.size < 1:
             raise ValueError("coefficient vector must be 1-D and nonempty")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("coefficient entries must be finite")
         object.__setattr__(self, "values", _as_readonly(v))
 
@@ -281,6 +281,9 @@ def _poisson_inversion(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 # The inversion table is as deep as the lanes' tails need to fall below this;
 # a lane drawn past it finishes in the sequential search.
 _TABLE_TAIL = 1e-12
+# Rows of the inversion table compared for every lane; the rest are compared
+# only for the lanes whose uniform lies beyond all of these.
+_TABLE_HEAD = 8
 
 
 class _InversionTable:
@@ -312,14 +315,25 @@ class _InversionTable:
         self.lam, self.prob = lam, prob
 
     def counts(self, u: np.ndarray) -> np.ndarray:
-        """The search's counts for uniforms ``u``, one per lane."""
-        depth = self.rows.shape[0]
+        """The search's counts for uniforms ``u``, one per lane.
+
+        Looked up in two levels: the first ``_TABLE_HEAD`` rows for every
+        lane, the rest only for the lanes past all of those.  A lane's rows
+        do not decrease, so a lane that stops in the head has none of its
+        later rows below its uniform, and each count is that of the whole
+        table.
+        """
+        head, tail = self.rows[:_TABLE_HEAD], self.rows[_TABLE_HEAD:]
         # int64: a lane the search takes past the table can count beyond 255.
-        k = np.add.reduce(self.rows < u, axis=0, dtype=np.uint8).astype(np.int64)
-        past = np.flatnonzero(k == depth)
-        if past.size:
-            _sequential_search(k, past, self.lam[past], u[past], self.prob[past],
-                               self.rows[-1, past], depth - 1)
+        k = np.add.reduce(head < u, axis=0, dtype=np.uint8).astype(np.int64)
+        deeper = (k == len(head)).nonzero()[0]
+        if deeper.size:
+            more = np.add.reduce(tail[:, deeper] < u[deeper], axis=0, dtype=np.uint8)
+            k[deeper] = more + len(head)
+            past = deeper[more == len(tail)]
+            if past.size:
+                _sequential_search(k, past, self.lam[past], u[past], self.prob[past],
+                                   self.rows[-1, past], len(self.rows) - 1)
         return k
 
 
@@ -327,14 +341,19 @@ def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator,
                                    constants: tuple) -> np.ndarray:
     """Transformed rejection with squeeze (Hoermann's PTRS, 1993), valid for lam >= 10.
 
-    ``constants`` is ``_ptrs_constants(lam)``.
+    ``constants`` is ``_ptrs_constants(lam)``.  Each round draws the m lanes
+    still open as one block of 2m uniforms, u from the first half and v
+    from the second: the doubles, in the order, of a draw of m for u and
+    then one of m for v, so the generator ends where those two leave it.
     """
     log_lam, b, a, inv_alpha, v_r = constants
     out = np.zeros(lam.size, dtype=np.int64)
     todo = np.arange(lam.size)
     while todo.size:
-        u = rng.random(todo.size) - 0.5
-        v = rng.random(todo.size)
+        m = todo.size
+        uv = rng.random(2 * m)
+        u = uv[:m] - 0.5
+        v = uv[m:]
         us = 0.5 - np.abs(u)
         k = np.floor((2.0 * a[todo] / us + b[todo]) * u + lam[todo] + 0.43)
 

@@ -75,7 +75,7 @@ class KktReport:
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
         for name in ("is_active", "passed"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name), dtype=bool))
-        object.__setattr__(self, "all_passed", bool(np.all(self.passed)))
+        object.__setattr__(self, "all_passed", bool(self.passed.all()))
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,9 @@ def kkt_check(problem: WorkingProblem, beta: CoefVector, alpha: float, kkt_tol: 
     g = problem.x_work.T @ (problem.y_work - problem.x_work @ beta.values)
     half = 0.5 * alpha
     active = np.abs(beta.values) > ZERO_TOL
-    stationarity = np.full(beta.p, np.nan)
-    slack = np.full(beta.p, np.nan)
-    passed = np.empty(beta.p, dtype=bool)
-    stationarity[active] = np.abs(g[active] - half * np.sign(beta.values[active]))
-    slack[~active] = np.abs(g[~active]) - half
-    passed[active] = stationarity[active] <= kkt_tol
-    passed[~active] = slack[~active] <= kkt_tol
+    stationarity = np.where(active, np.abs(g - half * np.sign(beta.values)), np.nan)
+    slack = np.where(active, np.nan, np.abs(g) - half)
+    passed = np.where(active, stationarity, slack) <= kkt_tol
     _freeze(g, active, stationarity, slack, passed)
     return KktReport(
         alpha=float(alpha),
@@ -158,7 +154,6 @@ def fit(problem: WorkingProblem, config: SolverConfig) -> FitResult:
     if not math.isfinite(prev_obj):
         raise NumericalError("objective is non-finite at the warm start")
 
-    report = None
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
@@ -204,10 +199,11 @@ def fit(problem: WorkingProblem, config: SolverConfig) -> FitResult:
                 converged = True
                 break
             # Coordinate stall without optimality: keep sweeping.
-            report = None
 
-    beta_hat = CoefVector(beta)
-    if report is None:
+    if converged:
+        beta_hat = candidate
+    else:
+        beta_hat = CoefVector(beta)
         report = kkt_check(problem, beta_hat, config.alpha, config.kkt_tol)
     return FitResult(
         beta_hat=beta_hat,

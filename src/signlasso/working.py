@@ -84,8 +84,8 @@ def build_working_problem(X: DesignMatrix, beta_tilde: CoefVector, counts) -> Wo
     """
     y = _check_counts(counts, X.n)
     lam = intensities(X, beta_tilde)
-    if np.any(lam < WEIGHT_FLOOR):
-        worst = float(np.min(lam))
+    worst = float(lam.min())
+    if worst < WEIGHT_FLOOR:
         raise DegenerateWeightError(
             f"intensity {worst:.6g} below weight floor {WEIGHT_FLOOR:g}; "
             "the expansion point is degenerate"

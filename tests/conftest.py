@@ -1,5 +1,5 @@
 """Shared test helpers: instance generators, solver-independent oracles, a
-reference Newton MLE and a factorisation counter.
+reference Newton MLE, a reference PTRS sampler and a factorisation counter.
 
 Every oracle here evaluates the penalized objective (or the likelihood)
 directly and never calls the coordinate-descent solver, so agreement between
@@ -303,3 +303,34 @@ def reference_fit_mle(X: DesignMatrix, counts) -> MleFit:
         grad_norm=grad_norm,
         log_likelihood=ll,
     )
+
+
+def reference_ptrs(lam: np.ndarray, rng: np.random.Generator, constants: tuple) -> np.ndarray:
+    """Hoermann's PTRS with two draws per round, as the sampler had it.
+
+    ``model._poisson_transformed_rejection`` draws each round's u and v as
+    one block of 2m uniforms, which are the doubles of these two draws of m
+    in the same order, so the two must agree in counts and generator state.
+    """
+    log_lam, b, a, inv_alpha, v_r = constants
+    out = np.zeros(lam.size, dtype=np.int64)
+    todo = np.arange(lam.size)
+    while todo.size:
+        u = rng.random(todo.size) - 0.5
+        v = rng.random(todo.size)
+        us = 0.5 - np.abs(u)
+        k = np.floor((2.0 * a[todo] / us + b[todo]) * u + lam[todo] + 0.43)
+
+        accept = (us >= 0.07) & (v <= v_r[todo])
+        reject = (k < 0) | ((us < 0.013) & (v > us))
+        needs_log = ~(accept | reject)
+        if needs_log.any():
+            t = todo[needs_log]
+            kk = k[needs_log]
+            lhs = np.log(v[needs_log] * inv_alpha[t] / (a[t] / us[needs_log] ** 2 + b[t]))
+            rhs = kk * log_lam[t] - lam[t] - gammaln(kk + 1.0)
+            accept[needs_log] = lhs <= rhs
+        if accept.any():
+            out[todo[accept]] = k[accept].astype(np.int64)
+        todo = todo[~accept]
+    return out

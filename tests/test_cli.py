@@ -6,12 +6,18 @@ import logging
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+from contextlib import redirect_stderr, redirect_stdout
+from copy import deepcopy
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import signlasso
 import signlasso.harness as harness
@@ -235,20 +241,23 @@ def test_fit_and_check_keep_their_golden_digest(command, mode, small_dataset, ca
     assert digest == FIT_CHECK_DIGESTS[command, mode]
 
 
+# The tests' small simulate config.
+SMALL_CONFIG = {
+    "design": {"kind": "correlated_gaussian", "rho": 0.2, "scale": 0.6},
+    "beta_star": [1.0, -1.0, 0.0, 0.0],
+    "n_grid": [60, 120],
+    "c1": 1.0,
+    "c2": 0.5,
+    "alpha_coef": 1.0,
+    "replicates": 10,
+    "seed": 90210,
+    "beta_tilde_mode": "oracle:1.0",
+    "tau": 0.3,
+}
+
+
 def _experiment_config(tmp_path, **overrides):
-    config = {
-        "design": {"kind": "correlated_gaussian", "rho": 0.2, "scale": 0.6},
-        "beta_star": [1.0, -1.0, 0.0, 0.0],
-        "n_grid": [60, 120],
-        "c1": 1.0,
-        "c2": 0.5,
-        "alpha_coef": 1.0,
-        "replicates": 10,
-        "seed": 90210,
-        "beta_tilde_mode": "oracle:1.0",
-        "tau": 0.3,
-    }
-    config.update(overrides)
+    config = {**SMALL_CONFIG, **overrides}
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(config))
     return path
@@ -538,6 +547,36 @@ OUT_OF_RANGE_INPUTS = {
     "simulate_n_grid_huge_int": ("n_grid", lambda tmp, data: _simulate_argv(
         tmp, n_grid=[60, 10**400]
     )),
+    # An n too large for an n x p float64 array used to run the smaller n
+    # first and then print numpy's error without a field.
+    "simulate_n_grid_beyond_array_dimensions": ("n_grid", lambda tmp, data: _simulate_argv(
+        tmp, n_grid=[60, 10**30]
+    )),
+    "simulate_n_grid_array_too_big": ("n_grid", lambda tmp, data: _simulate_argv(
+        tmp, n_grid=[60, 2**62]
+    )),
+    # A scale whose design or row norms overflow used to print numpy's
+    # overflow warning and a singular-block error on "design", or, for the
+    # correlated generator, "(34, 'Numerical result out of range')".
+    "design_iid_scale_overflows_row_norms": ("design.scale", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "iid_gaussian", "scale": 1e160}
+    )),
+    "design_iid_scale_overflows": ("design.scale", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "iid_gaussian", "scale": 1e300}
+    )),
+    "design_orthogonal_ish_scale_overflows": ("design.scale", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "orthogonal_ish", "scale": 1e300}
+    )),
+    "design_correlated_scale_overflows": ("design.scale", lambda tmp, data: _simulate_design_argv(
+        tmp, scale=1e160
+    )),
+    "design_file_row_norms_overflow": ("design.path", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "file", "row_norm_cap": 1.0, "path": _text_file(
+            tmp, "X.csv", "1e200,1,0,1\n" * 120
+        )}
+    )),
+    # c1 outside (0, 1] used to be reported on c2.
+    "simulate_c1_above_one": ("c1", lambda tmp, data: _simulate_argv(tmp, c1=1.5)),
     # A file design of the wrong shape or with a non-finite entry used to
     # name no field.
     "design_file_too_few_rows": ("design.path", lambda tmp, data: _simulate_argv(
@@ -564,6 +603,146 @@ def test_out_of_range_input_exits_one_with_field_path(case, tmp_path, small_data
     assert code == 1
     assert err.startswith(f"error: {field_path}: "), err
     assert not (tmp_path / "out").exists()
+
+
+_FLOAT_FIELDS = (
+    "c1", "c2", "alpha_coef", "tau", "solver_tol", "kkt_tol",
+    "design.scale", "design.rho", "design.row_norm_cap",
+)
+_INT_FIELDS = ("replicates", "seed", "max_sweeps")
+_REQUIRED_FIELDS = (
+    "design", "design.kind", "beta_star", "n_grid", "c1", "c2", "alpha_coef", "replicates", "seed",
+)
+_BEYOND_FLOAT = st.sampled_from([10**400, -(10**400), 2**1024])
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def _at_most(bound):
+    return st.floats(max_value=bound, allow_nan=False, allow_infinity=False)
+
+
+def _below(bound):
+    return _at_most(bound).filter(lambda x: x < bound)
+
+
+def _above(bound):
+    return st.floats(min_value=bound, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+# Values invalid by range for each field.
+_OUT_OF_RANGE = {
+    "c1": st.one_of(_at_most(0.0), _above(1.0)),
+    "c2": st.one_of(_at_most(0.0), st.floats(1.0, 1e308)),
+    "tau": st.one_of(_below(0.0), _above(1.0)),
+    "alpha_coef": _below(0.0),
+    "solver_tol": _at_most(0.0),
+    "kkt_tol": _at_most(0.0),
+    "design.scale": st.one_of(_at_most(0.0), st.floats(1e160, 1e308)),
+    "design.rho": st.one_of(_at_most(-1.0), st.floats(1.0, 1e308)),
+    "design.row_norm_cap": _at_most(0.0),
+    "replicates": st.integers(-(2**70), 0),
+    "seed": st.integers(-(2**70), -1),
+    "max_sweeps": st.integers(-(2**70), 0),
+}
+
+
+def _set(config, path, value):
+    *parents, key = path.split(".")
+    for name in parents:
+        config = config[name]
+    config[key] = value
+
+
+def _drop(config, path):
+    *parents, key = path.split(".")
+    for name in parents:
+        config = config[name]
+    del config[key]
+
+
+@st.composite
+def _bad_simulate_configs(draw):
+    """The small simulate config with one invalid value, and the field path it is reported on."""
+    config = deepcopy(SMALL_CONFIG)
+    kind = draw(st.sampled_from([
+        "drop", "unknown", "float_type", "int_type", "other_type", "range", "huge_float",
+        "non_finite", "beyond_float", "n_grid",
+    ]))
+    if kind == "drop":
+        path = draw(st.sampled_from(_REQUIRED_FIELDS))
+        _drop(config, path)
+    elif kind == "unknown":
+        # No field of the schema starts with "x_".
+        path = draw(st.sampled_from(["", "design."])) + "x_" + draw(
+            st.text("abcdefghijklmnopqrstuvwxyz_", max_size=12)
+        )
+        _set(config, path, draw(st.integers(0, 3)))
+    elif kind == "float_type":
+        path = draw(st.sampled_from(_FLOAT_FIELDS))
+        bad = st.one_of(st.text(max_size=5), st.booleans(), st.lists(st.integers(), max_size=2))
+        if path != "design.row_norm_cap":
+            bad = st.one_of(bad, st.none())
+        _set(config, path, draw(bad))
+    elif kind == "int_type":
+        path = draw(st.sampled_from(_INT_FIELDS))
+        _set(config, path, draw(st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=5), st.booleans(),
+            st.none(),
+        )))
+    elif kind == "other_type":
+        path, bad = draw(st.sampled_from([
+            ("redraw_design", st.one_of(st.integers(), st.text(max_size=5), st.none())),
+            ("beta_tilde_mode", st.one_of(st.integers(), st.floats(allow_nan=False), st.none())),
+            ("design", st.one_of(st.integers(), st.text(max_size=5), st.lists(st.integers()))),
+            ("design.kind", st.one_of(st.integers(), st.booleans(), st.none())),
+            ("beta_star", st.one_of(st.integers(), st.text(max_size=5), st.none())),
+            ("n_grid", st.one_of(st.integers(), st.text(max_size=5), st.none())),
+            ("constants", st.one_of(st.integers(), st.text(max_size=5), st.lists(st.integers()))),
+        ]))
+        _set(config, path, draw(bad))
+    elif kind == "range":
+        path = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+        _set(config, path, draw(_OUT_OF_RANGE[path]))
+    elif kind == "huge_float":
+        path = draw(st.sampled_from(["c1", "c2", "tau", "design.scale", "design.rho"]))
+        _set(config, path, draw(st.floats(1e160, 1e308)))
+    elif kind == "non_finite":
+        path = draw(st.sampled_from(_FLOAT_FIELDS))
+        _set(config, path, draw(_NON_FINITE))
+    elif kind == "beyond_float":
+        path = draw(st.sampled_from(_FLOAT_FIELDS + ("beta_star",)))
+        if path == "beta_star":
+            k = draw(st.integers(0, len(config["beta_star"]) - 1))
+            config["beta_star"][k] = draw(_BEYOND_FLOAT)
+            path = f"beta_star[{k}]"
+        else:
+            _set(config, path, draw(_BEYOND_FLOAT))
+    else:
+        # An entry not above the one before it, not positive, beyond a float
+        # or too large for an n x p float64 array.
+        path = "n_grid"
+        config["n_grid"] = draw(st.sampled_from([
+            [60, 60], [120, 60], [0, 60], [-5, 60], [60, 10**400], [],
+            [60, draw(st.integers(2**59, 10**30))],
+        ]))
+    return config, path
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(_bad_simulate_configs())
+def test_bad_simulate_config_is_one_field_path_line(case):
+    config, path = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "experiment.json"
+        config_path.write_text(json.dumps(config))
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["simulate", "--config", str(config_path), "--out", str(Path(tmp) / "out")])
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), (path, lines)
+        assert out.getvalue() == ""
+        assert not (Path(tmp) / "out").exists()
 
 
 def test_empty_input_file_is_one_stderr_line(small_dataset, tmp_path, capsys):

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signlasso import (
     BadGeneratorError,
@@ -15,7 +17,11 @@ from signlasso import (
     run_experiment,
 )
 from signlasso.harness import (
+    _SEED_BLOCK,
+    _block_seeds,
     _reference_report,
+    _replicate_seeds,
+    derive_seed,
     summarize_records,
     write_results_csv,
     write_summary_csv,
@@ -106,6 +112,47 @@ def test_file_design_roundtrip(tmp_path):
     np.testing.assert_array_equal(X.values, values[:20])
     with pytest.raises(ValueError):
         make_design(spec, 40, 3, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Seeds
+# ---------------------------------------------------------------------------
+
+
+def _seed_sequence(*parts):
+    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    seed=st.one_of(
+        st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**100)
+    ),
+    n=st.one_of(st.integers(1, 2**32 - 1), st.integers(2**32, 2**40)),
+    r=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40]),
+)
+def test_vectorised_seeds_are_numpys_seed_sequence(seed, n, r):
+    # Multi-word seeds, n and replicate indices take the one-word lanes'
+    # path; each seed must be SeedSequence's, bit for bit.
+    tags = (1, 2, 3)
+    expected = [_seed_sequence(seed, tag, n, r) for tag in tags]
+    assert [derive_seed(seed, tag, n, r) for tag in tags] == expected
+    lanes = np.array([r, r], dtype=np.uint64)
+    assert _block_seeds(seed, tags, n, lanes).tolist() == [[s, s] for s in expected]
+
+
+def test_replicate_seeds_cross_blocks_as_seed_sequence_does():
+    seeds = list(_replicate_seeds(20260811, (2, 3), 4000, _SEED_BLOCK + 3))
+    assert len(seeds) == _SEED_BLOCK + 3
+    for r in (0, 1, 200, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 2):
+        assert seeds[r] == (_seed_sequence(20260811, 2, 4000, r),
+                            _seed_sequence(20260811, 3, 4000, r))
+    # Indices at and beyond 2**32 take two entropy words.
+    r = np.arange(2**32, 2**32 + 3, dtype=np.uint64)
+    assert _block_seeds(7, (1,), 60, r)[0].tolist() == [
+        _seed_sequence(7, 1, 60, int(i)) for i in r
+    ]
+    assert derive_seed() == _seed_sequence() and derive_seed(0) == _seed_sequence(0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import fd_gradient
+from conftest import fd_gradient, reference_ptrs
 from signlasso import (
     CoefVector,
     DesignMatrix,
@@ -20,9 +23,12 @@ from signlasso.model import (
     MAX_LINEAR_PREDICTOR,
     _check_counts,
     _SAMPLER_SPLIT,
+    _TABLE_HEAD,
     _CountSampler,
     _InversionTable,
     _poisson_inversion,
+    _poisson_transformed_rejection,
+    _ptrs_constants,
     poisson_counts,
 )
 
@@ -229,6 +235,44 @@ def test_inversion_table_hands_lanes_past_it_to_the_search(u):
         # lam = 1e-150: the third term underflows, so row 3 is +inf; the
         # terms of 1e-15 and 1e-8 underflow inside the table too.
         assert reference[0] == 3 and not past[:3].any() and past[3:].all()
+
+
+def test_inversion_lookup_is_exact_at_the_head_boundary():
+    # A lane whose uniform equals its last head row stops in the head; one
+    # just above it goes on to the rest of the table.  Both must count as
+    # the sequential search does, as must a table shallower than the head.
+    lam = np.array([3.0, 3.0, 3.0, 9.5, 1e-3])
+    table = _InversionTable(lam)
+    last = table.rows[_TABLE_HEAD - 1]
+    uniforms = np.array([
+        last[0], np.nextafter(last[1], 2.0), np.nextafter(last[2], 0.0), 0.999, 0.5,
+    ])
+    counts = table.counts(uniforms)
+    np.testing.assert_array_equal(counts, _masked_inversion(lam, _FixedUniforms(uniforms)))
+    assert counts[0] == _TABLE_HEAD - 1 and counts[1] == _TABLE_HEAD
+    shallow = _InversionTable(np.full(3, 1e-6))
+    assert shallow.rows.shape[0] < _TABLE_HEAD
+    u = np.array([0.1, 1.0 - 1e-7, np.nextafter(1.0, 0.0)])
+    np.testing.assert_array_equal(
+        shallow.counts(u), _masked_inversion(np.full(3, 1e-6), _FixedUniforms(u))
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    lam=arrays(np.float64, st.integers(1, 60), elements=st.one_of(
+        st.floats(_SAMPLER_SPLIT, 1e3), st.floats(1e3, 2.0**61),
+    )),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_ptrs_leaves_the_generator_where_two_draws_per_round_would(lam, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    constants = _ptrs_constants(lam)
+    np.testing.assert_array_equal(
+        _poisson_transformed_rejection(lam, ours, constants),
+        reference_ptrs(lam, theirs, constants),
+    )
+    assert ours.random() == theirs.random()
 
 
 def test_inversion_table_counts_fit_in_uint8():
