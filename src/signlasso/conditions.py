@@ -10,7 +10,6 @@ penalized estimator to recover the true sign pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -28,20 +27,24 @@ class BlockedGram:
 
     ``C`` is the full p x p Gram and ``W`` the noise vector, both in the order
     ``perm``: ``perm[:q]`` are the active and ``perm[q:]`` the inactive
-    coordinates.  ``problem`` is the working problem the Gram was built
-    from; its ``n``, ``beta_tilde`` and ``design`` are the Gram's.  The blocks
-    ``C11``, ``C12``, ``C21``, ``C22`` (with C12 == C21.T exactly), ``W1``,
-    ``W2``, ``active_idx`` and ``inactive_idx`` are read-only views derived
-    on access.  ``active_solver`` factorises C11 on first use and keeps the
-    factor, so every consumer of one blocked Gram shares a single
-    factorisation.
+    coordinates.  ``n``, ``beta_tilde`` and ``design`` are the sample size,
+    expansion point and design of the working problem the Gram was built
+    from; the problem itself is not kept, so a blocked Gram that waits for
+    its design's diagnostics pass holds p^2 + 2p floats and a shared design.
+    The blocks ``C11``, ``C12``, ``C21``, ``C22`` (with C12 == C21.T
+    exactly), ``W1``, ``W2``, ``active_idx`` and ``inactive_idx`` are
+    read-only views derived on access.  ``active_solver`` factorises C11 on
+    first use and keeps the factor, so every consumer of one blocked Gram
+    shares a single factorisation.
     """
 
     C: np.ndarray
     W: np.ndarray
     perm: np.ndarray
     q: int
-    problem: WorkingProblem
+    n: int
+    beta_tilde: CoefVector
+    design: DesignMatrix
 
     def __post_init__(self):
         object.__setattr__(self, "C", _as_readonly(self.C))
@@ -84,10 +87,10 @@ class BlockedGram:
     def inactive_idx(self) -> np.ndarray:
         return self.perm[self.q :]
 
-    @cached_property
+    @property
     def active_solver(self):
         """``(solve, lambda_min)`` for C11; raises SingularBlockError if singular."""
-        return _active_solver(self.C11)
+        return _active_solvers([self])[0]
 
     def _check_truth(self, beta_star: CoefVector) -> None:
         """Raise ValueError unless the active set is exactly beta_star's support."""
@@ -104,7 +107,7 @@ def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
     active = np.unique(np.asarray(support, dtype=np.int64))
     if active.size == 0:
         raise EmptySupportError("support must contain at least one index")
-    if active.min() < 0 or active.max() >= p:
+    if active[0] < 0 or active[-1] >= p:
         raise ValueError(f"support indices must lie in [0, {p})")
     mask = np.zeros(p, dtype=bool)
     mask[active] = True
@@ -115,7 +118,8 @@ def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
     C = problem.gram()[perm[:, None], perm]
     W = problem.noise()[perm]
     _freeze(C, W, perm)
-    return BlockedGram(C=C, W=W, perm=perm, q=active.size, problem=problem)
+    return BlockedGram(C=C, W=W, perm=perm, q=active.size, n=problem.n,
+                       beta_tilde=problem.beta_tilde, design=problem.design)
 
 
 @dataclass(frozen=True)
@@ -125,12 +129,16 @@ class PopulationGram:
     ``gram`` is the blocked Gram of the working problem at beta_tilde = beta*,
     so ``gram.C`` is x*^T x* / n with x* = sqrt(lambda*) x rowwise.  That
     problem is built from a zero response, so ``gram.W`` has no meaning here.
-    ``gram.problem.lambda_tilde`` holds the true intensities exp(x_i beta*)
-    and ``lambda_bar`` is max(1, max intensity).
+    ``lambda_star`` holds the true intensities exp(x_i beta*) and
+    ``lambda_bar`` is max(1, max intensity).
     """
 
     gram: BlockedGram
+    lambda_star: np.ndarray
     lambda_bar: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "lambda_star", _as_readonly(self.lambda_star))
 
 
 def population_gram(X: DesignMatrix, beta_star: CoefVector, support) -> PopulationGram:
@@ -146,27 +154,45 @@ def population_gram(X: DesignMatrix, beta_star: CoefVector, support) -> Populati
     problem = build_working_problem(X, beta_star, np.zeros(X.n, dtype=np.int64))
     return PopulationGram(
         gram=blocked_gram(problem, support),
+        lambda_star=problem.lambda_tilde,
         lambda_bar=float(max(1.0, np.max(problem.lambda_tilde))),
     )
 
 
-def _active_solver(C11: np.ndarray):
-    """Return a solve(rhs) closure for C11, or raise SingularBlockError."""
-    eigmin = float(np.linalg.eigvalsh(C11)[0])
-    if eigmin <= SINGULAR_TOL:
-        raise SingularBlockError(
-            f"active-block Gram is numerically singular: lambda_min = {eigmin:.3g}"
-        )
-    try:
-        solve = _cholesky_solver(C11)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - caught by the eigen check
-        raise SingularBlockError(str(exc)) from exc
-    return solve, eigmin
+def _active_solvers(bgs) -> list:
+    """``(solve, lambda_min)`` for the C11 of each blocked Gram in ``bgs``.
+
+    Raises SingularBlockError at the first block whose smallest eigenvalue is
+    at or below ``SINGULAR_TOL``.  A blocked Gram keeps its pair, written
+    into its ``__dict__`` as functools.cached_property does; the blocks not
+    yet factorised share one stacked eigenvalue pass, whose eigenvalues are
+    the bits of one pass per block.  Each block then gets its own LAPACK
+    Cholesky factorisation.
+    """
+    todo = [bg for bg in bgs if "_active_solver" not in bg.__dict__]
+    if todo:
+        eigmins = np.linalg.eigvalsh(np.stack([bg.C11 for bg in todo]))[:, 0].tolist()
+        for bg, eigmin in zip(todo, eigmins):
+            if eigmin <= SINGULAR_TOL:
+                raise SingularBlockError(
+                    f"active-block Gram is numerically singular: lambda_min = {eigmin:.3g}"
+                )
+            try:
+                solve = _cholesky_solver(bg.C11)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - caught by the eigen check
+                raise SingularBlockError(str(exc)) from exc
+            bg.__dict__["_active_solver"] = (solve, eigmin)
+    return [bg.__dict__["_active_solver"] for bg in bgs]
 
 
-def irrepresentable_margin(d: np.ndarray) -> float:
-    """1 - max|d|, or 1 when ``d`` is empty because every coordinate is active."""
-    return float(1.0 - np.abs(d).max()) if d.size else 1.0
+def irrepresentable_margin(d: np.ndarray):
+    """1 - max|d| over the last axis, or 1 where ``d`` is empty.
+
+    ``d`` is empty when every coordinate is active.  Returns a float for one
+    vector ``d`` and an array of one margin per row for a stack.
+    """
+    margin = 1.0 - np.abs(d).max(axis=-1) if d.shape[-1] else np.ones(d.shape[:-1])
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def _largest_singular_value(block: np.ndarray) -> float:
@@ -244,7 +270,7 @@ def check_assumptions(
     """Evaluate the recovery conditions of the weighted design at beta_star's support.
 
     ``bg`` is the blocked Gram at that support; the row and column norms are
-    those of ``bg.problem.design``.
+    those of ``bg.design``.
 
     Raises
     ------
@@ -256,7 +282,7 @@ def check_assumptions(
     bg._check_truth(beta_star)
     constants = constants or AssumptionConstants()
     _, eigmin = bg.active_solver
-    X, n = bg.problem.design, bg.problem.n
+    X, n = bg.design, bg.n
 
     row_norm_max = float(np.max(X.row_norms()))
     col_norm_max = float(np.max(X.col_norms()))
@@ -316,6 +342,10 @@ class PropositionDiagnostics:
     hold.  ``an_margin``/``bn_margin`` are the smallest componentwise slacks
     (positive means the event holds with room); ``bn_margin`` is infinite,
     written as null, when every coordinate is active.
+
+    The diagnostics of a stack of R blocked Grams carry a leading replicate
+    axis: the vectors are (R, k) arrays, the flags and margins arrays of R
+    entries and ``beta_check`` an (R, p) array.
     """
 
     R1: np.ndarray
@@ -324,69 +354,99 @@ class PropositionDiagnostics:
     b: np.ndarray
     zeta: np.ndarray
     d: np.ndarray
-    An_holds: bool
-    Bn_holds: bool
-    an_margin: float
-    bn_margin: float
-    beta_check: CoefVector
+    An_holds: bool | np.ndarray
+    Bn_holds: bool | np.ndarray
+    an_margin: float | np.ndarray
+    bn_margin: float | np.ndarray
+    beta_check: CoefVector | np.ndarray
 
     def __post_init__(self):
         for name in ("R1", "R2", "xi", "b", "zeta", "d"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
 
 
-def proposition_diagnostics(
-    bg: BlockedGram, beta_star: CoefVector, alpha: float
-) -> PropositionDiagnostics:
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for each replicate: one gemv per lane, the bits of the unstacked product.
+
+    Every lane of ``A`` and ``x`` must have unit stride along its last axis,
+    as the unstacked operands have: numpy hands other layouts to other code
+    (its own loop, or BLAS with other strides), which may give other last
+    bits.
+    """
+    return (A @ x[..., None])[..., 0]
+
+
+def proposition_diagnostics(bg, beta_star: CoefVector, alpha: float) -> PropositionDiagnostics:
     """Evaluate the sufficient sign-recovery events at penalty ``alpha``.
 
-    The expansion point and the sample size are those of ``bg.problem``.
+    ``bg`` is one blocked Gram, or a sequence of blocked Grams of one sample
+    size and one permutation (the replicates of one design), which are
+    evaluated in one pass with a leading replicate axis.  One blocked Gram is
+    the pass over a stack of one, so each lane of a stack gets the bits of
+    its own call.  The expansion point and the sample size are each blocked
+    Gram's ``beta_tilde`` and ``n``.
     """
-    bg._check_truth(beta_star)
-    solve, _ = bg.active_solver
-    q = bg.q
+    lanes = [bg] if isinstance(bg, BlockedGram) else list(bg)
+    first = lanes[0]
+    first._check_truth(beta_star)
+    q, perm = first.q, first.perm
+    if len(lanes) > 1 and (
+        any(other.n != first.n for other in lanes)
+        or not (np.stack([other.perm for other in lanes]) == perm).all()
+    ):
+        raise ValueError("stacked blocked Grams must share n and perm")
+    solves = [solve for solve, _ in _active_solvers(lanes)]
 
-    beta_perm = beta_star.values[bg.perm]
-    R = bg.C @ (beta_perm - bg.problem.beta_tilde.values[bg.perm])
-    R1, R2 = R[:q].copy(), R[q:].copy()
+    # Stacks of C-ordered lanes, so each lane's products take the unstacked
+    # BLAS calls.  An index along the last axis of a stack lays it out by
+    # columns, hence the contiguous copy of the permuted difference.
+    C = np.stack([lane.C for lane in lanes])
+    W = np.stack([lane.W for lane in lanes])
+    beta_perm = beta_star.values[perm]
+    diff = beta_perm - np.stack([lane.beta_tilde.values for lane in lanes])[:, perm]
+    R = _matvec(C, np.ascontiguousarray(diff))
+    R1, R2 = R[:, :q].copy(), R[:, q:].copy()
     beta1 = beta_perm[:q]
 
-    # One solve for the three right-hand sides; each column is bit-identical
-    # to its own solve.  xi and b are copied out, so the diagnostics own them.
-    cols = solve(np.column_stack([bg.W[:q], np.sign(beta1), R1]))
+    # One solve per lane for the three right-hand sides; each column is
+    # bit-identical to its own solve.  cols[:, k] holds every lane's k-th
+    # solution with unit stride; xi and b are copied out, so the diagnostics
+    # own them.
+    rhs = np.stack([W[:, :q], np.broadcast_to(np.sign(beta1), R1.shape), R1], axis=-1)
+    cols = np.empty((len(lanes), 3, q))
+    for i, solve in enumerate(solves):
+        cols[i] = solve(rhs[i]).T
     xi, b, inv_R1 = cols[:, 0].copy(), cols[:, 1].copy(), cols[:, 2]
-    ratio = alpha / (2.0 * bg.problem.n)
+    ratio = alpha / (2.0 * first.n)
 
     an_slack = np.abs(beta1) - ratio * np.abs(b) - np.abs(inv_R1) - np.abs(xi)
-    an_margin = float(an_slack.min())
-    An_holds = bool((an_slack > 0.0).all())
+    an_margin = an_slack.min(axis=-1)
+    An_holds = (an_slack > 0.0).all(axis=-1)
 
-    C21 = bg.C21
-    zeta = C21 @ xi - bg.W[q:]
-    d = C21 @ b
-    bn_slack = ratio * (1.0 - np.abs(d)) - np.abs(C21 @ inv_R1 - R2) - np.abs(zeta)
-    if bn_slack.size:
-        bn_margin = float(bn_slack.min())
-        Bn_holds = bool((bn_slack >= 0.0).all())
+    C21 = C[:, q:, :q]
+    zeta = _matvec(C21, xi) - W[:, q:]
+    d = _matvec(C21, b)
+    bn_slack = ratio * (1.0 - np.abs(d)) - np.abs(_matvec(C21, inv_R1) - R2) - np.abs(zeta)
+    if bn_slack.shape[-1]:
+        bn_margin = bn_slack.min(axis=-1)
+        Bn_holds = (bn_slack >= 0.0).all(axis=-1)
     else:
         # No inactive coordinates: the event is vacuously true.
-        bn_margin = float("inf")
-        Bn_holds = True
+        bn_margin = np.full(len(lanes), np.inf)
+        Bn_holds = np.ones(len(lanes), dtype=bool)
 
-    beta_check = np.zeros(bg.p)
-    beta_check[bg.perm[:q]] = beta1 + xi - ratio * b - inv_R1
-    _freeze(R1, R2, xi, b, zeta, d, beta_check)
+    beta_check = np.zeros((len(lanes), first.p))
+    beta_check[:, perm[:q]] = beta1 + xi - ratio * b - inv_R1
 
+    if isinstance(bg, BlockedGram):
+        return PropositionDiagnostics(
+            R1=R1[0], R2=R2[0], xi=xi[0], b=b[0], zeta=zeta[0], d=d[0],
+            An_holds=bool(An_holds[0]), Bn_holds=bool(Bn_holds[0]),
+            an_margin=float(an_margin[0]), bn_margin=float(bn_margin[0]),
+            beta_check=CoefVector(beta_check[0]),
+        )
+    _freeze(R1, R2, xi, b, zeta, d, An_holds, Bn_holds, an_margin, bn_margin, beta_check)
     return PropositionDiagnostics(
-        R1=R1,
-        R2=R2,
-        xi=xi,
-        b=b,
-        zeta=zeta,
-        d=d,
-        An_holds=An_holds,
-        Bn_holds=Bn_holds,
-        beta_check=CoefVector(beta_check),
-        an_margin=an_margin,
-        bn_margin=bn_margin,
+        R1=R1, R2=R2, xi=xi, b=b, zeta=zeta, d=d, An_holds=An_holds, Bn_holds=Bn_holds,
+        an_margin=an_margin, bn_margin=bn_margin, beta_check=beta_check,
     )

@@ -5,8 +5,10 @@ form the preliminary estimate, build the working problem, solve with the
 scheduled penalty alpha_n = alpha_coef * n^{(c2+1)/2}, and compare the
 recovered sign pattern against the truth.  Every replicate also logs the
 sufficient-event diagnostics so recovery rates can be checked against event
-rates.  Everything is deterministic in the master seed; replicates run
-serially in (n, replicate) order.
+rates: each replicate queues its blocked Gram, and one diagnostics pass per
+design evaluates the queue with a leading replicate axis, with the bits of
+one pass per replicate.  Everything is deterministic in the master seed;
+replicates run serially in (n, replicate) order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .conditions import (
     AssumptionConstants,
+    BlockedGram,
     ConditionReport,
     blocked_gram,
     check_assumptions,
@@ -209,8 +212,8 @@ def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
 
     A file that is not a finite matrix with at least n rows and exactly p
     columns is a ConfigError on ``design.path``.  So is a file whose row
-    norms overflow under a cap, and a generator's ``design.scale`` that
-    overflows the design or its row norms.
+    norms overflow, and a generator's ``design.scale`` that overflows the
+    design or its row norms.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
@@ -235,8 +238,10 @@ def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
         with np.errstate(over="raise"):
             if spec.kind != "file":
                 values = _generate(spec, n, p, seed)
+            # Every design's row norms, so a file whose rows overflow fails
+            # here, capped or not, rather than in every replicate.
+            norms = np.linalg.norm(values, axis=1)
             if cap is not None:
-                norms = np.linalg.norm(values, axis=1)
                 over = norms > cap
                 if over.any():
                     values[over] *= (cap / norms[over])[:, None]
@@ -438,8 +443,38 @@ class _PerN(NamedTuple):
     signs: np.ndarray
 
 
+class _Queued(NamedTuple):
+    """A replicate whose fit converged, waiting for its design's diagnostics pass."""
+
+    record: partial
+    bg: BlockedGram
+    sign_match: bool
+    kkt_pass: bool
+
+
+# What a replicate may raise; each becomes that replicate's failure record.
+_REPLICATE_ERRORS = (
+    OverflowError,
+    DegenerateWeightError,
+    NumericalError,
+    RankDeficientError,
+    SingularBlockError,
+    ValueError,
+    np.linalg.LinAlgError,
+)
+
+
+def _failed(record: partial, exc: Exception) -> ReplicateRecord:
+    return record(ok=False, error=f"{type(exc).__name__}: {exc}")
+
+
 def _run_replicate(config: ExperimentConfig, per_n: _PerN, design: DesignMatrix, r: int,
-                   seed_used: int, prelim_seed: int) -> ReplicateRecord:
+                   seed_used: int, prelim_seed: int) -> ReplicateRecord | _Queued:
+    """The replicate's failure record, or its blocked Gram queued for the diagnostics.
+
+    The working problem goes out of scope on return: the queue keeps only
+    the blocked Gram, its sign match and its KKT flag.
+    """
     record = partial(ReplicateRecord, n=per_n.n, replicate=r, seed_used=seed_used,
                      alpha_n=per_n.solver.alpha)
     try:
@@ -453,23 +488,43 @@ def _run_replicate(config: ExperimentConfig, per_n: _PerN, design: DesignMatrix,
         result = fit(problem, per_n.solver)
         if not result.converged:
             return record(ok=False, error="solver did not converge")
-        bg = blocked_gram(problem, per_n.support)
-        diag = proposition_diagnostics(bg, config.beta_star, per_n.solver.alpha)
-        return record(
-            ok=True, sign_match=bool((result.beta_hat.signs() == per_n.signs).all()),
-            An=diag.An_holds, Bn=diag.Bn_holds, irrep_margin=irrepresentable_margin(diag.d),
+        return _Queued(
+            record, blocked_gram(problem, per_n.support),
+            sign_match=bool((result.beta_hat.signs() == per_n.signs).all()),
             kkt_pass=result.kkt_report.all_passed,
         )
-    except (
-        OverflowError,
-        DegenerateWeightError,
-        NumericalError,
-        RankDeficientError,
-        SingularBlockError,
-        ValueError,
-        np.linalg.LinAlgError,
-    ) as exc:
-        return record(ok=False, error=f"{type(exc).__name__}: {exc}")
+    except _REPLICATE_ERRORS as exc:
+        return _failed(record, exc)
+
+
+def _diagnosed(config: ExperimentConfig, per_n: _PerN, items: list) -> list[ReplicateRecord]:
+    """The records of ``items``, in order: the queued ones get one diagnostics pass.
+
+    A pass that raises (a singular active block, a non-finite entry) is
+    redone one replicate at a time, so each failing replicate gets the record
+    of its own pass and the others their outcomes.
+    """
+    queued = [item for item in items if isinstance(item, _Queued)]
+    if not queued:
+        return items
+    try:
+        diag = proposition_diagnostics(
+            [item.bg for item in queued], config.beta_star, per_n.solver.alpha
+        )
+    except _REPLICATE_ERRORS as exc:
+        if len(items) > 1:
+            return [rec for item in items for rec in _diagnosed(config, per_n, [item])]
+        return [_failed(items[0].record, exc)]
+    outcomes = zip(diag.An_holds.tolist(), diag.Bn_holds.tolist(),
+                   irrepresentable_margin(diag.d).tolist())
+    records = []
+    for item in items:
+        if isinstance(item, _Queued):
+            an, bn, margin = next(outcomes)
+            item = item.record(ok=True, sign_match=item.sign_match, An=an, Bn=bn,
+                               irrep_margin=margin, kkt_pass=item.kkt_pass)
+        records.append(item)
+    return records
 
 
 def _reference_report(config: ExperimentConfig, design: DesignMatrix) -> ConditionReport:
@@ -524,11 +579,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         per_n = _PerN(n, solver, support, signs)
         tags = (_TAG_COUNTS, _TAG_PRELIM) + ((_TAG_DESIGN,) if config.redraw_design else ())
-        batch = []
+        batch, items = [], []
         for r, seeds in enumerate(_replicate_seeds(config.seed, tags, n, config.replicates)):
             if config.redraw_design:
                 design = make_design(config.design, n, config.p, seeds[2])
-            batch.append(_run_replicate(config, per_n, design, r, seeds[0], seeds[1]))
+            items.append(_run_replicate(config, per_n, design, r, seeds[0], seeds[1]))
+            # One diagnostics pass per design: at the end of the n, or after
+            # each replicate when every replicate draws its own design.
+            if config.redraw_design or r == config.replicates - 1:
+                batch.extend(_diagnosed(config, per_n, items))
+                items = []
         records.extend(batch)
         done = sum(1 for rec in batch if rec.ok)
         logger.info("n=%d: %d/%d replicates ok", n, done, len(batch))

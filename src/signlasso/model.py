@@ -199,17 +199,29 @@ def linear_predictor(X: DesignMatrix, beta: CoefVector) -> np.ndarray:
     """Compute eta = X beta, refusing values that would overflow exp."""
     if X.p != beta.p:
         raise ValueError(f"dimension mismatch: X has p={X.p}, beta has p={beta.p}")
-    return _guard_overflow(X.values @ beta.values)
+    return _guarded_product(X.values, beta.values)
 
 
-def _guard_overflow(eta: np.ndarray) -> np.ndarray:
-    """``eta`` itself; OverflowError if an entry exceeds ``MAX_LINEAR_PREDICTOR``."""
-    worst = float(eta.max()) if eta.size else 0.0
+def _guarded_product(values: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``values @ beta``; OverflowError if an entry exceeds ``MAX_LINEAR_PREDICTOR``
+    or is not finite.
+
+    A product that overflows is reported by this error, not by numpy's
+    warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = values @ beta
+    if not eta.size:
+        return eta
+    worst = float(eta.max())
     if worst > MAX_LINEAR_PREDICTOR:
         raise OverflowError(
             f"linear predictor {worst:.6g} exceeds the overflow guard "
             f"{MAX_LINEAR_PREDICTOR:.6g}"
         )
+    # max is NaN if any entry is; -inf shows only in the min.
+    if math.isnan(worst) or float(eta.min()) == -math.inf:
+        raise OverflowError("linear predictor is not finite: X beta overflows")
     return eta
 
 

@@ -21,7 +21,7 @@ from .model import (
     DesignMatrix,
     _check_counts,
     _cholesky_solver,
-    _guard_overflow,
+    _guarded_product,
     _kept,
 )
 
@@ -132,9 +132,8 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
             candidate = beta + step * direction
             if not np.isfinite(candidate).all():
                 raise ValueError("coefficient entries must be finite")
-            eta = Xv @ candidate
             try:
-                _guard_overflow(eta)
+                eta = _guarded_product(Xv, candidate)
             except OverflowError:
                 step *= 0.5
                 continue

@@ -1,5 +1,6 @@
 """Shared test helpers: instance generators, solver-independent oracles, a
-reference Newton MLE, a reference PTRS sampler and a factorisation counter.
+reference Newton MLE, a reference PTRS sampler, a reference replicate loop
+and a factorisation counter.
 
 Every oracle here evaluates the penalized objective (or the likelihood)
 directly and never calls the coordinate-descent solver, so agreement between
@@ -7,6 +8,8 @@ the two is a real check.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,12 +19,28 @@ from scipy.special import gammaln
 import signlasso.conditions
 from signlasso import (
     CoefVector,
+    DegenerateWeightError,
     DesignMatrix,
+    NumericalError,
     RankDeficientError,
+    SingularBlockError,
+    blocked_gram,
     build_working_problem,
+    fit,
     log_likelihood,
+    make_design,
     oracle_perturbation,
+    proposition_diagnostics,
     simulate,
+)
+from signlasso.conditions import irrepresentable_margin
+from signlasso.harness import (
+    _TAG_COUNTS,
+    _TAG_DESIGN,
+    _TAG_PRELIM,
+    ReplicateRecord,
+    derive_seed,
+    expansion_point,
 )
 from signlasso.model import _check_counts, _cholesky_solver, linear_predictor
 from signlasso.prelim import (
@@ -334,3 +353,52 @@ def reference_ptrs(lam: np.ndarray, rng: np.random.Generator, constants: tuple) 
             out[todo[accept]] = k[accept].astype(np.int64)
         todo = todo[~accept]
     return out
+
+
+def reference_records(config) -> list:
+    """The replicate records of ``run_experiment(config)``, one replicate at a time.
+
+    Each replicate evaluates its own events on its own blocked Gram right
+    after its fit, as the harness did before one diagnostics pass per design
+    took the queued blocked Grams of all its replicates; the records must be
+    equal, failures and their messages included.
+    """
+    records = []
+    signs = config.beta_star.signs()
+    for n in config.n_grid:
+        design = make_design(config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n))
+        solver = config.solver_config(n)
+        for r in range(config.replicates):
+            if config.redraw_design:
+                design = make_design(
+                    config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n, r)
+                )
+            seed_used = derive_seed(config.seed, _TAG_COUNTS, n, r)
+            record = partial(ReplicateRecord, n=n, replicate=r, seed_used=seed_used,
+                             alpha_n=solver.alpha)
+            try:
+                counts = simulate(design, config.beta_star, seed_used)
+                beta_tilde, mle = expansion_point(
+                    config.beta_tilde_mode, design, counts, config.beta_star,
+                    derive_seed(config.seed, _TAG_PRELIM, n, r),
+                )
+                if mle is not None and not mle.converged:
+                    records.append(record(ok=False, error="mle did not converge"))
+                    continue
+                problem = build_working_problem(design, beta_tilde, counts)
+                result = fit(problem, solver)
+                if not result.converged:
+                    records.append(record(ok=False, error="solver did not converge"))
+                    continue
+                bg = blocked_gram(problem, config.beta_star.support)
+                diag = proposition_diagnostics(bg, config.beta_star, solver.alpha)
+                records.append(record(
+                    ok=True, sign_match=bool((result.beta_hat.signs() == signs).all()),
+                    An=diag.An_holds, Bn=diag.Bn_holds,
+                    irrep_margin=irrepresentable_margin(diag.d),
+                    kkt_pass=result.kkt_report.all_passed,
+                ))
+            except (OverflowError, DegenerateWeightError, NumericalError, RankDeficientError,
+                    SingularBlockError, ValueError, LinAlgError) as exc:
+                records.append(record(ok=False, error=f"{type(exc).__name__}: {exc}"))
+    return records

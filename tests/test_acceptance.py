@@ -297,7 +297,7 @@ def test_acceptance_concentration():
     beta_star = CoefVector([0.8, -0.6, 0.0])
     pg = population_gram(X, beta_star, beta_star.support)
     n = X.n
-    lam = pg.gram.problem.lambda_tilde
+    lam = pg.lambda_star
     lmin = float(np.linalg.eigvalsh(pg.gram.C11)[0])
     nu = 2.0 * pg.lambda_bar / lmin
     c = math.sqrt(pg.lambda_bar / (n * lmin))

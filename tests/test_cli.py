@@ -360,6 +360,16 @@ def _ones_column_design(tmp_path):
     return str(path)
 
 
+def _overflowing_predictor_inputs(tmp_path):
+    # A 40 x 2 design with a row (1e300, 1e300): at beta-tilde (1e10, -1e10)
+    # its linear predictor overflows inside X @ beta.
+    rows = "1e300,1e300\n" + "0.5,-0.5\n" * 39
+    return [
+        "--x", _text_file(tmp_path, "X_huge_row.csv", rows),
+        "--beta-tilde", _text_file(tmp_path, "beta_tilde_huge.csv", "1e10\n-1e10\n"),
+    ]
+
+
 def _simulate_design_argv(tmp_path, **design):
     return _simulate_argv(tmp_path, design={"kind": "correlated_gaussian", **design})
 
@@ -575,6 +585,22 @@ OUT_OF_RANGE_INPUTS = {
             tmp, "X.csv", "1e200,1,0,1\n" * 120
         )}
     )),
+    # Without a cap, rows that overflow used to print numpy's warnings, exit
+    # 0 with nulls in report.json and fail every replicate.
+    "design_file_row_norms_overflow_uncapped": ("design.path", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "file", "path": _text_file(
+            tmp, "X.csv", "1,0,1e200,0\n" + "1,0,0,1\n" * 119
+        )}
+    )),
+    # An expansion point whose X @ beta overflows used to print numpy's
+    # overflow warning and its source line before the error.
+    "fit_beta_tilde_predictor_overflows": ("beta-tilde", lambda tmp, data: _fit_argv(
+        data, *_overflowing_predictor_inputs(tmp)
+    )),
+    "check_beta_tilde_predictor_overflows": ("beta-tilde", lambda tmp, data: _check_argv(
+        data, *_overflowing_predictor_inputs(tmp),
+        "--beta-star", _text_file(tmp, "beta_star_2.csv", "0.9\n0\n"),
+    )),
     # c1 outside (0, 1] used to be reported on c2.
     "simulate_c1_above_one": ("c1", lambda tmp, data: _simulate_argv(tmp, c1=1.5)),
     # A file design of the wrong shape or with a non-finite entry used to
@@ -602,6 +628,7 @@ def test_out_of_range_input_exits_one_with_field_path(case, tmp_path, small_data
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {field_path}: "), err
+    assert err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 

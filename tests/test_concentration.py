@@ -163,7 +163,7 @@ def test_bernstein_dominates_empirical_projection_tails():
     rng = np.random.default_rng(313)
     X, beta_star, pg = _projection_instance(rng)
     n = X.n
-    lam = pg.gram.problem.lambda_tilde
+    lam = pg.lambda_star
     lmin = float(np.linalg.eigvalsh(pg.gram.C11)[0])
     nu = 2.0 * pg.lambda_bar / lmin
     c = math.sqrt(pg.lambda_bar / (n * lmin))
@@ -202,7 +202,7 @@ def test_population_gram_equals_blocked_gram_at_truth():
     bg = blocked_gram(problem, support)
     pg = population_gram(X, beta_star, support)
     assert np.array_equal(pg.gram.C, bg.C)
-    assert pg.lambda_bar == pytest.approx(max(1.0, float(np.max(pg.gram.problem.lambda_tilde))))
+    assert pg.lambda_bar == pytest.approx(max(1.0, float(np.max(pg.lambda_star))))
 
 
 def test_population_gram_single_observation():

@@ -1,7 +1,11 @@
 """Blocked Gram, recovery conditions, and the sufficient-event diagnostics."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
 from signlasso import (
@@ -9,6 +13,7 @@ from signlasso import (
     CoefVector,
     DesignMatrix,
     EmptySupportError,
+    PropositionDiagnostics,
     SingularBlockError,
     SolverConfig,
     blocked_gram,
@@ -17,10 +22,12 @@ from signlasso import (
     fit,
     irrepresentable_vector,
     kkt_check,
+    oracle_perturbation,
     population_gram,
     proposition_diagnostics,
+    simulate,
 )
-from signlasso.conditions import _active_solver
+from signlasso.model import _cholesky_solver
 
 
 def _unweighted_problem(X, counts=None):
@@ -180,9 +187,11 @@ def test_consumers_reject_a_gram_blocked_off_the_support(consumer):
 def test_blocked_gram_keeps_its_problem():
     rng = np.random.default_rng(241)
     inst = make_instance(rng, n=40, p=5, q=2)
+    # It keeps its problem's sample size, expansion point and design, not the problem.
     bg = blocked_gram(inst["problem"], inst["beta_star"].support)
-    assert bg.problem is inst["problem"]
-    assert bg.problem.design is inst["X"]
+    assert bg.n == inst["problem"].n
+    assert bg.beta_tilde is inst["problem"].beta_tilde
+    assert bg.design is inst["X"]
 
 
 def test_proposition_zero_remainder_when_tilde_is_truth():
@@ -291,7 +300,7 @@ def test_stacked_solve_equals_three_separate_solves():
         alpha = n**0.75
         diag = proposition_diagnostics(bg, inst["beta_star"], alpha)
 
-        solve, _ = _active_solver(bg.C11)
+        solve = _cholesky_solver(bg.C11)
         perm = np.concatenate([bg.active_idx, bg.inactive_idx])
         R1 = (bg.C @ (inst["beta_star"].values[perm] - inst["beta_tilde"].values[perm]))[:q]
         beta1 = inst["beta_star"].values[bg.active_idx]
@@ -304,3 +313,56 @@ def test_stacked_solve_equals_three_separate_solves():
         np.testing.assert_array_equal(
             diag.beta_check.values[bg.active_idx], beta1 + xi - ratio * b - inv_R1
         )
+
+
+def _bits(value) -> bytes:
+    values = value.values if isinstance(value, CoefVector) else value
+    return np.asarray(values).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    inactive=st.integers(0, 4),
+    lanes=st.integers(1, 6),
+    rows_per_coef=st.integers(4, 12),
+    rho=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_diagnostics_equal_separate_calls_bit_for_bit(
+    p, inactive, lanes, rows_per_coef, rho, seed
+):
+    # One pass over the blocked Grams of R replicates of one design shape is
+    # R separate calls, in every field; q == p (no inactive coordinate, an
+    # infinite bn_margin) included.
+    q = max(1, p - inactive)
+    n = rows_per_coef * p
+    rng = np.random.default_rng(seed)
+    beta_star = make_instance(rng, n=n, p=p, q=q, rho=rho)["beta_star"]
+    bgs = []
+    for _ in range(lanes):
+        X = DesignMatrix(0.7 * rng.standard_normal((n, p)))
+        counts = simulate(X, beta_star, int(rng.integers(2**63)))
+        beta_tilde = oracle_perturbation(beta_star, n, 1.0, int(rng.integers(2**63)))
+        problem = build_working_problem(X, beta_tilde, counts)
+        bgs.append(blocked_gram(problem, beta_star.support))
+    alpha = n**0.75
+    stacked = proposition_diagnostics(bgs, beta_star, alpha)
+    for i, bg in enumerate(bgs):
+        # A fresh blocked Gram, so the lone call factorises its own block.
+        single = proposition_diagnostics(replace(bg), beta_star, alpha)
+        for f in fields(PropositionDiagnostics):
+            lane, own = getattr(stacked, f.name)[i], getattr(single, f.name)
+            assert _bits(lane) == _bits(own), f.name
+    if q == p:
+        assert np.all(stacked.bn_margin == np.inf) and stacked.Bn_holds.all()
+
+
+def test_stacked_diagnostics_need_one_sample_size():
+    rng = np.random.default_rng(271)
+    inst = make_instance(rng, n=40, p=4, q=2)
+    other = make_instance(rng, n=50, p=4, q=2)
+    bgs = [blocked_gram(problem, inst["beta_star"].support)
+           for problem in (inst["problem"], other["problem"])]
+    with pytest.raises(ValueError, match="share n"):
+        proposition_diagnostics(bgs, inst["beta_star"], 1.0)

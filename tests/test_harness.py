@@ -1,23 +1,36 @@
 """Design generation, experiment sweeps, determinism, and serialization."""
 
 import hashlib
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signlasso.conditions
+from conftest import reference_records
 from signlasso import (
     BadGeneratorError,
     CoefVector,
     ConfigError,
     DesignSpec,
+    DesignMatrix,
     ExperimentConfig,
+    blocked_gram,
+    build_working_problem,
     make_design,
+    proposition_diagnostics,
     run_experiment,
+    simulate,
 )
 from signlasso.harness import (
     _SEED_BLOCK,
+    ReplicateRecord,
+    _diagnosed,
+    _PerN,
+    _Queued,
     _block_seeds,
     _reference_report,
     _replicate_seeds,
@@ -276,6 +289,81 @@ def test_reference_report_factorises_the_active_block_once(cho_factor_calls):
         before = len(cho_factor_calls)
         _reference_report(config, design)
         assert len(cho_factor_calls) - before == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"redraw_design": True},
+    {"beta_tilde_mode": "mle", "n_grid": (120,), "tau": 0.0},
+], ids=["fixed_design", "redraw_design", "mle"])
+def test_failing_lanes_get_the_records_of_a_per_replicate_loop(overrides, monkeypatch):
+    # A singular-block threshold just below the reference blocks' smallest
+    # eigenvalue fails some replicates' blocks: their design's diagnostics
+    # pass raises and is redone replicate by replicate.
+    config = _small_config(replicates=30, **overrides)
+    reports = run_experiment(config).condition_reports
+    tol = 0.999 * min(report.lambda_min_C11 for report in reports.values())
+    monkeypatch.setattr(signlasso.conditions, "SINGULAR_TOL", tol)
+    records = run_experiment(config).records
+    assert list(records) == reference_records(config)
+    singular = [rec for rec in records if rec.error.startswith("SingularBlockError: ")]
+    assert 0 < len(singular) < sum(rec.ok for rec in records)
+
+
+def test_a_lone_failing_pass_keeps_the_records_around_it():
+    # The only queued replicate of a design has a singular active block
+    # (two equal active columns); the failure records next to it stay.
+    config = _small_config(replicates=3)
+    n = 60
+    solver = config.solver_config(n)
+    per_n = _PerN(n, solver, config.beta_star.support, config.beta_star.signs())
+    record = partial(ReplicateRecord, n=n, seed_used=0, alpha_n=solver.alpha)
+    x = np.random.default_rng(3).standard_normal((n, 3))
+    X = DesignMatrix(np.column_stack([x[:, 0], x[:, 0], x[:, 1:]]))
+    problem = build_working_problem(X, config.beta_star, np.ones(n, dtype=np.int64))
+    lane = _Queued(partial(record, replicate=1), blocked_gram(problem, config.beta_star.support),
+                   sign_match=True, kkt_pass=True)
+    before = record(replicate=0, ok=False, error="solver did not converge")
+    after = record(replicate=2, ok=False, error="solver did not converge")
+    records = _diagnosed(config, per_n, [before, lane, after])
+    assert records[0] is before and records[2] is after
+    assert records[1].replicate == 1 and not records[1].ok
+    assert records[1].error.startswith("SingularBlockError: ")
+
+
+def test_a_queued_replicate_keeps_no_working_problem(monkeypatch):
+    # Each replicate's working problem is gone once its blocked Gram is
+    # queued: before the next replicate draws its counts, and when its
+    # design's one diagnostics pass runs.
+    import signlasso.harness as harness
+
+    refs, passes = [], []
+
+    def build(*args):
+        problem = build_working_problem(*args)
+        refs.append(weakref.ref(problem))
+        return problem
+
+    def all_dead():
+        return all(ref() is None for ref in refs)
+
+    def draw(*args):
+        assert all_dead()
+        return simulate(*args)
+
+    def diagnose(bgs, *args):
+        passes.append(len(bgs))
+        assert all_dead()
+        return proposition_diagnostics(bgs, *args)
+
+    monkeypatch.setattr(harness, "build_working_problem", build)
+    monkeypatch.setattr(harness, "simulate", draw)
+    monkeypatch.setattr(harness, "proposition_diagnostics", diagnose)
+    config = _small_config(replicates=10)
+    assert all(rec.ok for rec in run_experiment(config).records)
+    assert len(refs) == 20
+    # One pass per design.
+    assert passes == [10, 10]
 
 
 def test_condition_reports_attached_per_n():

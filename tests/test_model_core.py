@@ -22,6 +22,8 @@ from signlasso import (
 from signlasso.model import (
     MAX_LINEAR_PREDICTOR,
     _check_counts,
+    _guarded_product,
+    linear_predictor,
     _SAMPLER_SPLIT,
     _TABLE_HEAD,
     _CountSampler,
@@ -58,6 +60,18 @@ def test_intensities_overflow_is_an_error():
     # Just inside the guard is fine.
     lam = intensities(X, CoefVector([MAX_LINEAR_PREDICTOR - 1.0]))
     assert np.isfinite(lam).all()
+
+
+def test_linear_predictor_rejects_every_non_finite_entry_without_a_warning():
+    # pytest turns numpy's overflow warning into an error, so each call shows
+    # the overflow is reported by the guard alone.  A NaN entry made the old
+    # guard's max NaN, which passed its comparison.
+    with pytest.raises(OverflowError, match="exceeds the overflow guard"):
+        linear_predictor(DesignMatrix([[1e300, 1e300]]), CoefVector([1e10, 1e10]))
+    with pytest.raises(OverflowError, match="not finite"):
+        linear_predictor(DesignMatrix([[1e300], [1.0]]), CoefVector([-1e10]))
+    with pytest.raises(OverflowError, match="not finite"):
+        _guarded_product(np.array([[np.nan], [1.0]]), np.array([1.0]))
 
 
 def test_log_likelihood_trivial_values():
