@@ -386,7 +386,8 @@ def proposition_diagnostics(bg, beta_star: CoefVector, alpha: float) -> Proposit
     its own call.  The expansion point and the sample size are each blocked
     Gram's ``beta_tilde`` and ``n``.
     """
-    lanes = [bg] if isinstance(bg, BlockedGram) else list(bg)
+    single = isinstance(bg, BlockedGram)
+    lanes = [bg] if single else list(bg)
     first = lanes[0]
     first._check_truth(beta_star)
     q, perm = first.q, first.perm
@@ -438,7 +439,7 @@ def proposition_diagnostics(bg, beta_star: CoefVector, alpha: float) -> Proposit
     beta_check = np.zeros((len(lanes), first.p))
     beta_check[:, perm[:q]] = beta1 + xi - ratio * b - inv_R1
 
-    if isinstance(bg, BlockedGram):
+    if single:
         return PropositionDiagnostics(
             R1=R1[0], R2=R2[0], xi=xi[0], b=b[0], zeta=zeta[0], d=d[0],
             An_holds=bool(An_holds[0]), Bn_holds=bool(Bn_holds[0]),

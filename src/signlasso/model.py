@@ -203,11 +203,10 @@ def linear_predictor(X: DesignMatrix, beta: CoefVector) -> np.ndarray:
 
 
 def _guarded_product(values: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``values @ beta``; OverflowError if an entry exceeds ``MAX_LINEAR_PREDICTOR``
-    or is not finite.
+    """``values @ beta``; OverflowError if an entry is above the guard or not finite.
 
-    A product that overflows is reported by this error, not by numpy's
-    warning.
+    The guard is ``MAX_LINEAR_PREDICTOR``.  A product that overflows is
+    reported by this error, not by numpy's warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         eta = values @ beta
