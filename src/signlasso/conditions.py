@@ -10,6 +10,7 @@ penalized estimator to recover the true sign pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,9 +102,19 @@ class BlockedGram:
             )
 
 
-def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
-    """Split C and W of a working problem by the given active index set."""
-    p = problem.p
+class Blocking(NamedTuple):
+    """A support of p coordinates as ``blocked_gram`` orders them.
+
+    ``perm`` (read-only) lists the ``q`` active coordinates, ascending, and
+    then the inactive ones.
+    """
+
+    perm: np.ndarray
+    q: int
+
+
+def blocking(support, p: int) -> Blocking:
+    """Check a support of ``p`` coordinates and take its permutation."""
     active = np.unique(np.asarray(support, dtype=np.int64))
     if active.size == 0:
         raise EmptySupportError("support must contain at least one index")
@@ -112,13 +123,28 @@ def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
     mask = np.zeros(p, dtype=bool)
     mask[active] = True
     perm = np.concatenate([active, np.flatnonzero(~mask)])
+    _freeze(perm)
+    return Blocking(perm, active.size)
+
+
+def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
+    """Split C and W of a working problem by the given active index set.
+
+    ``support`` is an index set, or a ``Blocking`` of ``problem.p``
+    coordinates, taken once for the problems of many replicates.
+    """
+    if not isinstance(support, Blocking):
+        support = blocking(support, problem.p)
+    perm = support.perm
+    if perm.size != problem.p:
+        raise ValueError(f"blocking of {perm.size} coordinates, problem has p={problem.p}")
     # A C-ordered copy, as np.ix_ makes it: ``C @ diff`` in
     # proposition_diagnostics takes another BLAS path, with other last bits,
     # on a copy laid out otherwise (``gram()[perm][:, perm]``, say).
     C = problem.gram()[perm[:, None], perm]
     W = problem.noise()[perm]
-    _freeze(C, W, perm)
-    return BlockedGram(C=C, W=W, perm=perm, q=active.size, n=problem.n,
+    _freeze(C, W)
+    return BlockedGram(C=C, W=W, perm=perm, q=support.q, n=problem.n,
                        beta_tilde=problem.beta_tilde, design=problem.design)
 
 
@@ -159,26 +185,36 @@ def population_gram(X: DesignMatrix, beta_star: CoefVector, support) -> Populati
     )
 
 
+def _check_finite(stack: np.ndarray) -> None:
+    """Raise ``np.asarray_chkfinite``'s ValueError unless every entry of ``stack`` is finite."""
+    if not np.isfinite(stack).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _active_solvers(bgs) -> list:
     """``(solve, lambda_min)`` for the C11 of each blocked Gram in ``bgs``.
 
     Raises SingularBlockError at the first block whose smallest eigenvalue is
-    at or below ``SINGULAR_TOL``.  A blocked Gram keeps its pair, written
-    into its ``__dict__`` as functools.cached_property does; the blocks not
-    yet factorised share one stacked eigenvalue pass, whose eigenvalues are
-    the bits of one pass per block.  Each block then gets its own LAPACK
-    Cholesky factorisation.
+    at or below ``SINGULAR_TOL``, and then ValueError if a block has a
+    non-finite entry.  A blocked Gram keeps its pair, written into its
+    ``__dict__`` as functools.cached_property does; the blocks not yet
+    factorised share one stacked eigenvalue pass, whose eigenvalues are the
+    bits of one pass per block, and one finiteness check.  Each block then
+    gets its own LAPACK Cholesky factorisation.
     """
     todo = [bg for bg in bgs if "_active_solver" not in bg.__dict__]
     if todo:
-        eigmins = np.linalg.eigvalsh(np.stack([bg.C11 for bg in todo]))[:, 0].tolist()
-        for bg, eigmin in zip(todo, eigmins):
+        blocks = np.stack([bg.C11 for bg in todo])
+        eigmins = np.linalg.eigvalsh(blocks)[:, 0].tolist()
+        for eigmin in eigmins:
             if eigmin <= SINGULAR_TOL:
                 raise SingularBlockError(
                     f"active-block Gram is numerically singular: lambda_min = {eigmin:.3g}"
                 )
+        _check_finite(blocks)
+        for bg, eigmin in zip(todo, eigmins):
             try:
-                solve = _cholesky_solver(bg.C11)
+                solve = _cholesky_solver(bg.C11, check_finite=False)
             except np.linalg.LinAlgError as exc:  # pragma: no cover - caught by the eigen check
                 raise SingularBlockError(str(exc)) from exc
             bg.__dict__["_active_solver"] = (solve, eigmin)
@@ -414,9 +450,10 @@ def proposition_diagnostics(bg, beta_star: CoefVector, alpha: float) -> Proposit
     # solution with unit stride; xi and b are copied out, so the diagnostics
     # own them.
     rhs = np.stack([W[:, :q], np.broadcast_to(np.sign(beta1), R1.shape), R1], axis=-1)
+    _check_finite(rhs)
     cols = np.empty((len(lanes), 3, q))
     for i, solve in enumerate(solves):
-        cols[i] = solve(rhs[i]).T
+        cols[i] = solve(rhs[i], check_finite=False).T
     xi, b, inv_R1 = cols[:, 0].copy(), cols[:, 1].copy(), cols[:, 2]
     ratio = alpha / (2.0 * first.n)
 

@@ -7,8 +7,10 @@ recovered sign pattern against the truth.  Every replicate also logs the
 sufficient-event diagnostics so recovery rates can be checked against event
 rates: each replicate queues its blocked Gram, and one diagnostics pass per
 design evaluates the queue with a leading replicate axis, with the bits of
-one pass per replicate.  Everything is deterministic in the master seed;
-replicates run serially in (n, replicate) order.
+one pass per replicate.  The replicates of a fixed design draw their counts
+and oracle expansion points a block at a time, each from its own seeds, with
+the bits of one draw per replicate.  Everything is deterministic in the
+master seed; replicates run serially in (n, replicate) order.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import logging
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -25,8 +28,10 @@ import numpy as np
 from .conditions import (
     AssumptionConstants,
     BlockedGram,
+    Blocking,
     ConditionReport,
     blocked_gram,
+    blocking,
     check_assumptions,
     irrepresentable_margin,
     population_gram,
@@ -79,6 +84,10 @@ _MASK32 = 0xFFFFFFFF
 # Replicates per pass of the seed derivation.  A power of two at most 2**32,
 # so no block holds replicate indices of two word counts.
 _SEED_BLOCK = 4096
+# A fixed design's replicates draw their counts and oracle points in blocks
+# whose (B, n) int64 counts take at most this many bytes (B = 131, 32 and 8
+# at n = 250, 1000 and 4000), or one replicate at a time above n = 32768.
+_BLOCK_BYTES = 256 * 1024
 
 
 def _words(value: int) -> list[int]:
@@ -435,11 +444,15 @@ def expansion_point(
 
 
 class _PerN(NamedTuple):
-    """What every replicate of one n shares: its solver config and the truth's pattern."""
+    """What every replicate of one n shares: its solver config and the truth's pattern.
+
+    ``support`` is the truth's support as ``blocked_gram`` takes it, blocked
+    once per sweep.
+    """
 
     n: int
     solver: SolverConfig
-    support: np.ndarray
+    support: Blocking
     signs: np.ndarray
 
 
@@ -468,22 +481,47 @@ def _failed(record: partial, exc: Exception) -> ReplicateRecord:
     return record(ok=False, error=f"{type(exc).__name__}: {exc}")
 
 
+def _draws(config: ExperimentConfig, design: DesignMatrix, block: list) -> list:
+    """Each replicate's counts and oracle point (None in mle mode), or the error its draw raised.
+
+    ``block`` holds the replicates' seeds, the counts seed first and the
+    oracle seed second; one ``simulate`` and one ``oracle_perturbation``
+    call draw them all.  A block whose draw raises is drawn again one
+    replicate at a time, so each replicate gets what a draw of its own
+    gives.
+    """
+    kind, scale = parse_beta_tilde_mode(config.beta_tilde_mode)
+    try:
+        counts = simulate(design, config.beta_star, [seeds[0] for seeds in block])
+        points = (oracle_perturbation(config.beta_star, design.n, scale,
+                                      [seeds[1] for seeds in block])
+                  if kind == "oracle" else (None,) * len(block))
+    except _REPLICATE_ERRORS as exc:
+        if len(block) == 1:
+            return [exc]
+        return [draw for seeds in block for draw in _draws(config, design, [seeds])]
+    return list(zip(counts, points))
+
+
 def _run_replicate(config: ExperimentConfig, per_n: _PerN, design: DesignMatrix, r: int,
-                   seed_used: int, prelim_seed: int) -> ReplicateRecord | _Queued:
+                   seed_used: int, draw) -> ReplicateRecord | _Queued:
     """The replicate's failure record, or its blocked Gram queued for the diagnostics.
 
-    The working problem goes out of scope on return: the queue keeps only
-    the blocked Gram, its sign match and its KKT flag.
+    ``draw`` is the replicate's entry of ``_draws``.  The working problem
+    goes out of scope on return: the queue keeps only the blocked Gram, its
+    sign match and its KKT flag.
     """
     record = partial(ReplicateRecord, n=per_n.n, replicate=r, seed_used=seed_used,
                      alpha_n=per_n.solver.alpha)
+    if isinstance(draw, Exception):
+        return _failed(record, draw)
+    counts, beta_tilde = draw
     try:
-        counts = simulate(design, config.beta_star, seed_used)
-        beta_tilde, mle = expansion_point(
-            config.beta_tilde_mode, design, counts, config.beta_star, prelim_seed
-        )
-        if mle is not None and not mle.converged:
-            return record(ok=False, error="mle did not converge")
+        if beta_tilde is None:
+            mle = fit_mle(design, counts)
+            if not mle.converged:
+                return record(ok=False, error="mle did not converge")
+            beta_tilde = mle.beta
         problem = build_working_problem(design, beta_tilde, counts)
         result = fit(problem, per_n.solver)
         if not result.converged:
@@ -555,7 +593,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     records: list[ReplicateRecord] = []
     condition_reports: dict = {}
-    support, signs = config.beta_star.support, config.beta_star.signs()
+    support, signs = blocking(config.beta_star.support, config.p), config.beta_star.signs()
+    tags = (_TAG_COUNTS, _TAG_PRELIM) + ((_TAG_DESIGN,) if config.redraw_design else ())
     for n in config.n_grid:
         design = make_design(
             config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n)
@@ -578,15 +617,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             n, report.irrep_margin, report.lambda_min_C11, solver.alpha,
         )
         per_n = _PerN(n, solver, support, signs)
-        tags = (_TAG_COUNTS, _TAG_PRELIM) + ((_TAG_DESIGN,) if config.redraw_design else ())
+        # Blocks of one when every replicate draws its own design.
+        size = 1 if config.redraw_design else max(1, _BLOCK_BYTES // (8 * n))
+        replicate_seeds = _replicate_seeds(config.seed, tags, n, config.replicates)
         batch, items = [], []
-        for r, seeds in enumerate(_replicate_seeds(config.seed, tags, n, config.replicates)):
+        for start in range(0, config.replicates, size):
+            block = list(islice(replicate_seeds, size))
             if config.redraw_design:
-                design = make_design(config.design, n, config.p, seeds[2])
-            items.append(_run_replicate(config, per_n, design, r, seeds[0], seeds[1]))
+                design = make_design(config.design, n, config.p, block[0][2])
+            draws = _draws(config, design, block)
+            for r, (seeds, draw) in enumerate(zip(block, draws), start):
+                items.append(_run_replicate(config, per_n, design, r, seeds[0], draw))
             # One diagnostics pass per design: at the end of the n, or after
             # each replicate when every replicate draws its own design.
-            if config.redraw_design or r == config.replicates - 1:
+            if config.redraw_design or start + size >= config.replicates:
                 batch.extend(_diagnosed(config, per_n, items))
                 items = []
         records.extend(batch)

@@ -21,6 +21,7 @@ from .model import (
     DesignMatrix,
     _check_counts,
     _cholesky_solver,
+    _generators,
     _guarded_product,
     _kept,
 )
@@ -162,10 +163,12 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
     )
 
 
-def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed: int) -> CoefVector:
+def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed):
     """beta_star plus a uniform perturbation bounded by scale/n per coordinate.
 
-    ``scale`` must be finite and nonnegative.
+    ``scale`` must be finite and nonnegative.  ``seed`` is one int, or a
+    sequence of ints drawn as a block: a tuple of one perturbed vector per
+    seed, each the one its own seed gives, bit for bit.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -173,6 +176,7 @@ def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed: int) 
         raise ValueError(f"scale must be finite, got {scale}")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-1.0, 1.0, beta_star.p)
-    return CoefVector(beta_star.values + (scale / n) * u)
+    rngs, single = _generators(seed)
+    u = np.stack([rng.uniform(-1.0, 1.0, beta_star.p) for rng in rngs])
+    points = tuple(CoefVector(row) for row in beta_star.values + (scale / n) * u)
+    return points[0] if single else points

@@ -27,6 +27,7 @@ from signlasso import (
     proposition_diagnostics,
     simulate,
 )
+from signlasso.conditions import blocking
 from signlasso.model import _cholesky_solver
 
 
@@ -192,6 +193,48 @@ def test_blocked_gram_keeps_its_problem():
     assert bg.n == inst["problem"].n
     assert bg.beta_tilde is inst["problem"].beta_tilde
     assert bg.design is inst["X"]
+
+
+def test_blocked_gram_takes_a_blocking_taken_once_for_many_problems():
+    rng = np.random.default_rng(243)
+    inst = make_instance(rng, n=40, p=5, q=2)
+    support = inst["beta_star"].support
+    once = blocking(support, 5)
+    assert once.q == 2 and not once.perm.flags.writeable
+    for problem in (inst["problem"], make_instance(rng, n=40, p=5, q=2)["problem"]):
+        shared, own = blocked_gram(problem, once), blocked_gram(problem, support)
+        assert shared.perm is once.perm and shared.q == own.q
+        assert shared.C.tobytes() == own.C.tobytes() and shared.W.tobytes() == own.W.tobytes()
+    with pytest.raises(ValueError, match="blocking of 4 coordinates"):
+        blocked_gram(inst["problem"], blocking(support, 4))
+
+
+def _chkfinite_message() -> str:
+    with pytest.raises(ValueError) as info:
+        np.asarray_chkfinite([np.nan])
+    return str(info.value)
+
+
+@pytest.mark.parametrize("field", ["W", "C"])
+def test_a_non_finite_lane_fails_its_pass_with_the_finiteness_error(field):
+    # One finiteness check per pass raises asarray_chkfinite's error, so a
+    # lane's own pass fails as its per-lane checks made it fail.
+    rng = np.random.default_rng(281)
+    inst = make_instance(rng, n=40, p=4, q=2)
+    bg = blocked_gram(inst["problem"], inst["beta_star"].support)
+    bad = getattr(bg, field).copy()
+    if field == "W":
+        bad[0] = np.nan
+    else:
+        bad[0, 1] = bad[1, 0] = np.nan
+    lane = replace(bg, **{field: bad})
+    lanes = [replace(bg), lane, replace(bg)]
+    for pass_lanes in (lane, lanes):
+        with pytest.raises(ValueError) as info:
+            proposition_diagnostics(pass_lanes, inst["beta_star"], 1.0)
+        assert str(info.value) == _chkfinite_message()
+    for other in (lanes[0], lanes[2]):
+        proposition_diagnostics(other, inst["beta_star"], 1.0)
 
 
 def test_proposition_zero_remainder_when_tilde_is_truth():

@@ -21,6 +21,7 @@ from signlasso import (
     blocked_gram,
     build_working_problem,
     make_design,
+    oracle_perturbation,
     proposition_diagnostics,
     run_experiment,
     simulate,
@@ -308,6 +309,63 @@ def test_failing_lanes_get_the_records_of_a_per_replicate_loop(overrides, monkey
     assert list(records) == reference_records(config)
     singular = [rec for rec in records if rec.error.startswith("SingularBlockError: ")]
     assert 0 < len(singular) < sum(rec.ok for rec in records)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 8 * 60 * 7], ids=["default", "small"])
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"redraw_design": True},
+    {"beta_tilde_mode": "mle", "tau": 0.0},
+], ids=["fixed_design", "redraw_design", "mle"])
+def test_replicates_draw_in_blocks_under_the_byte_bound(overrides, block_bytes, monkeypatch):
+    # The small bound splits each n's replicates into blocks of 7 at n=60
+    # and of 3 at n=120; the records are those of one replicate at a time.
+    import signlasso.harness as harness
+
+    config = _small_config(replicates=30, **overrides)
+    expected = reference_records(config)
+    blocks, points = [], []
+
+    def draw(X, beta_star, seeds):
+        counts = simulate(X, beta_star, seeds)
+        blocks.append(counts.shape)
+        return counts
+
+    def perturb(beta_star, n, scale, seeds):
+        points.append((len(seeds), n))
+        return oracle_perturbation(beta_star, n, scale, seeds)
+
+    monkeypatch.setattr(harness, "simulate", draw)
+    monkeypatch.setattr(harness, "oracle_perturbation", perturb)
+    if block_bytes is not None:
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
+    assert list(run_experiment(config).records) == expected
+    assert sum(size for size, _ in blocks) == 60
+    if config.redraw_design:
+        assert {size for size, _ in blocks} == {1}
+    else:
+        assert all(8 * size * n <= harness._BLOCK_BYTES for size, n in blocks)
+        assert len(blocks) == (2 if block_bytes is None else 5 + 10)
+    assert points == ([] if config.beta_tilde_mode == "mle" else blocks)
+
+
+def test_a_block_draw_that_raises_is_redrawn_one_replicate_at_a_time(monkeypatch):
+    # Only some seeds of a block fail: each replicate gets the record of a
+    # draw of its own.
+    import signlasso.harness as harness
+
+    def fussy(beta_star, n, scale, seed):
+        if any(s % 5 == 0 for s in np.atleast_1d(seed).tolist()):
+            raise ValueError("a seed divisible by 5")
+        return oracle_perturbation(beta_star, n, scale, seed)
+
+    monkeypatch.setattr(harness, "oracle_perturbation", fussy)
+    config = _small_config(replicates=30)
+    records = run_experiment(config).records
+    assert list(records) == reference_records(config)
+    failed = [rec for rec in records if not rec.ok]
+    assert 0 < len(failed) < len(records)
+    assert {rec.error for rec in failed} == {"ValueError: a seed divisible by 5"}
 
 
 def test_a_lone_failing_pass_keeps_the_records_around_it():

@@ -126,6 +126,21 @@ def test_oracle_perturbation_rate_by_construction():
         assert np.max(np.abs(out.values - beta.values)) <= 2.5 / n
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+    n=st.integers(1, 5000),
+    scale=st.floats(0.0, 10.0),
+    p=st.integers(1, 8),
+)
+def test_oracle_perturbation_block_rows_equal_per_seed_draws(seeds, n, scale, p):
+    beta = CoefVector(np.linspace(-1.0, 1.0, p))
+    block = oracle_perturbation(beta, n, scale, seeds)
+    assert isinstance(block, tuple) and len(block) == len(seeds)
+    for point, seed in zip(block, seeds):
+        assert point.values.tobytes() == oracle_perturbation(beta, n, scale, seed).values.tobytes()
+
+
 def test_reported_likelihood_is_log_likelihood_at_the_estimate():
     # fit_mle evaluates the likelihood with ln(y!) hoisted out of its loop;
     # the value it reports must keep log_likelihood's bits.
