@@ -185,12 +185,6 @@ def population_gram(X: DesignMatrix, beta_star: CoefVector, support) -> Populati
     )
 
 
-def _check_finite(stack: np.ndarray) -> None:
-    """Raise ``np.asarray_chkfinite``'s ValueError unless every entry of ``stack`` is finite."""
-    if not np.isfinite(stack).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
 def _active_solvers(bgs) -> list:
     """``(solve, lambda_min)`` for the C11 of each blocked Gram in ``bgs``.
 
@@ -211,7 +205,7 @@ def _active_solvers(bgs) -> list:
                 raise SingularBlockError(
                     f"active-block Gram is numerically singular: lambda_min = {eigmin:.3g}"
                 )
-        _check_finite(blocks)
+        np.asarray_chkfinite(blocks)
         for bg, eigmin in zip(todo, eigmins):
             try:
                 solve = _cholesky_solver(bg.C11, check_finite=False)
@@ -450,7 +444,7 @@ def proposition_diagnostics(bg, beta_star: CoefVector, alpha: float) -> Proposit
     # solution with unit stride; xi and b are copied out, so the diagnostics
     # own them.
     rhs = np.stack([W[:, :q], np.broadcast_to(np.sign(beta1), R1.shape), R1], axis=-1)
-    _check_finite(rhs)
+    np.asarray_chkfinite(rhs)
     cols = np.empty((len(lanes), 3, q))
     for i, solve in enumerate(solves):
         cols[i] = solve(rhs[i], check_finite=False).T

@@ -7,10 +7,11 @@ recovered sign pattern against the truth.  Every replicate also logs the
 sufficient-event diagnostics so recovery rates can be checked against event
 rates: each replicate queues its blocked Gram, and one diagnostics pass per
 design evaluates the queue with a leading replicate axis, with the bits of
-one pass per replicate.  The replicates of a fixed design draw their counts
-and oracle expansion points a block at a time, each from its own seeds, with
-the bits of one draw per replicate.  Everything is deterministic in the
-master seed; replicates run serially in (n, replicate) order.
+one pass per replicate.  The replicates of a fixed design draw their oracle
+expansion points a block at a time, each from its own seed, with the bits of
+one draw per replicate; each replicate draws its own counts.  Everything is
+deterministic in the master seed; replicates run serially in (n, replicate)
+order.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ _MASK32 = 0xFFFFFFFF
 # Replicates per pass of the seed derivation.  A power of two at most 2**32,
 # so no block holds replicate indices of two word counts.
 _SEED_BLOCK = 4096
-# A fixed design's replicates draw their counts and oracle points in blocks
-# whose (B, n) int64 counts take at most this many bytes (B = 131, 32 and 8
-# at n = 250, 1000 and 4000), or one replicate at a time above n = 32768.
+# A fixed design's replicates draw their oracle points in blocks whose
+# (B, p) coefficients take at most this many bytes (B = 5461 at p = 6, so
+# one block per n on the canonical config).
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -427,20 +428,49 @@ class ExperimentResult:
         return tuple((rec.n, rec.replicate, rec.error) for rec in self.records if not rec.ok)
 
 
-def expansion_point(
-    mode: str, X: DesignMatrix, counts, beta_star: CoefVector, seed: int
-) -> tuple[CoefVector, MleFit | None]:
-    """The expansion point beta_tilde of ``mode``, 'mle' or 'oracle:SCALE'.
+def _mle_point(X: DesignMatrix, counts) -> tuple[CoefVector, MleFit]:
+    mle = fit_mle(X, counts)
+    return mle.beta, mle
 
-    In mle mode returns the MLE's last iterate and the ``MleFit``, which the
-    caller checks for convergence.  In oracle mode returns beta_star perturbed
-    by at most SCALE / X.n per coordinate, drawn from ``seed``, and None.
+
+def _oracle_point(point: CoefVector, counts) -> tuple[CoefVector, None]:
+    return point, None
+
+
+def _oracle_draw(beta_star: CoefVector, n: int, scale: float, seed: int,
+                 counts) -> tuple[CoefVector, None]:
+    return oracle_perturbation(beta_star, n, scale, seed), None
+
+
+def expansion_points(mode: str, X: DesignMatrix, beta_star: CoefVector, seeds) -> list:
+    """The expansion point beta_tilde of ``mode``, 'mle' or 'oracle:SCALE', for each of ``seeds``.
+
+    Each entry is a function of its replicate's counts that returns
+    beta_tilde and, in mle mode, the ``MleFit``, which the caller checks for
+    convergence (None in oracle mode).  In mle mode beta_tilde is the MLE's
+    last iterate.  In oracle mode it is beta_star perturbed by at most
+    SCALE / X.n per coordinate, drawn from the seed: one
+    ``oracle_perturbation`` call draws the points of all seeds, and if it
+    raises, each entry draws its own point and raises what that draw raises.
     """
     kind, scale = parse_beta_tilde_mode(mode)
     if kind == "mle":
-        mle = fit_mle(X, counts)
-        return mle.beta, mle
-    return oracle_perturbation(beta_star, X.n, scale, seed), None
+        return [partial(_mle_point, X)] * len(seeds)
+    try:
+        points = oracle_perturbation(beta_star, X.n, scale, seeds)
+    except _REPLICATE_ERRORS:
+        return [partial(_oracle_draw, beta_star, X.n, scale, seed) for seed in seeds]
+    return [partial(_oracle_point, point) for point in points]
+
+
+def expansion_point(
+    mode: str, X: DesignMatrix, counts, beta_star: CoefVector, seed: int
+) -> tuple[CoefVector, MleFit | None]:
+    """beta_tilde of ``mode`` at ``counts``, and the ``MleFit`` in mle mode (None in oracle mode).
+
+    The entry of ``expansion_points`` for one seed.
+    """
+    return expansion_points(mode, X, beta_star, [seed])[0](counts)
 
 
 class _PerN(NamedTuple):
@@ -481,47 +511,21 @@ def _failed(record: partial, exc: Exception) -> ReplicateRecord:
     return record(ok=False, error=f"{type(exc).__name__}: {exc}")
 
 
-def _draws(config: ExperimentConfig, design: DesignMatrix, block: list) -> list:
-    """Each replicate's counts and oracle point (None in mle mode), or the error its draw raised.
-
-    ``block`` holds the replicates' seeds, the counts seed first and the
-    oracle seed second; one ``simulate`` and one ``oracle_perturbation``
-    call draw them all.  A block whose draw raises is drawn again one
-    replicate at a time, so each replicate gets what a draw of its own
-    gives.
-    """
-    kind, scale = parse_beta_tilde_mode(config.beta_tilde_mode)
-    try:
-        counts = simulate(design, config.beta_star, [seeds[0] for seeds in block])
-        points = (oracle_perturbation(config.beta_star, design.n, scale,
-                                      [seeds[1] for seeds in block])
-                  if kind == "oracle" else (None,) * len(block))
-    except _REPLICATE_ERRORS as exc:
-        if len(block) == 1:
-            return [exc]
-        return [draw for seeds in block for draw in _draws(config, design, [seeds])]
-    return list(zip(counts, points))
-
-
 def _run_replicate(config: ExperimentConfig, per_n: _PerN, design: DesignMatrix, r: int,
-                   seed_used: int, draw) -> ReplicateRecord | _Queued:
+                   seed_used: int, point) -> ReplicateRecord | _Queued:
     """The replicate's failure record, or its blocked Gram queued for the diagnostics.
 
-    ``draw`` is the replicate's entry of ``_draws``.  The working problem
-    goes out of scope on return: the queue keeps only the blocked Gram, its
-    sign match and its KKT flag.
+    ``point`` is the replicate's entry of ``expansion_points``.  The working
+    problem goes out of scope on return: the queue keeps only the blocked
+    Gram, its sign match and its KKT flag.
     """
     record = partial(ReplicateRecord, n=per_n.n, replicate=r, seed_used=seed_used,
                      alpha_n=per_n.solver.alpha)
-    if isinstance(draw, Exception):
-        return _failed(record, draw)
-    counts, beta_tilde = draw
     try:
-        if beta_tilde is None:
-            mle = fit_mle(design, counts)
-            if not mle.converged:
-                return record(ok=False, error="mle did not converge")
-            beta_tilde = mle.beta
+        counts = simulate(design, config.beta_star, seed_used)
+        beta_tilde, mle = point(counts)
+        if mle is not None and not mle.converged:
+            return record(ok=False, error="mle did not converge")
         problem = build_working_problem(design, beta_tilde, counts)
         result = fit(problem, per_n.solver)
         if not result.converged:
@@ -618,16 +622,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         per_n = _PerN(n, solver, support, signs)
         # Blocks of one when every replicate draws its own design.
-        size = 1 if config.redraw_design else max(1, _BLOCK_BYTES // (8 * n))
+        size = 1 if config.redraw_design else max(1, _BLOCK_BYTES // (8 * config.p))
         replicate_seeds = _replicate_seeds(config.seed, tags, n, config.replicates)
         batch, items = [], []
         for start in range(0, config.replicates, size):
             block = list(islice(replicate_seeds, size))
             if config.redraw_design:
                 design = make_design(config.design, n, config.p, block[0][2])
-            draws = _draws(config, design, block)
-            for r, (seeds, draw) in enumerate(zip(block, draws), start):
-                items.append(_run_replicate(config, per_n, design, r, seeds[0], draw))
+            points = expansion_points(config.beta_tilde_mode, design, config.beta_star,
+                                      [seeds[1] for seeds in block])
+            for r, (seeds, point) in enumerate(zip(block, points), start):
+                items.append(_run_replicate(config, per_n, design, r, seeds[0], point))
             # One diagnostics pass per design: at the end of the n, or after
             # each replicate when every replicate draws its own design.
             if config.redraw_design or start + size >= config.replicates:

@@ -283,19 +283,14 @@ def _sequential_search(k, idx, lam, u, prob, cum, step: int) -> None:
             lam, u = lam[pending], u[pending]
 
 
-def _poisson_inversion(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inversion by sequential search (Devroye 1986); exact for small intensities.
-
-    ``u`` holds the uniforms, shape (..., lanes) with ``lam`` along the last
-    axis; the counts come back in that shape.
-    """
-    lam = np.broadcast_to(lam, u.shape).ravel()
+def _poisson_inversion(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inversion by sequential search (Devroye 1986); exact for small intensities."""
+    u = rng.random(lam.size)
     prob = np.exp(-lam)
     k = np.zeros(lam.size, dtype=np.int64)
-    flat = u.ravel()
-    idx = np.flatnonzero(flat > prob)
-    _sequential_search(k, idx, lam[idx], flat[idx], prob[idx], prob[idx], 0)
-    return k.reshape(u.shape)
+    idx = np.flatnonzero(u > prob)
+    _sequential_search(k, idx, lam[idx], u[idx], prob[idx], prob[idx], 0)
+    return k
 
 
 # The inversion table is as deep as the lanes' tails need to fall below this;
@@ -335,75 +330,63 @@ class _InversionTable:
         self.lam, self.prob = lam, prob
 
     def counts(self, u: np.ndarray) -> np.ndarray:
-        """The search's counts for uniforms ``u``, shape (..., lanes), in that shape.
+        """The search's counts for uniforms ``u``, one per lane.
 
         Looked up in two levels: the first ``_TABLE_HEAD`` rows for every
-        lane of every replicate in one comparison, the rest only for the
-        lanes past all of those.  A lane's rows do not decrease, so a lane
-        that stops in the head has none of its later rows below its
-        uniform, and each count is that of the whole table.
+        lane, the rest only for the lanes past all of those.  A lane's rows
+        do not decrease, so a lane that stops in the head has none of its
+        later rows below its uniform, and each count is that of the whole
+        table.
         """
-        lanes = self.rows.shape[1]
-        block = u.reshape(-1, lanes)
         head, tail = self.rows[:_TABLE_HEAD], self.rows[_TABLE_HEAD:]
         # int64: a lane the search takes past the table can count beyond 255.
-        k = np.add.reduce(head[:, None] < block, axis=0, dtype=np.uint8).astype(np.int64)
-        k, flat = k.ravel(), block.ravel()
+        k = np.add.reduce(head < u, axis=0, dtype=np.uint8).astype(np.int64)
         deeper = (k == len(head)).nonzero()[0]
         if deeper.size:
-            lane = deeper % lanes
-            more = np.add.reduce(tail[:, lane] < flat[deeper], axis=0, dtype=np.uint8)
+            more = np.add.reduce(tail[:, deeper] < u[deeper], axis=0, dtype=np.uint8)
             k[deeper] = more + len(head)
-            past = (more == len(tail)).nonzero()[0]
+            past = deeper[more == len(tail)]
             if past.size:
-                lane = lane[past]
-                _sequential_search(k, deeper[past], self.lam[lane], flat[deeper[past]],
-                                   self.prob[lane], self.rows[-1, lane], len(self.rows) - 1)
-        return k.reshape(u.shape)
+                _sequential_search(k, past, self.lam[past], u[past], self.prob[past],
+                                   self.rows[-1, past], len(self.rows) - 1)
+        return k
 
 
-def _poisson_transformed_rejection(lam: np.ndarray, rngs, constants: tuple) -> np.ndarray:
+def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator,
+                                   constants: tuple) -> np.ndarray:
     """Transformed rejection with squeeze (Hoermann's PTRS, 1993), valid for lam >= 10.
 
-    One row of counts per generator in ``rngs``, each drawn from its own
-    generator; ``constants`` is ``_ptrs_constants(lam)``.  The rows run in
-    lockstep rounds.  Each round, every row with m lanes still open draws
-    them as one block of 2m uniforms, u from the first half and v from the
-    second: the doubles, in the order, of a draw of m for u and then one of
-    m for v, so each generator ends where those two leave it.  One
-    arithmetic pass then takes the open lanes of every row.
+    ``constants`` is ``_ptrs_constants(lam)``.  Each round draws the m lanes
+    still open as one block of 2m uniforms, u from the first half and v
+    from the second: the doubles, in the order, of a draw of m for u and
+    then one of m for v, so the generator ends where those two leave it.
+    The log test is evaluated for every open lane, in one pass with the
+    squeeze; it decides only the lanes that the squeeze neither accepts nor
+    rejects, which get the bits of evaluating it for those lanes alone.  A
+    uniform of exactly 0.0 makes ``us`` = 0 (k = -inf, rejected) or v = 0
+    (the log test's left side is -inf); the divide and invalid warnings of
+    those infinities are not raised.
     """
     log_lam, b, a, inv_alpha, v_r = constants
-    out = np.zeros((len(rngs), lam.size), dtype=np.int64)
-    flat = out.reshape(-1)
-    # Open (row, lane) pairs as flat indices into out, row by row.
-    todo = np.arange(flat.size)
-    while todo.size:
-        m = np.bincount(todo // lam.size, minlength=len(rngs))
-        rows = np.flatnonzero(m)
-        m = m[rows]
-        uv = np.concatenate([rngs[r].random(2 * k) for r, k in zip(rows.tolist(), m.tolist())])
-        # A row's block starts at twice the number of open lanes before it,
-        # so its j-th open lane takes u at j + before and v m entries later.
-        at = np.arange(todo.size) + np.repeat(np.cumsum(m) - m, m)
-        u = uv[at] - 0.5
-        v = uv[at + np.repeat(m, m)]
-        t = todo % lam.size
-        us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a[t] / us + b[t]) * u + lam[t] + 0.43)
-
-        accept = (us >= 0.07) & (v <= v_r[t])
-        reject = (k < 0) | ((us < 0.013) & (v > us))
-        needs_log = ~(accept | reject)
-        if needs_log.any():
-            tl = t[needs_log]
-            kk = k[needs_log]
-            lhs = np.log(v[needs_log] * inv_alpha[tl] / (a[tl] / us[needs_log] ** 2 + b[tl]))
-            rhs = kk * log_lam[tl] - lam[tl] - gammaln(kk + 1.0)
-            accept[needs_log] = lhs <= rhs
-        if accept.any():
-            flat[todo[accept]] = k[accept].astype(np.int64)
-        todo = todo[~accept]
+    out = np.zeros(lam.size, dtype=np.int64)
+    todo = np.arange(lam.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while todo.size:
+            m = todo.size
+            uv = rng.random(2 * m)
+            u = uv[:m] - 0.5
+            v = uv[m:]
+            us = 0.5 - np.abs(u)
+            a_t, b_t, lam_t = a[todo], b[todo], lam[todo]
+            k = np.floor((2.0 * a_t / us + b_t) * u + lam_t + 0.43)
+            lhs = np.log(v * inv_alpha[todo] / (a_t / us ** 2 + b_t))
+            rhs = k * log_lam[todo] - lam_t - gammaln(k + 1.0)
+            # Accepted by the squeeze, or rejected neither by it nor by the log test.
+            accept = ((us >= 0.07) & (v <= v_r[todo])) | (
+                (k >= 0) & ((us >= 0.013) | (v <= us)) & (lhs <= rhs)
+            )
+            out[todo[accept]] = k[accept]
+            todo = todo[~accept]
     return out
 
 
@@ -426,8 +409,7 @@ class _CountSampler:
     rejection lanes, and the PTRS constants of the latter.  The first draw
     searches sequentially; the second builds an ``_InversionTable`` and
     every later draw looks its counts up there.  The counts and the
-    generators' use are the same on either path, and the same in a block as
-    one generator at a time.
+    generator's use are the same on either path.
     """
 
     def __init__(self, lam):
@@ -442,23 +424,18 @@ class _CountSampler:
         self.table = None
         self.drawn = False
 
-    def draw(self, rngs) -> np.ndarray:
-        """One row of counts per generator in ``rngs``, each from its own generator.
-
-        A generator gives its inversion lanes' uniforms first, then its
-        rejection rounds'.
-        """
-        out = np.zeros((len(rngs), self.small.size), dtype=np.int64)
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One count per intensity; the inversion lanes take the generator first."""
+        out = np.zeros(self.small.size, dtype=np.int64)
         if self.lam_small.size:
-            u = np.stack([rng.random(self.lam_small.size) for rng in rngs])
             if self.drawn and self.table is None:
                 self.table = _InversionTable(self.lam_small)
             if self.table is None:
-                out[:, self.small] = _poisson_inversion(self.lam_small, u)
+                out[self.small] = _poisson_inversion(self.lam_small, rng)
             else:
-                out[:, self.small] = self.table.counts(u)
+                out[self.small] = self.table.counts(rng.random(self.lam_small.size))
         if self.lam_large.size:
-            out[:, self.large] = _poisson_transformed_rejection(self.lam_large, rngs, self.ptrs)
+            out[self.large] = _poisson_transformed_rejection(self.lam_large, rng, self.ptrs)
         self.drawn = True
         return out
 
@@ -470,33 +447,19 @@ def poisson_counts(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     above, so the marginals are exact at every scale.  Consumes the generator
     deterministically: the small-intensity block is sampled first.
     """
-    return _CountSampler(lam).draw([rng])[0]
+    return _CountSampler(lam).draw(rng)
 
 
-def _generators(seed) -> tuple[list, bool]:
-    """A generator per seed of ``seed``, and whether ``seed`` is one int, not a sequence."""
-    if isinstance(seed, (int, np.integer)):
-        return [np.random.default_rng(seed)], True
-    rngs = [np.random.default_rng(s) for s in seed]
-    if not rngs:
-        raise ValueError("need at least one seed")
-    return rngs, False
-
-
-def simulate(X: DesignMatrix, beta_star: CoefVector, seed) -> np.ndarray:
+def simulate(X: DesignMatrix, beta_star: CoefVector, seed: int) -> np.ndarray:
     """Counts Y_i ~ Poisson(exp(x_i beta_star)) as a read-only int64 array.
 
-    Deterministic in seed.  ``seed`` is one int, or a sequence of ints drawn
-    as a block: a (len(seed), n) array whose row i is the counts of
-    ``seed[i]``, bit for bit.  The intensities are
-    ``intensities(X, beta_star)``.  ``X`` keeps the sampler built from them
-    for the last ``beta_star`` drawn, so later draws for it skip the
-    replicate-invariant work; a sampler that fails to build raises and is
-    not kept.
+    Deterministic in seed.  The intensities are ``intensities(X, beta_star)``.
+    ``X`` keeps the sampler built from them for the last ``beta_star`` drawn,
+    so later draws for it skip the replicate-invariant work; a sampler that
+    fails to build raises and is not kept.
     """
     sampler = _kept(X, "_count_sampler", beta_star.values.tobytes(),
                     lambda: _CountSampler(intensities(X, beta_star)))
-    rngs, single = _generators(seed)
-    counts = sampler.draw(rngs)
+    counts = sampler.draw(np.random.default_rng(seed))
     _freeze(counts)
-    return counts[0] if single else counts
+    return counts

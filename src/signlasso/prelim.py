@@ -21,7 +21,6 @@ from .model import (
     DesignMatrix,
     _check_counts,
     _cholesky_solver,
-    _generators,
     _guarded_product,
     _kept,
 )
@@ -176,7 +175,10 @@ def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed):
         raise ValueError(f"scale must be finite, got {scale}")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    rngs, single = _generators(seed)
-    u = np.stack([rng.uniform(-1.0, 1.0, beta_star.p) for rng in rngs])
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    u = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, beta_star.p) for s in seeds])
     points = tuple(CoefVector(row) for row in beta_star.values + (scale / n) * u)
     return points[0] if single else points

@@ -311,42 +311,46 @@ def test_failing_lanes_get_the_records_of_a_per_replicate_loop(overrides, monkey
     assert 0 < len(singular) < sum(rec.ok for rec in records)
 
 
-@pytest.mark.parametrize("block_bytes", [None, 8 * 60 * 7], ids=["default", "small"])
+@pytest.mark.parametrize("block_bytes", [None, 8 * 4 * 7], ids=["default", "small"])
 @pytest.mark.parametrize("overrides", [
     {},
     {"redraw_design": True},
     {"beta_tilde_mode": "mle", "tau": 0.0},
 ], ids=["fixed_design", "redraw_design", "mle"])
-def test_replicates_draw_in_blocks_under_the_byte_bound(overrides, block_bytes, monkeypatch):
-    # The small bound splits each n's replicates into blocks of 7 at n=60
-    # and of 3 at n=120; the records are those of one replicate at a time.
+def test_replicates_draw_oracle_points_in_blocks_under_the_byte_bound(
+    overrides, block_bytes, monkeypatch
+):
+    # Each replicate draws its own counts; the oracle points of a fixed
+    # design come a block at a time, all 30 of an n at once by default and
+    # in blocks of 7 under the small bound (p=4).  The records are those of
+    # one replicate at a time.
     import signlasso.harness as harness
 
     config = _small_config(replicates=30, **overrides)
     expected = reference_records(config)
-    blocks, points = [], []
+    seeds, blocks = [], []
 
-    def draw(X, beta_star, seeds):
-        counts = simulate(X, beta_star, seeds)
-        blocks.append(counts.shape)
-        return counts
+    def draw(X, beta_star, seed):
+        seeds.append(seed)
+        return simulate(X, beta_star, seed)
 
-    def perturb(beta_star, n, scale, seeds):
-        points.append((len(seeds), n))
-        return oracle_perturbation(beta_star, n, scale, seeds)
+    def perturb(beta_star, n, scale, block):
+        blocks.append(len(block))
+        return oracle_perturbation(beta_star, n, scale, block)
 
     monkeypatch.setattr(harness, "simulate", draw)
     monkeypatch.setattr(harness, "oracle_perturbation", perturb)
     if block_bytes is not None:
         monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
     assert list(run_experiment(config).records) == expected
-    assert sum(size for size, _ in blocks) == 60
-    if config.redraw_design:
-        assert {size for size, _ in blocks} == {1}
+    assert len(seeds) == 60 and all(isinstance(seed, int) for seed in seeds)
+    if config.beta_tilde_mode == "mle":
+        assert blocks == []
+    elif config.redraw_design:
+        assert blocks == [1] * 60
     else:
-        assert all(8 * size * n <= harness._BLOCK_BYTES for size, n in blocks)
-        assert len(blocks) == (2 if block_bytes is None else 5 + 10)
-    assert points == ([] if config.beta_tilde_mode == "mle" else blocks)
+        assert all(8 * size * config.p <= harness._BLOCK_BYTES for size in blocks)
+        assert blocks == ([30, 30] if block_bytes is None else [7, 7, 7, 7, 2] * 2)
 
 
 def test_a_block_draw_that_raises_is_redrawn_one_replicate_at_a_time(monkeypatch):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -150,77 +150,6 @@ def test_simulate_returns_read_only_int64_counts():
     assert not counts.flags.writeable
 
 
-def test_simulate_draws_a_block_of_seeds_as_one_seed_at_a_time():
-    values = np.random.default_rng(3).standard_normal((300, 3))
-    beta = CoefVector([1.5, -1.0, 0.5])
-    seeds = [17, 18, 2**63 + 5, 0]
-    # A design's first draw is a block here, and a later one there.
-    X = DesignMatrix(values)
-    for block in (simulate(X, beta, seeds), simulate(X, beta, np.array(seeds, dtype=np.uint64))):
-        assert block.dtype == np.int64 and block.shape == (4, 300)
-        assert not block.flags.writeable
-        for row, seed in zip(block, seeds):
-            np.testing.assert_array_equal(row, simulate(DesignMatrix(values), beta, seed))
-    np.testing.assert_array_equal(simulate(X, beta, [18]), simulate(X, beta, 18)[None])
-    with pytest.raises(ValueError, match="at least one seed"):
-        simulate(X, beta, [])
-
-
-class _Uniforms:
-    """A seeded generator whose first draw may end in the largest double below 1."""
-
-    def __init__(self, seed, pinned):
-        self.rng, self.pinned = np.random.default_rng(seed), pinned
-
-    def random(self, size):
-        u = self.rng.random(size)
-        if self.pinned:
-            u[-1], self.pinned = np.nextafter(1.0, 0.0), False
-        return u
-
-
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(
-    lam=arrays(np.float64, st.integers(1, 30), elements=st.one_of(
-        st.floats(1e-6, np.nextafter(_SAMPLER_SPLIT, 0.0)), st.floats(_SAMPLER_SPLIT, 1e4),
-    )),
-    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
-    earlier=st.integers(0, 2),
-    pinned=st.booleans(),
-)
-@example(lam=np.array([3.0, 25.0]), seeds=[7], earlier=0, pinned=False)
-@example(lam=np.array([0.5, 12.0, 40.0]), seeds=[1, 2, 3], earlier=1, pinned=True)
-def test_block_draw_rows_equal_per_seed_draws(lam, seeds, earlier, pinned):
-    # ``earlier`` draws before the block: 0 makes the block the design's
-    # first draw (the sequential search), 1 its second (which builds the
-    # table) and 2 a lookup in a kept table.  A pinned first row has an
-    # inversion lane of intensity 9 drawn at a uniform past its table.
-    if pinned:
-        lam = np.append(lam, 9.0)
-    sampler = _CountSampler(lam)
-    for seed in range(earlier):
-        sampler.draw([np.random.default_rng(seed)])
-    ours = [_Uniforms(seed, pinned and i == 0) for i, seed in enumerate(seeds)]
-    block = sampler.draw(ours)
-    assert block.shape == (len(seeds), lam.size)
-    if pinned and earlier:
-        assert block[0, -1] >= sampler.table.rows.shape[0]
-    large = lam >= _SAMPLER_SPLIT
-    for i, seed in enumerate(seeds):
-        theirs = _Uniforms(seed, pinned and i == 0)
-        np.testing.assert_array_equal(block[i], poisson_counts(lam, theirs))
-        assert ours[i].rng.bit_generator.state == theirs.rng.bit_generator.state
-        # The rejection lanes, against the two-draws-per-round reference.
-        ref = _Uniforms(seed, pinned and i == 0)
-        if not large.all():
-            ref.random(int((~large).sum()))
-        if large.any():
-            np.testing.assert_array_equal(
-                block[i, large], reference_ptrs(lam[large], ref, _ptrs_constants(lam[large]))
-            )
-        assert ref.rng.bit_generator.state == theirs.rng.bit_generator.state
-
-
 def test_simulate_unit_intensity_mean():
     X = DesignMatrix(np.zeros((100_000, 1)))
     beta = CoefVector([3.0])
@@ -265,9 +194,7 @@ def test_compacted_inversion_matches_masked_loop(regime):
         size = int(shape.integers(1, 400))
         lam = _inversion_regime(regime, shape, size)
         ours, theirs = np.random.default_rng(1000 + seed), np.random.default_rng(1000 + seed)
-        np.testing.assert_array_equal(
-            _poisson_inversion(lam, ours.random(lam.size)), _masked_inversion(lam, theirs)
-        )
+        np.testing.assert_array_equal(_poisson_inversion(lam, ours), _masked_inversion(lam, theirs))
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -289,7 +216,7 @@ def test_inversion_table_matches_masked_loop(regime):
         sampler = _CountSampler(lam)
         ours, theirs = np.random.default_rng(2000 + seed), np.random.default_rng(2000 + seed)
         for draw in range(3):
-            np.testing.assert_array_equal(sampler.draw([ours])[0], _masked_inversion(lam, theirs))
+            np.testing.assert_array_equal(sampler.draw(ours), _masked_inversion(lam, theirs))
             assert ours.bit_generator.state == theirs.bit_generator.state
             assert (sampler.table is None) == (draw == 0)
 
@@ -315,7 +242,7 @@ def test_inversion_table_hands_lanes_past_it_to_the_search(u):
     sampler = _CountSampler(lam)
     reference = _masked_inversion(lam, _FixedUniforms(uniforms))
     for draw in range(2):
-        np.testing.assert_array_equal(sampler.draw([_FixedUniforms(uniforms)])[0], reference)
+        np.testing.assert_array_equal(sampler.draw(_FixedUniforms(uniforms)), reference)
     past = reference >= sampler.table.rows.shape[0]
     assert past[5:].all()
     if u > 1.0:
@@ -356,10 +283,43 @@ def test_ptrs_leaves_the_generator_where_two_draws_per_round_would(lam, seed):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     constants = _ptrs_constants(lam)
     np.testing.assert_array_equal(
-        _poisson_transformed_rejection(lam, [ours], constants)[0],
+        _poisson_transformed_rejection(lam, ours, constants),
         reference_ptrs(lam, theirs, constants),
     )
     assert ours.random() == theirs.random()
+
+
+class _UniformStream:
+    """A generator stand-in whose ``random`` hands out the next uniforms of a stream."""
+
+    def __init__(self, u):
+        self.u, self.used = np.asarray(u, dtype=float), 0
+
+    def random(self, size):
+        self.used += size
+        assert self.used <= self.u.size
+        return self.u[self.used - size:self.used].copy()
+
+
+def test_ptrs_takes_each_branch_as_the_reference_does():
+    # Round one at lam = 10, lane by lane: squeeze accept; squeeze reject
+    # (us < 0.013, v > us); k < 0 with v = 0, where the log test's sides are
+    # both -inf and only k's sign rejects; log-test accept; log-test
+    # reject; a zero uniform for u (us = 0, k = -inf); a zero v that the log
+    # test accepts.  The four rejected lanes take round two's uniforms and
+    # are accepted by the squeeze at k = 10.
+    lam = np.full(7, 10.0)
+    round_one = [0.5, 0.995, 0.001, 0.5, 0.8, 0.0, 0.95,
+                 0.1, 0.5, 0.0, 0.8, 0.95, 0.3, 0.0]
+    stream = round_one + [0.5] * 4 + [0.1] * 4
+    constants = _ptrs_constants(lam)
+    ours, theirs = _UniformStream(stream), _UniformStream(stream)
+    counts = _poisson_transformed_rejection(lam, ours, constants)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = reference_ptrs(lam, theirs, constants)
+    np.testing.assert_array_equal(counts, expected)
+    np.testing.assert_array_equal(counts, [10, 10, 10, 10, 10, 10, 17])
+    assert ours.used == theirs.used == len(stream)
 
 
 def test_inversion_table_counts_fit_in_uint8():
