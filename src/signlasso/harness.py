@@ -7,11 +7,11 @@ recovered sign pattern against the truth.  Every replicate also logs the
 sufficient-event diagnostics so recovery rates can be checked against event
 rates: each replicate queues its blocked Gram, and one diagnostics pass per
 design evaluates the queue with a leading replicate axis, with the bits of
-one pass per replicate.  The replicates of a fixed design draw their oracle
+one pass per replicate.  The replicates of each n draw their oracle
 expansion points a block at a time, each from its own seed, with the bits of
-one draw per replicate; each replicate draws its own counts.  Everything is
-deterministic in the master seed; replicates run serially in (n, replicate)
-order.
+one draw per replicate; each replicate draws its own counts, from a
+generator state derived with its block's.  Everything is deterministic in
+the master seed; replicates run serially in (n, replicate) order.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .conditions import (
     AssumptionConstants,
@@ -85,9 +86,9 @@ _MASK32 = 0xFFFFFFFF
 # Replicates per pass of the seed derivation.  A power of two at most 2**32,
 # so no block holds replicate indices of two word counts.
 _SEED_BLOCK = 4096
-# A fixed design's replicates draw their oracle points in blocks whose
-# (B, p) coefficients take at most this many bytes (B = 5461 at p = 6, so
-# one block per n on the canonical config).
+# Replicates derive their generator states and draw their oracle points in
+# blocks whose (B, p) coefficients take at most this many bytes (B = 5461 at
+# p = 6, so one block per n on the canonical config).
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -103,13 +104,14 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _hash_entropy(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(e).generate_state(1, np.uint64)[0]`` for each column of ``entropy``.
+def _hash_entropy(entropy: np.ndarray, n_words: int = 1) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for each column ``e`` of ``entropy``.
 
-    ``entropy`` is a (words, lanes) uint32 array, one column per lane.
-    numpy's mix of the entropy into the pool and its draw of two words,
-    done in uint32 arithmetic, which wraps as numpy's does, on every lane at
-    once.  The hash constants advance the same way on every lane.
+    ``entropy`` is a (words, lanes) uint32 array, one column per lane; the
+    result is a (lanes, n_words) uint64 array.  numpy's mix of the entropy
+    into the pool and its draw of ``2 * n_words`` words, done in uint32
+    arithmetic, which wraps as numpy's does, on every lane at once.  The
+    hash constants advance the same way on every lane.
     """
     hash_const = _INIT_A
 
@@ -136,13 +138,13 @@ def _hash_entropy(entropy: np.ndarray) -> np.ndarray:
 
     hash_const = _INIT_B
     state = []
-    for value in pool[:2]:
-        value = value ^ hash_const
+    for i in range(2 * n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         state.append((value ^ (value >> 16)).astype(np.uint64))
-    # The first word is the low half of the uint64.
-    return state[0] | state[1] << 32
+    # Of each pair of words, the first is the low half of the uint64.
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, len(state), 2)], axis=1)
 
 
 def derive_seed(*parts: int) -> int:
@@ -153,7 +155,7 @@ def derive_seed(*parts: int) -> int:
     one-lane case of the per-n derivation of the replicates' seeds.
     """
     entropy = np.array([w for part in parts for w in _words(part)], dtype=np.uint32)
-    return int(_hash_entropy(entropy[:, None])[0])
+    return int(_hash_entropy(entropy[:, None])[0, 0])
 
 
 def _block_seeds(seed: int, tags: tuple[int, ...], n: int, r: np.ndarray) -> np.ndarray:
@@ -171,7 +173,36 @@ def _block_seeds(seed: int, tags: tuple[int, ...], n: int, r: np.ndarray) -> np.
         *(np.full(lanes, w) for w in tail),
         *(np.tile(r >> 32 * k & _MASK32, len(tags)) for k in range(len(_words(r.max())))),
     ], dtype=np.uint32)
-    return _hash_entropy(entropy).reshape(len(tags), r.size)
+    return _hash_entropy(entropy)[:, 0].reshape(len(tags), r.size)
+
+
+class _SeedState(ISeedSequence):
+    """What PCG64 takes of ``SeedSequence(seed)``: its four uint64 state words.
+
+    ``np.random.default_rng`` of it is the generator of ``default_rng(seed)``,
+    without hashing the seed again.  PCG64 asks a seed sequence for exactly
+    these words; any other request raises.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a _SeedState holds only PCG64's four uint64 state words")
+        return self.words
+
+
+def _seed_states(seeds: list) -> list:
+    """Each of ``seeds`` as ``np.random.default_rng`` takes it, at the least cost.
+
+    A seed of two entropy words (at or above 2**32, so nearly every one)
+    becomes a ``_SeedState``, all of them in one pass; a seed below 2**32
+    stays an int.
+    """
+    values = np.array(seeds, dtype=np.uint64)
+    words = _hash_entropy(np.array([values & _MASK32, values >> 32], dtype=np.uint32), 4)
+    return [_SeedState(row) if seed > _MASK32 else seed for seed, row in zip(seeds, words)]
 
 
 def _replicate_seeds(seed: int, tags: tuple[int, ...], n: int, replicates: int):
@@ -433,33 +464,33 @@ def _mle_point(X: DesignMatrix, counts) -> tuple[CoefVector, MleFit]:
     return mle.beta, mle
 
 
-def _oracle_point(point: CoefVector, counts) -> tuple[CoefVector, None]:
+def _oracle_point(point: CoefVector, X: DesignMatrix, counts) -> tuple[CoefVector, None]:
     return point, None
 
 
-def _oracle_draw(beta_star: CoefVector, n: int, scale: float, seed: int,
+def _oracle_draw(beta_star: CoefVector, scale: float, seed: int, X: DesignMatrix,
                  counts) -> tuple[CoefVector, None]:
-    return oracle_perturbation(beta_star, n, scale, seed), None
+    return oracle_perturbation(beta_star, X.n, scale, seed), None
 
 
-def expansion_points(mode: str, X: DesignMatrix, beta_star: CoefVector, seeds) -> list:
+def expansion_points(mode: str, n: int, beta_star: CoefVector, seeds: list[int]) -> list:
     """The expansion point beta_tilde of ``mode``, 'mle' or 'oracle:SCALE', for each of ``seeds``.
 
-    Each entry is a function of its replicate's counts that returns
-    beta_tilde and, in mle mode, the ``MleFit``, which the caller checks for
-    convergence (None in oracle mode).  In mle mode beta_tilde is the MLE's
-    last iterate.  In oracle mode it is beta_star perturbed by at most
-    SCALE / X.n per coordinate, drawn from the seed: one
+    Each entry is a function of a replicate's n-row design and counts that
+    returns beta_tilde and, in mle mode, the ``MleFit``, which the caller
+    checks for convergence (None in oracle mode).  In mle mode beta_tilde is
+    the MLE's last iterate.  In oracle mode it is beta_star perturbed by at
+    most SCALE / n per coordinate, drawn from the seed: one
     ``oracle_perturbation`` call draws the points of all seeds, and if it
     raises, each entry draws its own point and raises what that draw raises.
     """
     kind, scale = parse_beta_tilde_mode(mode)
     if kind == "mle":
-        return [partial(_mle_point, X)] * len(seeds)
+        return [_mle_point] * len(seeds)
     try:
-        points = oracle_perturbation(beta_star, X.n, scale, seeds)
+        points = oracle_perturbation(beta_star, n, scale, _seed_states(seeds))
     except _REPLICATE_ERRORS:
-        return [partial(_oracle_draw, beta_star, X.n, scale, seed) for seed in seeds]
+        return [partial(_oracle_draw, beta_star, scale, seed) for seed in seeds]
     return [partial(_oracle_point, point) for point in points]
 
 
@@ -470,7 +501,7 @@ def expansion_point(
 
     The entry of ``expansion_points`` for one seed.
     """
-    return expansion_points(mode, X, beta_star, [seed])[0](counts)
+    return expansion_points(mode, X.n, beta_star, [seed])[0](X, counts)
 
 
 class _PerN(NamedTuple):
@@ -512,18 +543,19 @@ def _failed(record: partial, exc: Exception) -> ReplicateRecord:
 
 
 def _run_replicate(config: ExperimentConfig, per_n: _PerN, design: DesignMatrix, r: int,
-                   seed_used: int, point) -> ReplicateRecord | _Queued:
+                   seed_used: int, state, point) -> ReplicateRecord | _Queued:
     """The replicate's failure record, or its blocked Gram queued for the diagnostics.
 
-    ``point`` is the replicate's entry of ``expansion_points``.  The working
-    problem goes out of scope on return: the queue keeps only the blocked
-    Gram, its sign match and its KKT flag.
+    ``state`` is ``seed_used`` as ``_seed_states`` gives it, and ``point``
+    the replicate's entry of ``expansion_points``.  The working problem goes
+    out of scope on return: the queue keeps only the blocked Gram, its sign
+    match and its KKT flag.
     """
     record = partial(ReplicateRecord, n=per_n.n, replicate=r, seed_used=seed_used,
                      alpha_n=per_n.solver.alpha)
     try:
-        counts = simulate(design, config.beta_star, seed_used)
-        beta_tilde, mle = point(counts)
+        counts = simulate(design, config.beta_star, state)
+        beta_tilde, mle = point(design, counts)
         if mle is not None and not mle.converged:
             return record(ok=False, error="mle did not converge")
         problem = build_working_problem(design, beta_tilde, counts)
@@ -621,23 +653,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             n, report.irrep_margin, report.lambda_min_C11, solver.alpha,
         )
         per_n = _PerN(n, solver, support, signs)
-        # Blocks of one when every replicate draws its own design.
-        size = 1 if config.redraw_design else max(1, _BLOCK_BYTES // (8 * config.p))
+        size = max(1, _BLOCK_BYTES // (8 * config.p))
         replicate_seeds = _replicate_seeds(config.seed, tags, n, config.replicates)
         batch, items = [], []
         for start in range(0, config.replicates, size):
             block = list(islice(replicate_seeds, size))
-            if config.redraw_design:
-                design = make_design(config.design, n, config.p, block[0][2])
-            points = expansion_points(config.beta_tilde_mode, design, config.beta_star,
+            points = expansion_points(config.beta_tilde_mode, n, config.beta_star,
                                       [seeds[1] for seeds in block])
-            for r, (seeds, point) in enumerate(zip(block, points), start):
-                items.append(_run_replicate(config, per_n, design, r, seeds[0], point))
-            # One diagnostics pass per design: at the end of the n, or after
-            # each replicate when every replicate draws its own design.
-            if config.redraw_design or start + size >= config.replicates:
-                batch.extend(_diagnosed(config, per_n, items))
-                items = []
+            states = _seed_states([seeds[0] for seeds in block])
+            for r, (seeds, state, point) in enumerate(zip(block, states, points), start):
+                if config.redraw_design:
+                    design = make_design(config.design, n, config.p, seeds[2])
+                items.append(_run_replicate(config, per_n, design, r, seeds[0], state, point))
+                # One diagnostics pass per design: at the end of the n, or
+                # after each replicate when every replicate draws its own design.
+                if config.redraw_design or r == config.replicates - 1:
+                    batch.extend(_diagnosed(config, per_n, items))
+                    items = []
         records.extend(batch)
         done = sum(1 for rec in batch if rec.ok)
         logger.info("n=%d: %d/%d replicates ok", n, done, len(batch))

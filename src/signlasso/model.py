@@ -450,13 +450,15 @@ def poisson_counts(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return _CountSampler(lam).draw(rng)
 
 
-def simulate(X: DesignMatrix, beta_star: CoefVector, seed: int) -> np.ndarray:
+def simulate(X: DesignMatrix, beta_star: CoefVector, seed) -> np.ndarray:
     """Counts Y_i ~ Poisson(exp(x_i beta_star)) as a read-only int64 array.
 
-    Deterministic in seed.  The intensities are ``intensities(X, beta_star)``.
-    ``X`` keeps the sampler built from them for the last ``beta_star`` drawn,
-    so later draws for it skip the replicate-invariant work; a sampler that
-    fails to build raises and is not kept.
+    Deterministic in ``seed``, an int or a seed sequence as
+    ``np.random.default_rng`` takes them.  The intensities are
+    ``intensities(X, beta_star)``.  ``X`` keeps the sampler built from them
+    for the last ``beta_star`` drawn, so later draws for it skip the
+    replicate-invariant work; a sampler that fails to build raises and is
+    not kept.
     """
     sampler = _kept(X, "_count_sampler", beta_star.values.tobytes(),
                     lambda: _CountSampler(intensities(X, beta_star)))

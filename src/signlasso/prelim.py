@@ -165,9 +165,10 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
 def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed):
     """beta_star plus a uniform perturbation bounded by scale/n per coordinate.
 
-    ``scale`` must be finite and nonnegative.  ``seed`` is one int, or a
-    sequence of ints drawn as a block: a tuple of one perturbed vector per
-    seed, each the one its own seed gives, bit for bit.
+    ``scale`` must be finite and nonnegative.  ``seed`` is one seed, anything
+    ``np.random.default_rng`` takes, or a list or tuple of seeds drawn as a
+    block: a tuple of one perturbed vector per seed, each the one its own
+    seed gives, bit for bit.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -175,7 +176,7 @@ def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed):
         raise ValueError(f"scale must be finite, got {scale}")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    single = isinstance(seed, (int, np.integer))
+    single = not isinstance(seed, (list, tuple))
     seeds = [seed] if single else list(seed)
     if not seeds:
         raise ValueError("need at least one seed")

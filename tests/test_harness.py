@@ -35,6 +35,7 @@ from signlasso.harness import (
     _block_seeds,
     _reference_report,
     _replicate_seeds,
+    _seed_states,
     derive_seed,
     summarize_records,
     write_results_csv,
@@ -167,6 +168,21 @@ def test_replicate_seeds_cross_blocks_as_seed_sequence_does():
         _seed_sequence(7, 1, 60, int(i)) for i in r
     ]
     assert derive_seed() == _seed_sequence() and derive_seed(0) == _seed_sequence(0)
+
+
+def test_seed_states_give_the_generators_of_their_seeds():
+    # Replicate seeds, the edges of the two-word range and seeds below 2**32
+    # (one entropy word, kept as ints) in one pass.
+    seeds = [s for pair in _replicate_seeds(20260811, (2, 3), 250, 50) for s in pair]
+    seeds += [0, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+    states = _seed_states(seeds)
+    for seed, state in zip(seeds, states):
+        assert isinstance(state, int) == (seed < 2**32)
+        ours, theirs = np.random.default_rng(state), np.random.default_rng(seed)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+    with pytest.raises(ValueError, match="four uint64"):
+        np.random.MT19937(states[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +336,11 @@ def test_failing_lanes_get_the_records_of_a_per_replicate_loop(overrides, monkey
 def test_replicates_draw_oracle_points_in_blocks_under_the_byte_bound(
     overrides, block_bytes, monkeypatch
 ):
-    # Each replicate draws its own counts; the oracle points of a fixed
-    # design come a block at a time, all 30 of an n at once by default and
-    # in blocks of 7 under the small bound (p=4).  The records are those of
-    # one replicate at a time.
+    # Each replicate draws its own counts from one seed; the oracle points
+    # come a block at a time, all 30 of an n at once by default and in
+    # blocks of 7 under the small bound (p=4), also when every replicate
+    # draws its own design.  The records are those of one replicate at a
+    # time.
     import signlasso.harness as harness
 
     config = _small_config(replicates=30, **overrides)
@@ -343,23 +360,22 @@ def test_replicates_draw_oracle_points_in_blocks_under_the_byte_bound(
     if block_bytes is not None:
         monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
     assert list(run_experiment(config).records) == expected
-    assert len(seeds) == 60 and all(isinstance(seed, int) for seed in seeds)
+    assert len(seeds) == 60 and not any(isinstance(seed, (list, tuple)) for seed in seeds)
     if config.beta_tilde_mode == "mle":
         assert blocks == []
-    elif config.redraw_design:
-        assert blocks == [1] * 60
     else:
         assert all(8 * size * config.p <= harness._BLOCK_BYTES for size in blocks)
         assert blocks == ([30, 30] if block_bytes is None else [7, 7, 7, 7, 2] * 2)
 
 
 def test_a_block_draw_that_raises_is_redrawn_one_replicate_at_a_time(monkeypatch):
-    # Only some seeds of a block fail: each replicate gets the record of a
-    # draw of its own.
+    # Every block draw fails, and so does a replicate's own draw from a
+    # seed divisible by 5: each replicate gets the record of a draw of its
+    # own.
     import signlasso.harness as harness
 
     def fussy(beta_star, n, scale, seed):
-        if any(s % 5 == 0 for s in np.atleast_1d(seed).tolist()):
+        if isinstance(seed, list) or seed % 5 == 0:
             raise ValueError("a seed divisible by 5")
         return oracle_perturbation(beta_star, n, scale, seed)
 
