@@ -7,11 +7,11 @@ recovered sign pattern against the truth.  Every replicate also logs the
 sufficient-event diagnostics so recovery rates can be checked against event
 rates: each replicate queues its blocked Gram, and one diagnostics pass per
 design evaluates the queue with a leading replicate axis, with the bits of
-one pass per replicate.  The replicates of each n draw their oracle
-expansion points a block at a time, each from its own seed, with the bits of
-one draw per replicate; each replicate draws its own counts, from a
-generator state derived with its block's.  Everything is deterministic in
-the master seed; replicates run serially in (n, replicate) order.
+one pass per replicate.  Each replicate draws its counts and then takes its
+expansion point, each from a seed of its own; one pass per block of
+replicates derives their seeds and generator states.  Everything is
+deterministic in the master seed; replicates run serially in (n, replicate)
+order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import logging
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -83,13 +82,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-# Replicates per pass of the seed derivation.  A power of two at most 2**32,
-# so no block holds replicate indices of two word counts.
+# Replicates per pass of the seed and generator-state derivation.  A power
+# of two at most 2**32, so no block holds replicate indices of two word counts.
 _SEED_BLOCK = 4096
-# Replicates derive their generator states and draw their oracle points in
-# blocks whose (B, p) coefficients take at most this many bytes (B = 5461 at
-# p = 6, so one block per n on the canonical config).
-_BLOCK_BYTES = 256 * 1024
 
 
 def _words(value: int) -> list[int]:
@@ -206,14 +201,18 @@ def _seed_states(seeds: list) -> list:
 
 
 def _replicate_seeds(seed: int, tags: tuple[int, ...], n: int, replicates: int):
-    """Yield ``tuple(derive_seed(seed, tag, n, r) for tag in tags)`` for r = 0, 1, ...
+    """Yield ``(seeds, states)`` for r = 0, 1, ...: one seed and one state per tag.
 
-    One pass per block of ``_SEED_BLOCK`` replicates derives the seeds of
-    every tag, so a huge ``replicates`` allocates no more than one block.
+    ``seeds`` is ``tuple(derive_seed(seed, tag, n, r) for tag in tags)`` and
+    ``states`` the same seeds as ``_seed_states`` gives them.  One pass per
+    block of ``_SEED_BLOCK`` replicates derives the seeds of every tag, and
+    one pass per tag their states, so a huge ``replicates`` allocates no
+    more than one block.
     """
     for start in range(0, replicates, _SEED_BLOCK):
         r = np.arange(start, min(start + _SEED_BLOCK, replicates), dtype=np.uint64)
-        yield from zip(*_block_seeds(seed, tags, n, r).tolist())
+        rows = _block_seeds(seed, tags, n, r).tolist()
+        yield from zip(zip(*rows), zip(*map(_seed_states, rows)))
 
 
 @dataclass(frozen=True)
@@ -248,13 +247,14 @@ class DesignSpec:
             raise ConfigError("row_norm_cap", f"must be positive, got {self.row_norm_cap}")
 
 
-def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
+def make_design(spec: DesignSpec, n: int, p: int, seed) -> DesignMatrix:
     """Generate (or load) an n x p design, enforcing the row-norm cap.
 
-    A file that is not a finite matrix with at least n rows and exactly p
-    columns is a ConfigError on ``design.path``.  So is a file whose row
-    norms overflow, and a generator's ``design.scale`` that overflows the
-    design or its row norms.
+    A generator draws from ``seed``, an int or a seed sequence as
+    ``np.random.default_rng`` takes them.  A file that is not a finite
+    matrix with at least n rows and exactly p columns is a ConfigError on
+    ``design.path``.  So is a file whose row norms overflow, and a
+    generator's ``design.scale`` that overflows the design or its row norms.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
@@ -296,7 +296,7 @@ def make_design(spec: DesignSpec, n: int, p: int, seed: int) -> DesignMatrix:
     return DesignMatrix(values)
 
 
-def _generate(spec: DesignSpec, n: int, p: int, seed: int) -> np.ndarray:
+def _generate(spec: DesignSpec, n: int, p: int, seed) -> np.ndarray:
     """The n x p values of a generator design, before the row-norm cap."""
     rng = np.random.default_rng(seed)
     if spec.kind == "iid_gaussian":
@@ -459,49 +459,21 @@ class ExperimentResult:
         return tuple((rec.n, rec.replicate, rec.error) for rec in self.records if not rec.ok)
 
 
-def _mle_point(X: DesignMatrix, counts) -> tuple[CoefVector, MleFit]:
-    mle = fit_mle(X, counts)
-    return mle.beta, mle
+def expansion_point(
+    mode: str, X: DesignMatrix, counts, beta_star: CoefVector, seed
+) -> tuple[CoefVector, MleFit | None]:
+    """The expansion point beta_tilde of ``mode``, 'mle' or 'oracle:SCALE'.
 
-
-def _oracle_point(point: CoefVector, X: DesignMatrix, counts) -> tuple[CoefVector, None]:
-    return point, None
-
-
-def _oracle_draw(beta_star: CoefVector, scale: float, seed: int, X: DesignMatrix,
-                 counts) -> tuple[CoefVector, None]:
-    return oracle_perturbation(beta_star, X.n, scale, seed), None
-
-
-def expansion_points(mode: str, n: int, beta_star: CoefVector, seeds: list[int]) -> list:
-    """The expansion point beta_tilde of ``mode``, 'mle' or 'oracle:SCALE', for each of ``seeds``.
-
-    Each entry is a function of a replicate's n-row design and counts that
-    returns beta_tilde and, in mle mode, the ``MleFit``, which the caller
-    checks for convergence (None in oracle mode).  In mle mode beta_tilde is
-    the MLE's last iterate.  In oracle mode it is beta_star perturbed by at
-    most SCALE / n per coordinate, drawn from the seed: one
-    ``oracle_perturbation`` call draws the points of all seeds, and if it
-    raises, each entry draws its own point and raises what that draw raises.
+    In mle mode returns the MLE's last iterate and the ``MleFit``, which the
+    caller checks for convergence.  In oracle mode returns beta_star perturbed
+    by at most SCALE / X.n per coordinate, drawn from ``seed`` (an int or a
+    seed sequence, as ``np.random.default_rng`` takes them), and None.
     """
     kind, scale = parse_beta_tilde_mode(mode)
     if kind == "mle":
-        return [_mle_point] * len(seeds)
-    try:
-        points = oracle_perturbation(beta_star, n, scale, _seed_states(seeds))
-    except _REPLICATE_ERRORS:
-        return [partial(_oracle_draw, beta_star, scale, seed) for seed in seeds]
-    return [partial(_oracle_point, point) for point in points]
-
-
-def expansion_point(
-    mode: str, X: DesignMatrix, counts, beta_star: CoefVector, seed: int
-) -> tuple[CoefVector, MleFit | None]:
-    """beta_tilde of ``mode`` at ``counts``, and the ``MleFit`` in mle mode (None in oracle mode).
-
-    The entry of ``expansion_points`` for one seed.
-    """
-    return expansion_points(mode, X.n, beta_star, [seed])[0](X, counts)
+        mle = fit_mle(X, counts)
+        return mle.beta, mle
+    return oracle_perturbation(beta_star, X.n, scale, seed), None
 
 
 class _PerN(NamedTuple):
@@ -543,19 +515,21 @@ def _failed(record: partial, exc: Exception) -> ReplicateRecord:
 
 
 def _run_replicate(config: ExperimentConfig, per_n: _PerN, design: DesignMatrix, r: int,
-                   seed_used: int, state, point) -> ReplicateRecord | _Queued:
+                   seed_used: int, states) -> ReplicateRecord | _Queued:
     """The replicate's failure record, or its blocked Gram queued for the diagnostics.
 
-    ``state`` is ``seed_used`` as ``_seed_states`` gives it, and ``point``
-    the replicate's entry of ``expansion_points``.  The working problem goes
-    out of scope on return: the queue keeps only the blocked Gram, its sign
-    match and its KKT flag.
+    ``states`` are the replicate's count and prelim seeds, ``seed_used``
+    first, as ``_seed_states`` gives them.  The working problem goes out of
+    scope on return: the queue keeps only the blocked Gram, its sign match
+    and its KKT flag.
     """
     record = partial(ReplicateRecord, n=per_n.n, replicate=r, seed_used=seed_used,
                      alpha_n=per_n.solver.alpha)
     try:
-        counts = simulate(design, config.beta_star, state)
-        beta_tilde, mle = point(design, counts)
+        counts = simulate(design, config.beta_star, states[0])
+        beta_tilde, mle = expansion_point(
+            config.beta_tilde_mode, design, counts, config.beta_star, states[1]
+        )
         if mle is not None and not mle.converged:
             return record(ok=False, error="mle did not converge")
         problem = build_working_problem(design, beta_tilde, counts)
@@ -653,23 +627,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             n, report.irrep_margin, report.lambda_min_C11, solver.alpha,
         )
         per_n = _PerN(n, solver, support, signs)
-        size = max(1, _BLOCK_BYTES // (8 * config.p))
-        replicate_seeds = _replicate_seeds(config.seed, tags, n, config.replicates)
         batch, items = [], []
-        for start in range(0, config.replicates, size):
-            block = list(islice(replicate_seeds, size))
-            points = expansion_points(config.beta_tilde_mode, n, config.beta_star,
-                                      [seeds[1] for seeds in block])
-            states = _seed_states([seeds[0] for seeds in block])
-            for r, (seeds, state, point) in enumerate(zip(block, states, points), start):
-                if config.redraw_design:
-                    design = make_design(config.design, n, config.p, seeds[2])
-                items.append(_run_replicate(config, per_n, design, r, seeds[0], state, point))
-                # One diagnostics pass per design: at the end of the n, or
-                # after each replicate when every replicate draws its own design.
-                if config.redraw_design or r == config.replicates - 1:
-                    batch.extend(_diagnosed(config, per_n, items))
-                    items = []
+        replicate_seeds = _replicate_seeds(config.seed, tags, n, config.replicates)
+        for r, (seeds, states) in enumerate(replicate_seeds):
+            if config.redraw_design:
+                design = make_design(config.design, n, config.p, states[2])
+            items.append(_run_replicate(config, per_n, design, r, seeds[0], states))
+            # One diagnostics pass per design: at the end of the n, or after
+            # each replicate when every replicate draws its own design.
+            if config.redraw_design or r == config.replicates - 1:
+                batch.extend(_diagnosed(config, per_n, items))
+                items = []
         records.extend(batch)
         done = sum(1 for rec in batch if rec.ok)
         logger.info("n=%d: %d/%d replicates ok", n, done, len(batch))

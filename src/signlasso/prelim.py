@@ -162,13 +162,11 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
     )
 
 
-def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed):
+def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed) -> CoefVector:
     """beta_star plus a uniform perturbation bounded by scale/n per coordinate.
 
-    ``scale`` must be finite and nonnegative.  ``seed`` is one seed, anything
-    ``np.random.default_rng`` takes, or a list or tuple of seeds drawn as a
-    block: a tuple of one perturbed vector per seed, each the one its own
-    seed gives, bit for bit.
+    ``scale`` must be finite and nonnegative.  ``seed`` is anything
+    ``np.random.default_rng`` takes.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -176,10 +174,5 @@ def oracle_perturbation(beta_star: CoefVector, n: int, scale: float, seed):
         raise ValueError(f"scale must be finite, got {scale}")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    single = not isinstance(seed, (list, tuple))
-    seeds = [seed] if single else list(seed)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    u = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, beta_star.p) for s in seeds])
-    points = tuple(CoefVector(row) for row in beta_star.values + (scale / n) * u)
-    return points[0] if single else points
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, beta_star.p)
+    return CoefVector(beta_star.values + (scale / n) * u)

@@ -125,10 +125,10 @@ def jsonable(value):
 
 
 def read_json(path):
-    """Parse a JSON file; invalid JSON is a ConfigError naming the file."""
+    """Parse a UTF-8 JSON file; bad bytes or invalid JSON are a ConfigError naming the file."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(str(path), f"not valid JSON ({exc})") from exc
 
 

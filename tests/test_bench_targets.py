@@ -45,30 +45,39 @@ def test_every_benchmark_target_is_a_callable_of_its_owner(spans):
         assert callable(owner.__dict__.get(attr)), f"{name}: {owner.__name__}.{attr}"
 
 
+_SMALL_SWEEP = {
+    "design": {"kind": "correlated_gaussian", "rho": 0.2, "scale": 0.6},
+    "beta_star": [1.0, -1.0, 0.0, 0.0],
+    "n_grid": [60, 120],
+    "c1": 1.0,
+    "c2": 0.5,
+    "alpha_coef": 1.0,
+    "replicates": 2,
+    "seed": 90210,
+    "tau": 0.3,
+}
+
+
+def _traced_sweep(spans, tmp_path, **overrides):
+    """The tracer of one ``simulate`` run of the small sweep with ``overrides``."""
+    name = "_".join(f"{key}_{value}" for key, value in overrides.items()).replace(":", "_")
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**_SMALL_SWEEP, **overrides}))
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        # Looked up at call time: cli.main itself is a traced name.
+        code = signlasso.cli.main(
+            ["simulate", "--config", str(path), "--out", str(tmp_path / name)]
+        )
+    assert code == 0
+    return tracer
+
+
 def test_every_traced_layer_records_calls(spans, tmp_path, capsys):
-    config = {
-        "design": {"kind": "correlated_gaussian", "rho": 0.2, "scale": 0.6},
-        "beta_star": [1.0, -1.0, 0.0, 0.0],
-        "n_grid": [60, 120],
-        "c1": 1.0,
-        "c2": 0.5,
-        "alpha_coef": 1.0,
-        "replicates": 2,
-        "seed": 90210,
-        "tau": 0.3,
+    counts = {
+        mode: _traced_sweep(spans, tmp_path, beta_tilde_mode=mode).counts
+        for mode in ("oracle:1.0", "mle")
     }
-    counts = {}
-    for mode in ("oracle:1.0", "mle"):
-        path = tmp_path / f"{mode.replace(':', '_')}.json"
-        path.write_text(json.dumps({**config, "beta_tilde_mode": mode}))
-        tracer = spans.Tracer()
-        with spans.traced(tracer):
-            # Looked up at call time: cli.main itself is a traced name.
-            code = signlasso.cli.main(
-                ["simulate", "--config", str(path), "--out", str(tmp_path / mode)]
-            )
-        assert code == 0
-        counts[mode] = tracer.counts
     # Exactly one preliminary estimator runs per mode.
     assert counts["mle"]["prelim.oracle_perturbation.calls"] == 0
     assert counts["oracle:1.0"]["prelim.fit_mle.calls"] == 0
@@ -77,6 +86,18 @@ def test_every_traced_layer_records_calls(spans, tmp_path, capsys):
         if not any(c[name + ".calls"] for c in counts.values())
     ]
     assert silent == []
+
+
+def test_oracle_draws_are_traced_inside_their_replicates(spans, tmp_path, capsys):
+    # The tracer opens a replicate at each count draw; each replicate's
+    # oracle draw follows its count draw, so it carries that replicate's id.
+    tracer = _traced_sweep(spans, tmp_path, beta_tilde_mode="oracle:1.0", replicates=3)
+
+    def replicate_ids(name):
+        return [span.replicate for span in tracer.spans if span.name == name]
+
+    assert replicate_ids("model.simulate") == [1, 2, 3, 4, 5, 6]
+    assert replicate_ids("prelim.oracle_perturbation") == [1, 2, 3, 4, 5, 6]
 
 
 def test_every_benchmark_config_loads(ops, tmp_path):

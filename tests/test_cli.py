@@ -780,6 +780,28 @@ def test_empty_input_file_is_one_stderr_line(small_dataset, tmp_path, capsys):
     assert err.splitlines() == [f"error: x: {tmp_path / 'empty.csv'}: contains no data"]
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"{\"c1\": ", "Expecting value: line 1 column 8 (char 7)"),
+], ids=["non_utf8", "invalid_json"])
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_unreadable_json_input_names_its_file(command, content, reason, small_dataset, tmp_path,
+                                              capsys):
+    # simulate --config and check --constants read their JSON the same way.
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    if command == "simulate":
+        argv = ["simulate", "--config", str(path), "--out", str(small_dataset["out"])]
+    else:
+        argv = _check_argv(small_dataset, "--constants", str(path))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: not valid JSON ({reason})"]
+    assert not small_dataset["out"].exists()
+
+
 def test_check_factorises_once_per_blocked_gram(small_dataset, cho_factor_calls, capsys):
     # check builds one blocked Gram; the condition report, the
     # irrepresentability vector and the events share its factorisation.

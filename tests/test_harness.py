@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signlasso.conditions
+import signlasso.harness as harness
 from conftest import reference_records
 from signlasso import (
     BadGeneratorError,
@@ -29,6 +30,7 @@ from signlasso import (
 from signlasso.harness import (
     _SEED_BLOCK,
     ReplicateRecord,
+    _SeedState,
     _diagnosed,
     _PerN,
     _Queued,
@@ -156,12 +158,18 @@ def test_vectorised_seeds_are_numpys_seed_sequence(seed, n, r):
     assert _block_seeds(seed, tags, n, lanes).tolist() == [[s, s] for s in expected]
 
 
+def _generator_state(seed):
+    return np.random.default_rng(seed).bit_generator.state
+
+
 def test_replicate_seeds_cross_blocks_as_seed_sequence_does():
-    seeds = list(_replicate_seeds(20260811, (2, 3), 4000, _SEED_BLOCK + 3))
-    assert len(seeds) == _SEED_BLOCK + 3
+    pairs = list(_replicate_seeds(20260811, (2, 3), 4000, _SEED_BLOCK + 3))
+    assert len(pairs) == _SEED_BLOCK + 3
     for r in (0, 1, 200, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 2):
-        assert seeds[r] == (_seed_sequence(20260811, 2, 4000, r),
-                            _seed_sequence(20260811, 3, 4000, r))
+        seeds, states = pairs[r]
+        expected = (_seed_sequence(20260811, 2, 4000, r), _seed_sequence(20260811, 3, 4000, r))
+        assert seeds == expected
+        assert list(map(_generator_state, states)) == list(map(_generator_state, expected))
     # Indices at and beyond 2**32 take two entropy words.
     r = np.arange(2**32, 2**32 + 3, dtype=np.uint64)
     assert _block_seeds(7, (1,), 60, r)[0].tolist() == [
@@ -171,11 +179,12 @@ def test_replicate_seeds_cross_blocks_as_seed_sequence_does():
 
 
 def test_seed_states_give_the_generators_of_their_seeds():
-    # Replicate seeds, the edges of the two-word range and seeds below 2**32
-    # (one entropy word, kept as ints) in one pass.
-    seeds = [s for pair in _replicate_seeds(20260811, (2, 3), 250, 50) for s in pair]
-    seeds += [0, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
-    states = _seed_states(seeds)
+    # Each replicate's seeds and states, then the edges of the two-word range
+    # and seeds below 2**32 (one entropy word, kept as ints) in one pass.
+    pairs = list(_replicate_seeds(20260811, (2, 3), 250, 50))
+    edges = [0, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+    seeds = [s for replicate_seeds, _ in pairs for s in replicate_seeds] + edges
+    states = [s for _, replicate_states in pairs for s in replicate_states] + _seed_states(edges)
     for seed, state in zip(seeds, states):
         assert isinstance(state, int) == (seed < 2**32)
         ours, theirs = np.random.default_rng(state), np.random.default_rng(seed)
@@ -316,76 +325,57 @@ def test_reference_report_factorises_the_active_block_once(cho_factor_calls):
 def test_failing_lanes_get_the_records_of_a_per_replicate_loop(overrides, monkeypatch):
     # A singular-block threshold just below the reference blocks' smallest
     # eigenvalue fails some replicates' blocks: their design's diagnostics
-    # pass raises and is redone replicate by replicate.
+    # pass raises and is redone replicate by replicate.  Each replicate
+    # draws its counts and then, in oracle mode, its expansion point, each
+    # in one call from one seed.
     config = _small_config(replicates=30, **overrides)
     reports = run_experiment(config).condition_reports
     tol = 0.999 * min(report.lambda_min_C11 for report in reports.values())
     monkeypatch.setattr(signlasso.conditions, "SINGULAR_TOL", tol)
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args):
+            calls.append((name, args[-1]))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(harness, "simulate", recorded("simulate", simulate))
+    monkeypatch.setattr(harness, "oracle_perturbation",
+                        recorded("oracle_perturbation", oracle_perturbation))
     records = run_experiment(config).records
+    per_replicate = ["simulate"] + ["oracle_perturbation"] * (config.beta_tilde_mode != "mle")
+    assert [name for name, _ in calls] == per_replicate * len(records)
+    assert all(isinstance(seed, (int, _SeedState)) for _, seed in calls)
     assert list(records) == reference_records(config)
     singular = [rec for rec in records if rec.error.startswith("SingularBlockError: ")]
     assert 0 < len(singular) < sum(rec.ok for rec in records)
 
 
-@pytest.mark.parametrize("block_bytes", [None, 8 * 4 * 7], ids=["default", "small"])
-@pytest.mark.parametrize("overrides", [
-    {},
-    {"redraw_design": True},
-    {"beta_tilde_mode": "mle", "tau": 0.0},
-], ids=["fixed_design", "redraw_design", "mle"])
-def test_replicates_draw_oracle_points_in_blocks_under_the_byte_bound(
-    overrides, block_bytes, monkeypatch
-):
-    # Each replicate draws its own counts from one seed; the oracle points
-    # come a block at a time, all 30 of an n at once by default and in
-    # blocks of 7 under the small bound (p=4), also when every replicate
-    # draws its own design.  The records are those of one replicate at a
-    # time.
-    import signlasso.harness as harness
-
-    config = _small_config(replicates=30, **overrides)
-    expected = reference_records(config)
-    seeds, blocks = [], []
-
-    def draw(X, beta_star, seed):
-        seeds.append(seed)
-        return simulate(X, beta_star, seed)
-
-    def perturb(beta_star, n, scale, block):
-        blocks.append(len(block))
-        return oracle_perturbation(beta_star, n, scale, block)
-
-    monkeypatch.setattr(harness, "simulate", draw)
-    monkeypatch.setattr(harness, "oracle_perturbation", perturb)
-    if block_bytes is not None:
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
-    assert list(run_experiment(config).records) == expected
-    assert len(seeds) == 60 and not any(isinstance(seed, (list, tuple)) for seed in seeds)
-    if config.beta_tilde_mode == "mle":
-        assert blocks == []
-    else:
-        assert all(8 * size * config.p <= harness._BLOCK_BYTES for size in blocks)
-        assert blocks == ([30, 30] if block_bytes is None else [7, 7, 7, 7, 2] * 2)
-
-
-def test_a_block_draw_that_raises_is_redrawn_one_replicate_at_a_time(monkeypatch):
-    # Every block draw fails, and so does a replicate's own draw from a
-    # seed divisible by 5: each replicate gets the record of a draw of its
-    # own.
-    import signlasso.harness as harness
+def test_a_replicate_whose_oracle_draw_raises_gets_its_own_failure_record(monkeypatch):
+    # The draw fails on about a fifth of the prelim seeds, by a test that an
+    # int seed and its _SeedState answer alike: exactly those replicates
+    # fail, each with the message of its own draw.
+    def unlucky(seed):
+        return np.random.default_rng(seed).random() < 0.2
 
     def fussy(beta_star, n, scale, seed):
-        if isinstance(seed, list) or seed % 5 == 0:
-            raise ValueError("a seed divisible by 5")
+        if unlucky(seed):
+            raise ValueError("an unlucky seed")
         return oracle_perturbation(beta_star, n, scale, seed)
 
     monkeypatch.setattr(harness, "oracle_perturbation", fussy)
     config = _small_config(replicates=30)
     records = run_experiment(config).records
     assert list(records) == reference_records(config)
-    failed = [rec for rec in records if not rec.ok]
-    assert 0 < len(failed) < len(records)
-    assert {rec.error for rec in failed} == {"ValueError: a seed divisible by 5"}
+    failed = {
+        (rec.n, rec.replicate) for rec in records if rec.error == "ValueError: an unlucky seed"
+    }
+    expected = {
+        (n, r) for n in config.n_grid for r in range(config.replicates)
+        if unlucky(derive_seed(config.seed, 3, n, r))
+    }
+    assert 0 < len(failed) < len(records) and failed == expected
 
 
 def test_a_lone_failing_pass_keeps_the_records_around_it():
@@ -413,8 +403,6 @@ def test_a_queued_replicate_keeps_no_working_problem(monkeypatch):
     # Each replicate's working problem is gone once its blocked Gram is
     # queued: before the next replicate draws its counts, and when its
     # design's one diagnostics pass runs.
-    import signlasso.harness as harness
-
     refs, passes = [], []
 
     def build(*args):
