@@ -210,9 +210,13 @@ def cmd_simulate(args) -> int:
         config = replace(config, seed=args.seed)
     if args.alpha is not None:
         config = replace(config, alpha_coef=args.alpha)
+    # Refused before the sweep: --out, or its nearest existing ancestor, is not a directory.
+    out_dir = Path(args.out)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(str(existing), "exists and is not a directory")
 
     result = run_experiment(config)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     summary_path = out_dir / "summary.csv"
@@ -288,7 +292,10 @@ def main(argv=None) -> int:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # An OSError on a path (a directory given as a file) names it as a parse error does.
+        named = isinstance(exc, OSError) and exc.filename
+        print(f"error: {exc.filename}: {exc.strerror}" if named else f"error: {exc}",
+              file=sys.stderr)
         return 1
 
 

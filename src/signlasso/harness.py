@@ -87,16 +87,12 @@ _MASK32 = 0xFFFFFFFF
 _SEED_BLOCK = 4096
 
 
-def _words(value: int) -> list[int]:
-    """SeedSequence's entropy words of a nonnegative int: 32 bits each, low first."""
+def _word_count(value: int) -> int:
+    """How many 32-bit entropy words SeedSequence makes of a nonnegative int."""
     value = int(value)
     if value < 0:
         raise ValueError(f"seed parts must be nonnegative, got {value}")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+    return max(1, -(-value.bit_length() // 32))
 
 
 def _hash_entropy(entropy: np.ndarray, n_words: int = 1) -> np.ndarray:
@@ -142,41 +138,30 @@ def _hash_entropy(entropy: np.ndarray, n_words: int = 1) -> np.ndarray:
     return np.stack([state[i] | state[i + 1] << 32 for i in range(0, len(state), 2)], axis=1)
 
 
+def _seeds(*parts) -> np.ndarray:
+    """``SeedSequence(list(parts)).generate_state(1, np.uint64)[0]`` of each lane, as uint64.
+
+    A part is an int shared by every lane, or a uint64 array of per-lane
+    values that all take the same number of 32-bit words; each adds its
+    words, low first.
+    """
+    lanes = max((part.size for part in parts if isinstance(part, np.ndarray)), default=1)
+    rows = []
+    for part in parts:
+        top = part.max() if isinstance(part, np.ndarray) else part
+        rows += [np.broadcast_to(part >> 32 * k & _MASK32, lanes) for k in range(_word_count(top))]
+    return _hash_entropy(np.array(rows, dtype=np.uint32).reshape(-1, lanes))[:, 0]
+
+
 def derive_seed(*parts: int) -> int:
-    """Deterministic 64-bit seed from nonnegative integers.
-
-    ``SeedSequence(list(parts)).generate_state(1, np.uint64)[0]``, bit for
-    bit: each part contributes its 32-bit words, low first.  This is the
-    one-lane case of the per-n derivation of the replicates' seeds.
-    """
-    entropy = np.array([w for part in parts for w in _words(part)], dtype=np.uint32)
-    return int(_hash_entropy(entropy[:, None])[0, 0])
-
-
-def _block_seeds(seed: int, tags: tuple[int, ...], n: int, r: np.ndarray) -> np.ndarray:
-    """``derive_seed(seed, tag, n, r[i])`` at ``[t, i]``, for tag ``tags[t]``, in one pass.
-
-    ``r`` is a uint64 array of replicate indices that all take the same
-    number of entropy words: all below 2**32, or all at or above it.
-    """
-    head, tail = _words(seed), _words(n)
-    lanes = len(tags) * r.size
-    # Lanes are tag-major: every replicate of the first tag, then the next.
-    entropy = np.array([
-        *(np.full(lanes, w) for w in head),
-        np.repeat(tags, r.size),
-        *(np.full(lanes, w) for w in tail),
-        *(np.tile(r >> 32 * k & _MASK32, len(tags)) for k in range(len(_words(r.max())))),
-    ], dtype=np.uint32)
-    return _hash_entropy(entropy)[:, 0].reshape(len(tags), r.size)
+    """Deterministic 64-bit seed from nonnegative integers: ``_seeds`` of one lane."""
+    return int(_seeds(*parts)[0])
 
 
 class _SeedState(ISeedSequence):
-    """What PCG64 takes of ``SeedSequence(seed)``: its four uint64 state words.
+    """``SeedSequence(seed)``'s four uint64 words, all that PCG64 asks of it.
 
-    ``np.random.default_rng`` of it is the generator of ``default_rng(seed)``,
-    without hashing the seed again.  PCG64 asks a seed sequence for exactly
-    these words; any other request raises.
+    ``np.random.default_rng`` of it is ``default_rng(seed)``'s generator.
     """
 
     def __init__(self, words: np.ndarray):
@@ -188,31 +173,29 @@ class _SeedState(ISeedSequence):
         return self.words
 
 
-def _seed_states(seeds: list) -> list:
-    """Each of ``seeds`` as ``np.random.default_rng`` takes it, at the least cost.
+def _seed_states(seeds: np.ndarray) -> list[_SeedState]:
+    """The ``_SeedState`` of each of the uint64 ``seeds``, in one pass.
 
-    A seed of two entropy words (at or above 2**32, so nearly every one)
-    becomes a ``_SeedState``, all of them in one pass; a seed below 2**32
-    stays an int.
+    SeedSequence pads its pool with zero words, so a seed below 2**32 (one
+    entropy word) hashes as its two words do.
     """
-    values = np.array(seeds, dtype=np.uint64)
-    words = _hash_entropy(np.array([values & _MASK32, values >> 32], dtype=np.uint32), 4)
-    return [_SeedState(row) if seed > _MASK32 else seed for seed, row in zip(seeds, words)]
+    words = _hash_entropy(np.array([seeds & _MASK32, seeds >> 32], dtype=np.uint32), 4)
+    return list(map(_SeedState, words))
 
 
 def _replicate_seeds(seed: int, tags: tuple[int, ...], n: int, replicates: int):
-    """Yield ``(seeds, states)`` for r = 0, 1, ...: one seed and one state per tag.
+    """Yield ``(seed_used, states)`` for r = 0, 1, ...: one ``_SeedState`` per tag.
 
-    ``seeds`` is ``tuple(derive_seed(seed, tag, n, r) for tag in tags)`` and
-    ``states`` the same seeds as ``_seed_states`` gives them.  One pass per
-    block of ``_SEED_BLOCK`` replicates derives the seeds of every tag, and
-    one pass per tag their states, so a huge ``replicates`` allocates no
-    more than one block.
+    ``seed_used`` is ``derive_seed(seed, tags[0], n, r)`` and ``states[t]``
+    that of ``derive_seed(seed, tags[t], n, r)``, in one pass per block.
     """
     for start in range(0, replicates, _SEED_BLOCK):
         r = np.arange(start, min(start + _SEED_BLOCK, replicates), dtype=np.uint64)
-        rows = _block_seeds(seed, tags, n, r).tolist()
-        yield from zip(zip(*rows), zip(*map(_seed_states, rows)))
+        # Lanes are replicate-major: every tag of the first replicate, then the next.
+        seeds = _seeds(seed, np.tile(np.array(tags, dtype=np.uint64), r.size), n,
+                       np.repeat(r, len(tags)))
+        states = iter(_seed_states(seeds))
+        yield from zip(seeds[::len(tags)].tolist(), zip(*[states] * len(tags)))
 
 
 @dataclass(frozen=True)
@@ -518,8 +501,8 @@ def _run_replicate(config: ExperimentConfig, per_n: _PerN, design: DesignMatrix,
                    seed_used: int, states) -> ReplicateRecord | _Queued:
     """The replicate's failure record, or its blocked Gram queued for the diagnostics.
 
-    ``states`` are the replicate's count and prelim seeds, ``seed_used``
-    first, as ``_seed_states`` gives them.  The working problem goes out of
+    ``states`` are the generator states of the replicate's counts (seed
+    ``seed_used``) and expansion point.  The working problem goes out of
     scope on return: the queue keeps only the blocked Gram, its sign match
     and its KKT flag.
     """
@@ -606,9 +589,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     support, signs = blocking(config.beta_star.support, config.p), config.beta_star.signs()
     tags = (_TAG_COUNTS, _TAG_PRELIM) + ((_TAG_DESIGN,) if config.redraw_design else ())
     for n in config.n_grid:
-        design = make_design(
-            config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n)
-        )
+        (state,) = _seed_states(_seeds(config.seed, _TAG_DESIGN, n))
+        design = make_design(config.design, n, config.p, state)
         try:
             report = _reference_report(config, design)
         except (SingularBlockError, DegenerateWeightError, OverflowError) as exc:
@@ -629,10 +611,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         per_n = _PerN(n, solver, support, signs)
         batch, items = [], []
         replicate_seeds = _replicate_seeds(config.seed, tags, n, config.replicates)
-        for r, (seeds, states) in enumerate(replicate_seeds):
+        for r, (seed_used, states) in enumerate(replicate_seeds):
             if config.redraw_design:
                 design = make_design(config.design, n, config.p, states[2])
-            items.append(_run_replicate(config, per_n, design, r, seeds[0], states))
+            items.append(_run_replicate(config, per_n, design, r, seed_used, states))
             # One diagnostics pass per design: at the end of the n, or after
             # each replicate when every replicate draws its own design.
             if config.redraw_design or r == config.replicates - 1:

@@ -125,9 +125,18 @@ def jsonable(value):
 
 
 def read_json(path):
-    """Parse a UTF-8 JSON file; bad bytes or invalid JSON are a ConfigError naming the file."""
+    """Parse a UTF-8 JSON file; bad bytes, invalid JSON or a repeated key are a ConfigError."""
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(str(path), f"key {key!r} is given twice")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(str(path), f"not valid JSON ({exc})") from exc
 

@@ -802,6 +802,73 @@ def test_unreadable_json_input_names_its_file(command, content, reason, small_da
     assert not small_dataset["out"].exists()
 
 
+DIRECTORY_INPUTS = {
+    "config": lambda tmp, data, d: ["simulate", "--config", d, "--out", str(data["out"])],
+    "constants": lambda tmp, data, d: _check_argv(data, "--constants", d),
+    "x": lambda tmp, data, d: _fit_argv(data, "--x", d),
+    "y": lambda tmp, data, d: _fit_argv(data, "--y", d),
+    "beta-star": lambda tmp, data, d: _fit_argv(data, "--beta-star", d),
+    "beta-tilde": lambda tmp, data, d: _check_argv(data, "--beta-tilde", d),
+}
+
+
+@pytest.mark.parametrize("option", sorted(DIRECTORY_INPUTS))
+def test_directory_input_names_its_path(option, small_dataset, tmp_path, capsys):
+    # An OSError on an input file used to print as "[Errno 21] Is a directory: '...'".
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    code = main(DIRECTORY_INPUTS[option](tmp_path, small_dataset, str(directory)))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {directory}: Is a directory"]
+    assert not small_dataset["out"].exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub/dir"], ids=["out", "ancestor"])
+def test_simulate_refuses_an_out_file_before_the_sweep(below, tmp_path, monkeypatch, capsys):
+    # The sweep used to run in full before mkdir failed on the file.
+    def no_sweep(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(signlasso.cli, "run_experiment", no_sweep)
+    file = tmp_path / "out"
+    file.write_text("keep me\n")
+    out = str(file / below) if below else str(file)
+    code = main(["simulate", "--config", str(_experiment_config(tmp_path)), "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {file}: exists and is not a directory"]
+    assert file.read_text() == "keep me\n"
+
+
+# SMALL_CONFIG's fields but the design, as the inside of a JSON object.
+_NO_DESIGN = json.dumps({k: v for k, v in SMALL_CONFIG.items() if k != "design"})[1:-1]
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", '{"c1": 0.9, "design": {"kind": "iid_gaussian"}, ' + _NO_DESIGN + "}", "c1"),
+    ("simulate", '{"design": {"kind": "iid_gaussian", "scale": 1.0, "scale": 2.0}, '
+     + _NO_DESIGN + "}", "scale"),
+    ("check", '{"tau": 0.1, "tau": 0.2}', "tau"),
+], ids=["top_level", "nested", "constants"])
+def test_a_key_given_twice_names_its_file(command, text, key, small_dataset, tmp_path, capsys):
+    # json.loads used to keep the last value without a word.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if command == "simulate":
+        argv = ["simulate", "--config", str(path), "--out", str(small_dataset["out"])]
+    else:
+        argv = _check_argv(small_dataset, "--constants", str(path))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: key {key!r} is given twice"]
+    assert not small_dataset["out"].exists()
+
+
 def test_check_factorises_once_per_blocked_gram(small_dataset, cho_factor_calls, capsys):
     # check builds one blocked Gram; the condition report, the
     # irrepresentability vector and the events share its factorisation.

@@ -34,10 +34,10 @@ from signlasso.harness import (
     _diagnosed,
     _PerN,
     _Queued,
-    _block_seeds,
     _reference_report,
     _replicate_seeds,
     _seed_states,
+    _seeds,
     derive_seed,
     summarize_records,
     write_results_csv,
@@ -149,49 +149,60 @@ def _seed_sequence(*parts):
     r=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40]),
 )
 def test_vectorised_seeds_are_numpys_seed_sequence(seed, n, r):
-    # Multi-word seeds, n and replicate indices take the one-word lanes'
-    # path; each seed must be SeedSequence's, bit for bit.
+    # Master seeds of one, two and three words, with n and replicate indices
+    # of one and two; each seed must be SeedSequence's, bit for bit, whether
+    # a part is an int or a per-lane array.
     tags = (1, 2, 3)
     expected = [_seed_sequence(seed, tag, n, r) for tag in tags]
     assert [derive_seed(seed, tag, n, r) for tag in tags] == expected
-    lanes = np.array([r, r], dtype=np.uint64)
-    assert _block_seeds(seed, tags, n, lanes).tolist() == [[s, s] for s in expected]
+    lanes = np.array([r, r, r], dtype=np.uint64)
+    assert _seeds(seed, np.array(tags, dtype=np.uint64), n, lanes).tolist() == expected
+    assert _seeds(np.array([seed % 2**64] * 2, dtype=np.uint64), 2).tolist() == (
+        [_seed_sequence(seed % 2**64, 2)] * 2
+    )
 
 
 def _generator_state(seed):
     return np.random.default_rng(seed).bit_generator.state
 
 
-def test_replicate_seeds_cross_blocks_as_seed_sequence_does():
-    pairs = list(_replicate_seeds(20260811, (2, 3), 4000, _SEED_BLOCK + 3))
-    assert len(pairs) == _SEED_BLOCK + 3
-    for r in (0, 1, 200, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 2):
-        seeds, states = pairs[r]
-        expected = (_seed_sequence(20260811, 2, 4000, r), _seed_sequence(20260811, 3, 4000, r))
-        assert seeds == expected
-        assert list(map(_generator_state, states)) == list(map(_generator_state, expected))
-    # Indices at and beyond 2**32 take two entropy words.
-    r = np.arange(2**32, 2**32 + 3, dtype=np.uint64)
-    assert _block_seeds(7, (1,), 60, r)[0].tolist() == [
-        _seed_sequence(7, 1, 60, int(i)) for i in r
-    ]
-    assert derive_seed() == _seed_sequence() and derive_seed(0) == _seed_sequence(0)
-
-
-def test_seed_states_give_the_generators_of_their_seeds():
-    # Each replicate's seeds and states, then the edges of the two-word range
-    # and seeds below 2**32 (one entropy word, kept as ints) in one pass.
-    pairs = list(_replicate_seeds(20260811, (2, 3), 250, 50))
-    edges = [0, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
-    seeds = [s for replicate_seeds, _ in pairs for s in replicate_seeds] + edges
-    states = [s for _, replicate_states in pairs for s in replicate_states] + _seed_states(edges)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seeds=st.lists(
+    st.one_of(
+        st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+        st.integers(0, 2**32 - 1),
+        st.integers(2**32, 2**64 - 1),
+    ),
+    min_size=1, max_size=8,
+))
+def test_seed_states_give_the_generators_of_their_seeds(seeds):
+    # One entropy word (below 2**32) or two: the state is default_rng's.
+    states = _seed_states(np.array(seeds, dtype=np.uint64))
+    assert len(states) == len(seeds)
     for seed, state in zip(seeds, states):
-        assert isinstance(state, int) == (seed < 2**32)
+        assert isinstance(state, _SeedState)
         ours, theirs = np.random.default_rng(state), np.random.default_rng(seed)
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert ours.random() == theirs.random()
     with pytest.raises(ValueError, match="four uint64"):
         np.random.MT19937(states[0])
+
+
+def test_replicate_seeds_cross_blocks_as_seed_sequence_does():
+    tags = (2, 3, 1)
+    pairs = list(_replicate_seeds(20260811, tags, 4000, _SEED_BLOCK + 3))
+    assert len(pairs) == _SEED_BLOCK + 3
+    for r in (0, 1, 200, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 2):
+        seed_used, states = pairs[r]
+        expected = [derive_seed(20260811, tag, 4000, r) for tag in tags]
+        assert seed_used == expected[0] == _seed_sequence(20260811, 2, 4000, r)
+        assert list(map(_generator_state, states)) == list(map(_generator_state, expected))
+    # Indices at and beyond 2**32 take two entropy words.
+    r = np.arange(2**32, 2**32 + 3, dtype=np.uint64)
+    assert _seeds(7, 1, 60, r).tolist() == [_seed_sequence(7, 1, 60, int(i)) for i in r]
+    assert derive_seed() == _seed_sequence() and derive_seed(0) == _seed_sequence(0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        derive_seed(7, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +357,26 @@ def test_failing_lanes_get_the_records_of_a_per_replicate_loop(overrides, monkey
     records = run_experiment(config).records
     per_replicate = ["simulate"] + ["oracle_perturbation"] * (config.beta_tilde_mode != "mle")
     assert [name for name, _ in calls] == per_replicate * len(records)
-    assert all(isinstance(seed, (int, _SeedState)) for _, seed in calls)
+    assert all(isinstance(seed, _SeedState) for _, seed in calls)
     assert list(records) == reference_records(config)
     singular = [rec for rec in records if rec.error.startswith("SingularBlockError: ")]
     assert 0 < len(singular) < sum(rec.ok for rec in records)
+
+
+def test_every_generator_of_a_sweep_comes_from_a_seed_state(monkeypatch):
+    # Each n's design, and each replicate's redrawn design, counts and
+    # expansion point: every generator is default_rng of a _SeedState.
+    seeds, rng = [], np.random.default_rng
+
+    def default_rng(seed):
+        seeds.append(seed)
+        return rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    config = _small_config(replicates=4, redraw_design=True)
+    run_experiment(config)
+    assert len(seeds) == len(config.n_grid) * (1 + 3 * config.replicates)
+    assert all(isinstance(seed, _SeedState) for seed in seeds)
 
 
 def test_a_replicate_whose_oracle_draw_raises_gets_its_own_failure_record(monkeypatch):
@@ -482,6 +509,9 @@ GOLDEN_DIGESTS = {
                      {"max_sweeps": 1}),
 }
 
+# Ok replicates of each sweep above on which both An and Bn hold.
+EVENTS_HELD = {"canonical_40": 85, "mle_20": 44, "all_failed_3": 0}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_reduced_canonical_sweeps_keep_their_golden_digest(name, tmp_path):
@@ -500,6 +530,11 @@ def test_reduced_canonical_sweeps_keep_their_golden_digest(name, tmp_path):
         **(overrides[0] if overrides else {}),
     )
     result = run_experiment(config)
+    # The paper's implication, per replicate: where An and Bn hold, the signs
+    # are recovered; and the events do hold on the sweeps that have ok records.
+    held = [rec for rec in result.records if rec.ok and rec.An and rec.Bn]
+    assert [rec for rec in held if not rec.sign_match] == []
+    assert len(held) == EVENTS_HELD[name]
     write_results_csv(result, tmp_path / "results.csv")
     write_summary_csv(result.summary, tmp_path / "summary.csv")
     h = hashlib.sha256()
