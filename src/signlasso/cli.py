@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .conditions import (
@@ -92,12 +93,25 @@ def _read_coefficients(path: str, name: str, X: DesignMatrix) -> CoefVector:
         return CoefVector(values)
 
 
-def _load_problem(args):
-    """fit's or check's beta_star (or None) and working problem.
+def _out_dir(out: str) -> Path:
+    """--out, refused if it, or its nearest existing ancestor, is not a directory."""
+    out_dir = Path(out)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(str(existing), "exists and is not a directory")
+    return out_dir
 
-    --beta-tilde is a CSV path, 'mle' or 'oracle:SCALE'; an unconverged MLE
-    is a warning, not an error, and a converged one is logged at info level.
-    """
+
+def _save(out_dir: Path, name: str, write) -> None:
+    """Make ``out_dir``, write ``out_dir / name`` with ``write(path)`` and print the path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    write(path)
+    print(path)
+
+
+def _read_inputs(args):
+    """fit's or check's X, counts and beta_star (None without --beta-star)."""
     with _input("x"):
         X = DesignMatrix(read_matrix_csv(args.x))
     with _input("y"):
@@ -105,6 +119,11 @@ def _load_problem(args):
         if counts.size != X.n:
             raise ValueError(f"has {counts.size} entries, but X has {X.n} rows")
     beta_star = _read_coefficients(args.beta_star, "beta-star", X) if args.beta_star else None
+    return X, counts, beta_star
+
+
+def _working_problem(args, X: DesignMatrix, counts, beta_star: CoefVector | None):
+    """The working problem at --beta-tilde: a CSV path, 'mle' or 'oracle:SCALE'."""
     mode = args.beta_tilde
     if args.seed < 0:
         raise ConfigError("seed", f"must be nonnegative, got {args.seed}")
@@ -133,8 +152,7 @@ def _load_problem(args):
     # An expansion point whose intensities overflow or fall below the weight
     # floor is a bad --beta-tilde.
     with _input("beta-tilde", (OverflowError, DegenerateWeightError)):
-        problem = build_working_problem(X, beta_tilde, counts)
-    return beta_star, problem
+        return build_working_problem(X, beta_tilde, counts)
 
 
 def _load_constants(path: str | None) -> AssumptionConstants:
@@ -157,11 +175,10 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def cmd_fit(args) -> int:
-    _, problem = _load_problem(args)
-    result = fit(problem, SolverConfig(alpha=args.alpha))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    solver = SolverConfig(alpha=args.alpha)
+    out_dir = _out_dir(args.out)
+    problem = _working_problem(args, *_read_inputs(args))
+    result = fit(problem, solver)
     # fit.json puts support and signs after beta_hat, and the KKT report last.
     fitted = jsonable(result)
     kkt = fitted.pop("kkt_report")
@@ -174,30 +191,24 @@ def cmd_fit(args) -> int:
         "alpha": args.alpha,
         "beta_tilde": problem.beta_tilde,
     }
-    target = out_dir / "fit.json"
-    write_json(target, payload)
-    print(target)
+    _save(out_dir, "fit.json", partial(write_json, value=payload))
     return 0 if result.converged else 2
 
 
 def cmd_check(args) -> int:
-    # The events take the same penalty as fit: SolverConfig rejects a
-    # non-finite or negative alpha with a ConfigError on "alpha".
+    # The events take fit's penalty, so alpha gets fit's check.
     SolverConfig(alpha=args.alpha)
-    beta_star, problem = _load_problem(args)
+    out_dir = _out_dir(args.out)
+    constants = _load_constants(args.constants)
+    X, counts, beta_star = _read_inputs(args)
     if beta_star.q == 0:
         raise ConfigError("beta-star", "needs at least one nonzero coefficient")
-    constants = _load_constants(args.constants)
+    problem = _working_problem(args, X, counts, beta_star)
     bg = blocked_gram(problem, beta_star.support)
     report = check_assumptions(bg, beta_star, constants)
     diag = proposition_diagnostics(bg, beta_star, args.alpha)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"alpha": args.alpha, "conditions": report, "events": diag, "constants": constants}
-    target = out_dir / "report.json"
-    write_json(target, payload)
-    print(target)
+    _save(out_dir, "report.json", partial(write_json, value=payload))
     return 0 if report.all_passed else 3
 
 
@@ -205,27 +216,16 @@ def cmd_simulate(args) -> int:
     # The sweep always runs on one thread; --threads is only checked.
     if args.threads < 1:
         raise ConfigError("threads", f"must be at least 1, got {args.threads}")
+    out_dir = _out_dir(args.out)
     config = load_experiment_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.alpha is not None:
         config = replace(config, alpha_coef=args.alpha)
-    # Refused before the sweep: --out, or its nearest existing ancestor, is not a directory.
-    out_dir = Path(args.out)
-    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not existing.is_dir():
-        raise ConfigError(str(existing), "exists and is not a directory")
-
     result = run_experiment(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results_path = out_dir / "results.csv"
-    summary_path = out_dir / "summary.csv"
-    report_path = out_dir / "report.json"
-    write_results_csv(result, results_path)
-    write_summary_csv(result.summary, summary_path)
-    write_report_json(result, report_path)
-    for path in (results_path, summary_path, report_path):
-        print(path)
+    _save(out_dir, "results.csv", partial(write_results_csv, result))
+    _save(out_dir, "summary.csv", partial(write_summary_csv, result.summary))
+    _save(out_dir, "report.json", partial(write_report_json, result))
     return 0
 
 
@@ -235,32 +235,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sign-consistent L1-penalized estimation for sparse Poisson models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="solve the penalized working problem from CSVs")
-    p_fit.add_argument("--x", required=True, help="design matrix CSV")
-    p_fit.add_argument("--y", required=True, help="counts CSV (single column)")
-    p_fit.add_argument("--alpha", type=float, required=True, help="L1 penalty level")
-    p_fit.add_argument(
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--x", required=True, help="design matrix CSV")
+    shared.add_argument("--y", required=True, help="counts CSV (single column)")
+    shared.add_argument(
         "--beta-tilde", default="mle",
         help="expansion point: CSV path, 'mle', or 'oracle:SCALE' (needs --beta-star)",
     )
+    shared.add_argument("--seed", type=int, default=0, help="seed for oracle mode")
+    shared.add_argument("--out", required=True, help="output directory")
+
+    p_fit = sub.add_parser(
+        "fit", parents=[shared], help="solve the penalized working problem from CSVs"
+    )
+    p_fit.add_argument("--alpha", type=float, required=True, help="L1 penalty level")
     p_fit.add_argument("--beta-star", default=None, help="true coefficients CSV")
-    p_fit.add_argument("--seed", type=int, default=0, help="seed for oracle mode")
-    p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_check = sub.add_parser("check", help="evaluate recovery conditions and events")
-    p_check.add_argument("--x", required=True, help="design matrix CSV")
-    p_check.add_argument("--y", required=True, help="counts CSV (single column)")
-    p_check.add_argument("--beta-star", required=True, help="true coefficients CSV")
-    p_check.add_argument(
-        "--beta-tilde", default="mle",
-        help="expansion point: CSV path, 'mle', or 'oracle:SCALE'",
+    p_check = sub.add_parser(
+        "check", parents=[shared], help="evaluate recovery conditions and events"
     )
+    p_check.add_argument("--beta-star", required=True, help="true coefficients CSV")
     p_check.add_argument("--alpha", type=float, default=0.0, help="penalty level for the events")
     p_check.add_argument("--constants", default=None, help="JSON file of condition bounds")
-    p_check.add_argument("--seed", type=int, default=0, help="seed for oracle mode")
-    p_check.add_argument("--out", required=True, help="output directory")
     p_check.set_defaults(func=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo sign-recovery sweep")

@@ -29,10 +29,6 @@ class RangeError(SignLassoError):
     """An argument fell outside the supported exact-arithmetic range."""
 
 
-class BadGeneratorError(SignLassoError):
-    """Unknown design-matrix generator name."""
-
-
 class ConfigError(SignLassoError, ValueError):
     """An invalid input value; the message carries the offending field path."""
 
@@ -40,3 +36,7 @@ class ConfigError(SignLassoError, ValueError):
         self.field = field
         self.message = message
         super().__init__(f"{field}: {message}")
+
+
+class BadGeneratorError(ConfigError):
+    """Unknown design-matrix generator name."""

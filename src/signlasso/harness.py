@@ -217,7 +217,7 @@ class DesignSpec:
     def __post_init__(self):
         if self.kind not in GENERATORS and self.kind != "file":
             raise BadGeneratorError(
-                f"unknown design generator {self.kind!r}; expected one of "
+                "kind", f"unknown design generator {self.kind!r}; expected one of "
                 f"{GENERATORS + ('file',)}"
             )
         if self.kind == "file" and not self.path:
@@ -558,51 +558,48 @@ def _diagnosed(config: ExperimentConfig, per_n: _PerN, items: list) -> list[Repl
     return records
 
 
-def _reference_report(config: ExperimentConfig, design: DesignMatrix) -> ConditionReport:
-    """Condition report at the idealized expansion point beta_tilde = beta_star.
+def _reference(config: ExperimentConfig, n: int) -> tuple[DesignMatrix, ConditionReport]:
+    """n's design and its condition report at beta_tilde = beta_star, the population Gram's.
 
-    This is the condition report of the population Gram.  Raises ConfigError
-    on ``design`` if an intensity at beta_star reaches 2**62, where every
-    replicate's count sampler would fail.
+    Every reason the sweep cannot run at n is a ConfigError on ``design``.
     """
-    pg = population_gram(design, config.beta_star, config.beta_star.support)
-    if pg.lambda_bar >= _MAX_INTENSITY:
+    (state,) = _seed_states(_seeds(config.seed, _TAG_DESIGN, n))
+    design = make_design(config.design, n, config.p, state)
+    constants = config.constants or AssumptionConstants(c1=config.c1, tau=config.tau)
+    try:
+        pg = population_gram(design, config.beta_star, config.beta_star.support)
+        if pg.lambda_bar >= _MAX_INTENSITY:
+            raise OverflowError(
+                f"intensity {pg.lambda_bar:.6g} at beta* is at or above 2**62; "
+                "every replicate would fail to draw counts"
+            )
+        report = check_assumptions(pg.gram, config.beta_star, constants)
+    except (SingularBlockError, DegenerateWeightError, OverflowError) as exc:
+        raise ConfigError("design", f"reference design at n={n}: {exc}") from exc
+    if report.irrep_margin < config.tau:
         raise ConfigError(
             "design",
-            f"reference design at n={design.n}: intensity {pg.lambda_bar:.6g} at beta* is "
-            "at or above 2**62; every replicate would fail to draw counts",
+            f"irrepresentability margin {report.irrep_margin:.6g} at n={n} "
+            f"is below tau={config.tau}; the scheduled penalty cannot "
+            "be expected to recover signs",
         )
-    constants = config.constants or AssumptionConstants(c1=config.c1, tau=config.tau)
-    return check_assumptions(pg.gram, config.beta_star, constants)
+    return design, report
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full sweep; deterministic in the config.
 
-    Per-replicate errors are logged as failures without aborting.  Raises
-    ConfigError if the reference problem for some n overflows, has a weight
-    below the floor or a singular active block, or if it violates the
-    irrepresentability requirement (margin below tau).
+    Per-replicate errors are logged as failures without aborting; every n's
+    reference design is checked before the first replicate.
     """
+    references = {n: _reference(config, n) for n in config.n_grid}
+    condition_reports = {n: report for n, (_, report) in references.items()}
     records: list[ReplicateRecord] = []
-    condition_reports: dict = {}
     support, signs = blocking(config.beta_star.support, config.p), config.beta_star.signs()
     tags = (_TAG_COUNTS, _TAG_PRELIM) + ((_TAG_DESIGN,) if config.redraw_design else ())
     for n in config.n_grid:
-        (state,) = _seed_states(_seeds(config.seed, _TAG_DESIGN, n))
-        design = make_design(config.design, n, config.p, state)
-        try:
-            report = _reference_report(config, design)
-        except (SingularBlockError, DegenerateWeightError, OverflowError) as exc:
-            raise ConfigError("design", f"reference design at n={n}: {exc}") from exc
-        condition_reports[n] = report
-        if report.irrep_margin < config.tau:
-            raise ConfigError(
-                "design",
-                f"irrepresentability margin {report.irrep_margin:.6g} at n={n} "
-                f"is below tau={config.tau}; the scheduled penalty cannot "
-                "be expected to recover signs",
-            )
+        # Popped, so each design is freed once its replicates are done.
+        design, report = references.pop(n)
         solver = config.solver_config(n)
         logger.info(
             "n=%d: irrep_margin=%.4f lambda_min_C11=%.4g alpha_n=%.6g",

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import argparse
 import hashlib
 import json
 import logging
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import signlasso
 import signlasso.harness as harness
 from signlasso import AssumptionConstants, CoefVector, DesignSpec, ExperimentConfig
-from signlasso.cli import main
+from signlasso.cli import build_parser, main
 from signlasso.schema import from_json, jsonable
 from signlasso.fileio import (
     read_counts_csv,
@@ -381,6 +382,7 @@ BAD_INPUTS = {
     "design.scale": lambda tmp, data: _simulate_argv(
         tmp, design={"kind": "iid_gaussian", "scale": "x"}
     ),
+    "design.kind": lambda tmp, data: _simulate_argv(tmp, design={"kind": "nope"}),
     "design.foo": lambda tmp, data: _simulate_argv(
         tmp, design={"kind": "iid_gaussian", "foo": 1}
     ),
@@ -825,22 +827,77 @@ def test_directory_input_names_its_path(option, small_dataset, tmp_path, capsys)
     assert not small_dataset["out"].exists()
 
 
-@pytest.mark.parametrize("below", ["", "sub/dir"], ids=["out", "ancestor"])
-def test_simulate_refuses_an_out_file_before_the_sweep(below, tmp_path, monkeypatch, capsys):
-    # The sweep used to run in full before mkdir failed on the file.
-    def no_sweep(config):
-        raise AssertionError("the sweep ran")
+def _no_work(*args):
+    raise AssertionError("the work ran")
 
-    monkeypatch.setattr(signlasso.cli, "run_experiment", no_sweep)
+
+@pytest.mark.parametrize("command, below", [
+    ("simulate", ""), ("simulate", "sub/dir"), ("fit", ""), ("fit", "sub/dir"),
+    ("check", ""), ("check", "sub/dir"),
+], ids=["out", "ancestor", "fit-out", "fit-ancestor", "check-out", "check-ancestor"])
+def test_simulate_refuses_an_out_file_before_the_sweep(
+    command, below, small_dataset, tmp_path, monkeypatch, capsys
+):
+    # The sweep, or fit's and check's MLE, used to run in full before mkdir
+    # failed on the file.
+    monkeypatch.setattr(signlasso.cli, "run_experiment", _no_work)
+    monkeypatch.setattr(signlasso.cli, "expansion_point", _no_work)
     file = tmp_path / "out"
     file.write_text("keep me\n")
     out = str(file / below) if below else str(file)
-    code = main(["simulate", "--config", str(_experiment_config(tmp_path)), "--out", out])
+    if command == "simulate":
+        argv = ["simulate", "--config", str(_experiment_config(tmp_path)), "--out", out]
+    else:
+        argv = {"fit": _fit_argv, "check": _check_argv}[command]({**small_dataset, "out": out})
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {file}: exists and is not a directory"]
     assert file.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("field_path, argv", [
+    ("alpha", lambda tmp, data: _fit_argv(data, "--alpha", "nan")),
+    ("beta-star", lambda tmp, data: _check_argv(
+        {**data, "beta_star": _text_file(tmp, "zero.csv", "0\n0\n0\n")}
+    )),
+    ("constants.tau", lambda tmp, data: _check_argv(
+        data, "--constants", _constants_file(tmp, {"tau": -0.1})
+    )),
+], ids=["fit_alpha_nan", "check_zero_beta_star", "check_constants_tau"])
+def test_a_bad_flag_is_refused_before_the_expansion_point(
+    field_path, argv, small_dataset, tmp_path, monkeypatch, capsys
+):
+    # Each used to be refused only after the MLE had run.
+    monkeypatch.setattr(signlasso.cli, "expansion_point", _no_work)
+    code = main(argv(tmp_path, small_dataset))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field_path}: "), captured.err
+    assert not small_dataset["out"].exists()
+
+
+def test_each_command_takes_its_own_flags():
+    # fit and check take five flags from one parent parser; a flag it drops,
+    # or one a command adds again, changes these lists.
+    (commands,) = [
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: sorted(option for action in parser._actions for option in action.option_strings)
+        for name, parser in commands.items()
+    }
+    shared = ["--x", "--y", "--beta-tilde", "--seed", "--out", "-h", "--help"]
+    assert options == {
+        "fit": sorted(shared + ["--alpha", "--beta-star"]),
+        "check": sorted(shared + ["--alpha", "--beta-star", "--constants"]),
+        "simulate": sorted(
+            ["--config", "--out", "--threads", "--seed", "--alpha", "-h", "--help"]
+        ),
+    }
 
 
 # SMALL_CONFIG's fields but the design, as the inside of a JSON object.

@@ -34,7 +34,7 @@ from signlasso.harness import (
     _diagnosed,
     _PerN,
     _Queued,
-    _reference_report,
+    _reference,
     _replicate_seeds,
     _seed_states,
     _seeds,
@@ -322,10 +322,22 @@ def test_orthogonal_design_recovery_trend():
 def test_reference_report_factorises_the_active_block_once(cho_factor_calls):
     config = _small_config()
     for n in config.n_grid:
-        design = make_design(config.design, n, config.p, seed=n)
         before = len(cho_factor_calls)
-        _reference_report(config, design)
+        _reference(config, n)
         assert len(cho_factor_calls) - before == 1
+
+
+def test_every_reference_design_is_checked_before_the_first_replicate(monkeypatch):
+    # Only n=240's margin (0.72167) is below tau; the sweep used to draw the
+    # counts of n=60's and n=120's replicates before it reached n=240.
+    def no_counts(*args):
+        raise AssertionError("counts were drawn")
+
+    monkeypatch.setattr(harness, "simulate", no_counts)
+    config = _small_config(n_grid=(60, 120, 240), replicates=3, seed=3, tau=0.7234)
+    with pytest.raises(ConfigError, match=r"irrepresentability margin 0\.721665 at n=240 ") as info:
+        run_experiment(config)
+    assert info.value.field == "design"
 
 
 @pytest.mark.parametrize("overrides", [
