@@ -47,7 +47,7 @@ from .errors import (
     SingularBlockError,
 )
 from .fileio import format_float, read_matrix_csv
-from .model import _MAX_INTENSITY, CoefVector, DesignMatrix, simulate
+from .model import CoefVector, DesignMatrix, _count_sampler, _freeze, simulate
 from .prelim import MleFit, fit_mle, oracle_perturbation
 from .schema import write_json
 from .solver import SolverConfig, fit
@@ -276,6 +276,7 @@ def make_design(spec: DesignSpec, n: int, p: int, seed) -> DesignMatrix:
             "design.scale", f"{spec.scale} is too large: the {spec.kind} design "
             "or its row norms overflow"
         ) from exc
+    _freeze(values)
     return DesignMatrix(values)
 
 
@@ -367,9 +368,14 @@ class ExperimentConfig:
         if self.beta_star.q < 1:
             raise ConfigError("beta_star", "needs at least one nonzero coefficient")
         try:
-            parse_beta_tilde_mode(self.beta_tilde_mode)
+            kind, _ = parse_beta_tilde_mode(self.beta_tilde_mode)
         except ValueError as exc:
             raise ConfigError("beta_tilde_mode", str(exc)) from exc
+        if kind == "mle" and grid[0] < self.p:
+            raise ConfigError(
+                "n_grid", f"entry {grid[0]} is below p={self.p}: an mle expansion point "
+                "needs n >= p, so every replicate at that n would fail"
+            )
         try:
             # The largest n has the largest penalty, so one build checks all.
             self.solver_config(grid[-1])
@@ -568,13 +574,10 @@ def _reference(config: ExperimentConfig, n: int) -> tuple[DesignMatrix, Conditio
     constants = config.constants or AssumptionConstants(c1=config.c1, tau=config.tau)
     try:
         pg = population_gram(design, config.beta_star, config.beta_star.support)
-        if pg.lambda_bar >= _MAX_INTENSITY:
-            raise OverflowError(
-                f"intensity {pg.lambda_bar:.6g} at beta* is at or above 2**62; "
-                "every replicate would fail to draw counts"
-            )
+        # Kept on the design: its first replicate draws from this sampler.
+        _count_sampler(design, config.beta_star)
         report = check_assumptions(pg.gram, config.beta_star, constants)
-    except (SingularBlockError, DegenerateWeightError, OverflowError) as exc:
+    except (SingularBlockError, DegenerateWeightError, OverflowError, ValueError) as exc:
         raise ConfigError("design", f"reference design at n={n}: {exc}") from exc
     if report.irrep_margin < config.tau:
         raise ConfigError(
@@ -596,7 +599,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     condition_reports = {n: report for n, (_, report) in references.items()}
     records: list[ReplicateRecord] = []
     support, signs = blocking(config.beta_star.support, config.p), config.beta_star.signs()
-    tags = (_TAG_COUNTS, _TAG_PRELIM) + ((_TAG_DESIGN,) if config.redraw_design else ())
+    # A file design ignores its seed, so only a generated design is redrawn.
+    redraw = config.redraw_design and config.design.kind != "file"
+    tags = (_TAG_COUNTS, _TAG_PRELIM) + ((_TAG_DESIGN,) if redraw else ())
     for n in config.n_grid:
         # Popped, so each design is freed once its replicates are done.
         design, report = references.pop(n)
@@ -609,12 +614,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         batch, items = [], []
         replicate_seeds = _replicate_seeds(config.seed, tags, n, config.replicates)
         for r, (seed_used, states) in enumerate(replicate_seeds):
-            if config.redraw_design:
+            if redraw:
                 design = make_design(config.design, n, config.p, states[2])
             items.append(_run_replicate(config, per_n, design, r, seed_used, states))
             # One diagnostics pass per design: at the end of the n, or after
             # each replicate when every replicate draws its own design.
-            if config.redraw_design or r == config.replicates - 1:
+            if redraw or r == config.replicates - 1:
                 batch.extend(_diagnosed(config, per_n, items))
                 items = []
         records.extend(batch)

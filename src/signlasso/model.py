@@ -184,7 +184,7 @@ def _check_counts(counts, n: int) -> np.ndarray:
     if y.shape != (n,):
         raise ValueError(f"counts must have length {n}, got shape {y.shape}")
     if y.dtype == np.int64:
-        if y.size and y.min() < 0:
+        if y.min() < 0:
             raise ValueError("counts must be nonnegative integers")
         return y
     if not np.all(np.isfinite(y.astype(float))):
@@ -193,7 +193,7 @@ def _check_counts(counts, n: int) -> np.ndarray:
         raise ValueError("counts must be nonnegative integers")
     # Checked before the cast, which would turn such a count into INT64_MIN;
     # a Python int compares exactly whatever the dtype.
-    top = int(np.max(y)) if y.size else 0
+    top = int(np.max(y))
     if top >= 2**63:
         raise ValueError(f"counts must be below 2**63, got {top}")
     return y.astype(np.int64)
@@ -214,8 +214,6 @@ def _guarded_product(values: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         eta = values @ beta
-    if not eta.size:
-        return eta
     worst = float(eta.max())
     if worst > MAX_LINEAR_PREDICTOR:
         raise OverflowError(
@@ -450,18 +448,19 @@ def poisson_counts(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return _CountSampler(lam).draw(rng)
 
 
+def _count_sampler(X: DesignMatrix, beta_star: CoefVector) -> _CountSampler:
+    """``X``'s kept sampler of ``intensities(X, beta_star)``; ValueError outside (0, 2**62)."""
+    return _kept(X, "_count_sampler", beta_star.values.tobytes(),
+                 lambda: _CountSampler(intensities(X, beta_star)))
+
+
 def simulate(X: DesignMatrix, beta_star: CoefVector, seed) -> np.ndarray:
     """Counts Y_i ~ Poisson(exp(x_i beta_star)) as a read-only int64 array.
 
     Deterministic in ``seed``, an int or a seed sequence as
-    ``np.random.default_rng`` takes them.  The intensities are
-    ``intensities(X, beta_star)``.  ``X`` keeps the sampler built from them
-    for the last ``beta_star`` drawn, so later draws for it skip the
-    replicate-invariant work; a sampler that fails to build raises and is
-    not kept.
+    ``np.random.default_rng`` takes them.  Draws from ``_count_sampler(X,
+    beta_star)``.
     """
-    sampler = _kept(X, "_count_sampler", beta_star.values.tobytes(),
-                    lambda: _CountSampler(intensities(X, beta_star)))
-    counts = sampler.draw(np.random.default_rng(seed))
+    counts = _count_sampler(X, beta_star).draw(np.random.default_rng(seed))
     _freeze(counts)
     return counts

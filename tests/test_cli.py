@@ -452,6 +452,12 @@ OUT_OF_RANGE_INPUTS = {
         tmp, design={"kind": "file", "path": _ones_column_design(tmp)},
         beta_star=[45.0, 0.0], n_grid=[60], replicates=3,
     )),
+    # An mle sweep with an n below p used to exit 0, every replicate at that
+    # n failing with "RankDeficientError: need n >= p, got n=5, p=6".
+    "simulate_mle_n_below_p": ("n_grid", lambda tmp, data: _simulate_argv(
+        tmp, design={"kind": "iid_gaussian"}, beta_star=[1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+        n_grid=[5, 60], seed=1, tau=0.0, beta_tilde_mode="mle",
+    )),
     "design_scale_negative": ("design.scale", lambda tmp, data: _simulate_design_argv(
         tmp, scale=-1.0
     )),

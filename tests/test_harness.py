@@ -27,6 +27,7 @@ from signlasso import (
     run_experiment,
     simulate,
 )
+from signlasso.fileio import read_matrix_csv, write_matrix_csv
 from signlasso.harness import (
     _SEED_BLOCK,
     ReplicateRecord,
@@ -118,8 +119,6 @@ def test_unknown_generator_rejected():
 
 
 def test_file_design_roundtrip(tmp_path):
-    from signlasso.fileio import write_matrix_csv
-
     rng = np.random.default_rng(17)
     values = rng.standard_normal((30, 3))
     path = tmp_path / "X.csv"
@@ -222,6 +221,15 @@ def test_schedule_constraint_enforced():
 def test_grid_must_increase():
     with pytest.raises(ConfigError, match="strictly increasing"):
         _small_config(n_grid=(100, 100))
+
+
+def test_an_mle_sweep_needs_n_at_least_p():
+    # Each replicate's MLE needs n >= p; an oracle expansion point does not.
+    with pytest.raises(ConfigError, match="entry 3 is below p=4") as info:
+        _small_config(beta_tilde_mode="mle", n_grid=(3, 60))
+    assert info.value.field == "n_grid"
+    assert _small_config(beta_tilde_mode="mle", n_grid=(4, 60)).n_grid == (4, 60)
+    assert _small_config(n_grid=(3, 60)).n_grid == (3, 60)
 
 
 def test_beta_star_needs_support():
@@ -505,12 +513,21 @@ def test_results_csv_has_one_row_per_replicate(tmp_path):
     assert len(lines) == 1 + len(config.n_grid) * config.replicates
 
 
-# sha256 of results.csv followed by summary.csv for two reduced versions of
-# the canonical acceptance sweep (oracle and MLE expansion points).  A faster
+def _seeded_file_design(tmp_path):
+    """A file design: 4000 x 6 standard normals, written with 17 digits so they parse back."""
+    path = tmp_path / "X.csv"
+    write_matrix_csv(path, np.random.default_rng(424242).standard_normal((4000, 6)))
+    return DesignSpec(kind="file", path=str(path))
+
+
+# sha256 of results.csv followed by summary.csv for reduced versions of the
+# canonical acceptance sweep (oracle and MLE expansion points).  A faster
 # replicate path must reproduce these bytes exactly: the counts, the signs of
 # every fit and the event diagnostics all feed them.  In ``all_failed_3`` the
 # solver gets one sweep, so every replicate fails: it pins the empty cells of
-# results.csv and the nan rates of summary.csv.
+# results.csv and the nan rates of summary.csv.  ``redrawn_mle_10`` draws a
+# design per replicate; ``file_10`` reads its design from a file, given as a
+# function of the test's directory.
 GOLDEN_DIGESTS = {
     "canonical_40": ("oracle:1.0", 0.67, 40,
                      "d4d8ce9519acc126b7dda649464260de0a51940132ac47511ac95c4bc0e0827a"),
@@ -519,37 +536,68 @@ GOLDEN_DIGESTS = {
     "all_failed_3": ("oracle:1.0", 0.67, 3,
                      "8f4d5d277fc12306711974f48ba64a6ca56ff6f57c114485cfd705c73c433b47",
                      {"max_sweeps": 1}),
+    "redrawn_mle_10": ("mle", 0.0, 10,
+                       "a805a78cd8e9ba9bdd3138a3d23b1a1820bead7117bffaac8467348b6bf1aa2a",
+                       {"design": DesignSpec(kind="iid_gaussian"), "redraw_design": True}),
+    "file_10": ("oracle:1.0", 0.67, 10,
+                "bd19bce8305b26aca856c9ef610dd4678a105db5c712465996951d059cced443",
+                {"design": _seeded_file_design}),
 }
 
 # Ok replicates of each sweep above on which both An and Bn hold.
-EVENTS_HELD = {"canonical_40": 85, "mle_20": 44, "all_failed_3": 0}
+EVENTS_HELD = {"canonical_40": 85, "mle_20": 44, "all_failed_3": 0, "redrawn_mle_10": 17,
+               "file_10": 18}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-def test_reduced_canonical_sweeps_keep_their_golden_digest(name, tmp_path):
-    mode, tau, replicates, digest, *overrides = GOLDEN_DIGESTS[name]
-    config = ExperimentConfig(
-        design=DesignSpec(kind="correlated_gaussian", rho=0.2, scale=1.0),
-        beta_star=CoefVector([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]),
-        n_grid=(250, 1000, 4000),
-        c1=1.0,
-        c2=0.5,
-        alpha_coef=1.0,
-        replicates=replicates,
-        seed=20260811,
-        beta_tilde_mode=mode,
-        tau=tau,
-        **(overrides[0] if overrides else {}),
-    )
+def _golden_sweep(name, tmp_path, **extra):
+    """The result of sweep ``name`` with ``extra`` config fields, and its digest."""
+    mode, tau, replicates, _, *overrides = GOLDEN_DIGESTS[name]
+    overrides = {key: value(tmp_path) if callable(value) else value
+                 for key, value in (overrides[0] if overrides else {}).items()}
+    config = ExperimentConfig(**{
+        "design": DesignSpec(kind="correlated_gaussian", rho=0.2, scale=1.0),
+        "beta_star": CoefVector([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]),
+        "n_grid": (250, 1000, 4000),
+        "c1": 1.0,
+        "c2": 0.5,
+        "alpha_coef": 1.0,
+        "replicates": replicates,
+        "seed": 20260811,
+        "beta_tilde_mode": mode,
+        "tau": tau,
+        **overrides,
+        **extra,
+    })
     result = run_experiment(config)
-    # The paper's implication, per replicate: where An and Bn hold, the signs
-    # are recovered; and the events do hold on the sweeps that have ok records.
-    held = [rec for rec in result.records if rec.ok and rec.An and rec.Bn]
-    assert [rec for rec in held if not rec.sign_match] == []
-    assert len(held) == EVENTS_HELD[name]
     write_results_csv(result, tmp_path / "results.csv")
     write_summary_csv(result.summary, tmp_path / "summary.csv")
     h = hashlib.sha256()
     for artifact in ("results.csv", "summary.csv"):
         h.update((tmp_path / artifact).read_bytes())
-    assert h.hexdigest() == digest
+    return result, h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_reduced_canonical_sweeps_keep_their_golden_digest(name, tmp_path):
+    result, digest = _golden_sweep(name, tmp_path)
+    # The paper's implication, per replicate: where An and Bn hold, the signs
+    # are recovered; and the events do hold on the sweeps that have ok records.
+    held = [rec for rec in result.records if rec.ok and rec.An and rec.Bn]
+    assert [rec for rec in held if not rec.sign_match] == []
+    assert len(held) == EVENTS_HELD[name]
+    assert digest == GOLDEN_DIGESTS[name][3]
+
+
+def test_a_file_design_is_read_once_per_n_also_under_redraw_design(tmp_path, monkeypatch):
+    # A file design ignores its seed, so redraw_design leaves its sweep's
+    # bytes as they are, and its file is parsed once per n, not per replicate.
+    parsed = []
+
+    def read(path):
+        parsed.append(path)
+        return read_matrix_csv(path)
+
+    monkeypatch.setattr(harness, "read_matrix_csv", read)
+    result, digest = _golden_sweep("file_10", tmp_path, redraw_design=True)
+    assert len(parsed) == len(result.config.n_grid)
+    assert digest == GOLDEN_DIGESTS["file_10"][3]

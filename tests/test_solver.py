@@ -1,9 +1,12 @@
 """Coordinate-descent solver: closed forms, grid oracles, KKT certification."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_grid_oracle,
@@ -23,6 +26,8 @@ from signlasso import (
     objective_value,
 )
 from signlasso.errors import NumericalError
+from signlasso.model import ZERO_TOL
+from signlasso.working import WEIGHT_FLOOR
 
 
 def test_soft_threshold_branches():
@@ -345,3 +350,64 @@ def test_fit_keeps_its_numerical_guards():
     assert not result.converged and result.sweeps_used == 1
     ref_beta, _, _ = _raw_form_fit(problem, 0.5, max_sweeps=1, tol=1e-300)
     np.testing.assert_allclose(result.beta_hat.values, ref_beta, rtol=0.0, atol=1e-10)
+
+
+@st.composite
+def _working_problems(draw):
+    """A small working problem with zero columns, duplicate columns and near-floor weights.
+
+    Returns the problem and the indices of its zero columns.
+    """
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Columns of correlation about rho, so coordinate descent can crawl.
+    rho = draw(st.sampled_from((0.0, 0.9, 0.999)))
+    X = rho * rng.uniform(-2.0, 2.0, (n, 1)) + math.sqrt(1 - rho**2) * rng.uniform(
+        -2.0, 2.0, (n, p))
+    X[:, draw(st.lists(st.integers(0, p - 1), max_size=p - 1, unique=True))] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        # A copy of another column, zero or not.
+        X[:, draw(st.integers(0, p - 1))] = X[:, draw(st.integers(0, p - 1))]
+    zero = np.flatnonzero(~X.any(axis=0))
+    beta_tilde = rng.uniform(-1.0, 1.0, p)
+    beta_tilde[zero] = 0.0
+    # Rows rescaled so their weight exp(x_i beta_tilde) lies just above the floor.
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
+        eta = X[i] @ beta_tilde
+        if abs(eta) > 1e-3:
+            X[i] *= (math.log(WEIGHT_FLOOR) + draw(st.floats(0.05, 3.0))) / eta
+    counts = rng.poisson(np.exp(np.clip(X @ beta_tilde, None, 3.0)))
+    problem = build_working_problem(DesignMatrix(X), CoefVector(beta_tilde), counts)
+    return problem, zero
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_working_problems(), st.sampled_from([0.3, None, 0.0, 1.0, 1.7]),
+       st.sampled_from((1e-9, 1e-6, 1e-3)), st.sampled_from((1e-6, 1e-3)),
+       st.sampled_from((2, 20, 1000)))
+def test_every_converged_fit_meets_kkt_in_gram_form(case, fraction, tol, kkt_tol, max_sweeps):
+    # alpha is exactly 2 max|x_work^T y_work| (fraction None), where beta = 0
+    # is optimal, or that fraction of it.  Under the loose solver tolerances
+    # coordinate descent often stalls short of optimality, which only the
+    # KKT pass of the convergence rule catches.
+    problem, zero = case
+    edge = 2.0 * float(np.max(np.abs(problem.x_work.T @ problem.y_work)))
+    alpha = edge if fraction is None else fraction * edge
+    result = fit(problem, SolverConfig(alpha=alpha, max_sweeps=max_sweeps, tol=tol,
+                                       kkt_tol=kkt_tol))
+    beta = result.beta_hat.values
+    assert np.all(beta[zero] == 0.0)
+    if not result.converged:
+        return
+    # The raw-form KKT conditions at kkt_tol, divided by n as the Gram form
+    # is, plus the rounding of the two forms, which accumulate the same sums
+    # in different orders: 64 ulps of the largest product they take.
+    x, n = problem.x_work, problem.n
+    size = np.linalg.norm(x) * (np.linalg.norm(problem.y_work) + np.linalg.norm(x) * (
+        np.abs(beta).sum() + np.abs(problem.beta_tilde.values).sum()))
+    bound = (kkt_tol + 64 * np.finfo(float).eps * size) / n
+    g = gram_form_gradient(problem, beta)
+    active = np.abs(beta) > ZERO_TOL
+    assert np.all(np.abs(g + alpha / (2 * n) * np.sign(beta))[active] <= bound)
+    assert np.all(np.abs(g[~active]) <= alpha / (2 * n) + bound)
