@@ -381,6 +381,12 @@ class ExperimentConfig:
             self.solver_config(grid[-1])
         except ConfigError as exc:
             name = {"alpha": "alpha_coef", "tol": "solver_tol"}.get(exc.field, exc.field)
+            if name == "alpha_coef" and math.isfinite(self.alpha_coef):
+                # A finite, nonnegative alpha_coef fails only by overflowing.
+                raise ConfigError(name, (
+                    f"{self.alpha_coef!r} * n^((c2+1)/2) overflows the largest float "
+                    f"at n={grid[-1]}"
+                )) from exc
             raise ConfigError(name, exc.message) from exc
         except OverflowError as exc:
             raise ConfigError("n_grid", "entries must be below the largest float") from exc

@@ -281,73 +281,12 @@ def _sequential_search(k, idx, lam, u, prob, cum, step: int) -> None:
             lam, u = lam[pending], u[pending]
 
 
-def _poisson_inversion(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inversion by sequential search (Devroye 1986); exact for small intensities."""
-    u = rng.random(lam.size)
-    prob = np.exp(-lam)
-    k = np.zeros(lam.size, dtype=np.int64)
-    idx = np.flatnonzero(u > prob)
-    _sequential_search(k, idx, lam[idx], u[idx], prob[idx], prob[idx], 0)
-    return k
-
-
-# The inversion table is as deep as the lanes' tails need to fall below this;
-# a lane drawn past it finishes in the sequential search.
+# The second draw tabulates the search until every lane's tail is below
+# this; a lane drawn past the table finishes in the sequential search.
 _TABLE_TAIL = 1e-12
 # Rows of the inversion table compared for every lane; the rest are compared
 # only for the lanes whose uniform lies beyond all of these.
 _TABLE_HEAD = 8
-
-
-class _InversionTable:
-    """The sequential search's cumulative probabilities, tabulated for every lane.
-
-    ``rows`` has shape (depth, lanes), lanes in sample order.  Row ``s`` is
-    every lane's ``cum`` after ``s`` search steps, formed with the search's
-    own ``prob *= lam / step; cum += prob`` arithmetic, and ``+inf`` once the
-    lane's term has underflowed, where the search stops.  Rows are added
-    until no lane has both a tail ``1 - cum`` of at least ``_TABLE_TAIL`` and
-    a live term, so a lane's count is the number of its rows below its
-    uniform as long as that is short of the depth.  Intensities below 10
-    need at most 40 rows, so a count fits in uint8; at n=4000 the canonical
-    design's table holds about 154k entries (1.2 MB).
-    """
-
-    def __init__(self, lam: np.ndarray):
-        prob = np.exp(-lam)
-        cum = prob.copy()
-        rows = [cum.copy()]
-        step = 0
-        while np.any((1.0 - cum >= _TABLE_TAIL) & (prob > 0.0)):
-            step += 1
-            prob *= lam / step
-            cum += prob
-            rows.append(np.where(prob > 0.0, cum, np.inf))
-        self.rows = np.array(rows)
-        # Each lane's term at the last row, where a lane past the table resumes.
-        self.lam, self.prob = lam, prob
-
-    def counts(self, u: np.ndarray) -> np.ndarray:
-        """The search's counts for uniforms ``u``, one per lane.
-
-        Looked up in two levels: the first ``_TABLE_HEAD`` rows for every
-        lane, the rest only for the lanes past all of those.  A lane's rows
-        do not decrease, so a lane that stops in the head has none of its
-        later rows below its uniform, and each count is that of the whole
-        table.
-        """
-        head, tail = self.rows[:_TABLE_HEAD], self.rows[_TABLE_HEAD:]
-        # int64: a lane the search takes past the table can count beyond 255.
-        k = np.add.reduce(head < u, axis=0, dtype=np.uint8).astype(np.int64)
-        deeper = (k == len(head)).nonzero()[0]
-        if deeper.size:
-            more = np.add.reduce(tail[:, deeper] < u[deeper], axis=0, dtype=np.uint8)
-            k[deeper] = more + len(head)
-            past = deeper[more == len(tail)]
-            if past.size:
-                _sequential_search(k, past, self.lam[past], u[past], self.prob[past],
-                                   self.rows[-1, past], len(self.rows) - 1)
-        return k
 
 
 def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator,
@@ -404,10 +343,21 @@ class _CountSampler:
     """What a count draw needs of its intensities, kept for the next draw.
 
     It holds the validated intensities split at 10 into the inversion and
-    rejection lanes, and the PTRS constants of the latter.  The first draw
-    searches sequentially; the second builds an ``_InversionTable`` and
-    every later draw looks its counts up there.  The counts and the
-    generator's use are the same on either path.
+    rejection lanes, the PTRS constants of the latter, and the inversion
+    lanes' table of the sequential search (Devroye 1986).  ``rows`` has
+    shape (depth, lanes), lanes in sample order: row ``s`` is every lane's
+    ``cum`` after ``s`` search steps, formed with the search's own ``prob
+    *= lam / step; cum += prob`` arithmetic, and ``+inf`` once the lane's
+    term has underflowed, where the search stops.  ``prob`` is each lane's
+    term at the last row, where a lane drawn past the table resumes.
+
+    The table starts as row 0, ``exp(-lam)``, alone, so the first draw is
+    the sequential search itself.  The second draw deepens it until no lane
+    has both a tail ``1 - cum`` of at least ``_TABLE_TAIL`` and a live term,
+    and every later draw looks its counts up there.  Intensities below 10
+    need at most 40 rows, so a count fits in uint8; at n=4000 the canonical
+    design's table holds about 154k entries (1.2 MB).  The counts and the
+    generator's use are those of the search on every draw.
     """
 
     def __init__(self, lam):
@@ -419,22 +369,56 @@ class _CountSampler:
         self.lam_small = lam[self.small]
         self.lam_large = lam[self.large]
         self.ptrs = _ptrs_constants(self.lam_large)
-        self.table = None
-        self.drawn = False
+        self.prob = np.exp(-self.lam_small)
+        self.rows = self.prob[np.newaxis]
+        self.draws = 0
+
+    def _deepen(self) -> None:
+        """Add the table's rows past row 0, until every lane's tail is below ``_TABLE_TAIL``."""
+        lam, prob = self.lam_small, self.prob.copy()
+        cum = prob.copy()
+        rows = [self.rows[0]]
+        step = 0
+        while np.any((1.0 - cum >= _TABLE_TAIL) & (prob > 0.0)):
+            step += 1
+            prob *= lam / step
+            cum += prob
+            rows.append(np.where(prob > 0.0, cum, np.inf))
+        self.rows, self.prob = np.array(rows), prob
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """The sequential search's counts for uniforms ``u``, one per inversion lane.
+
+        Looked up in two levels: the first ``_TABLE_HEAD`` rows for every
+        lane, the rest, if the table has more, only for the lanes past all
+        of those.  A lane's rows do not decrease, so a lane that stops in
+        the head has none of its later rows below its uniform, and each
+        count is that of the whole table; a lane past the last row goes on
+        in the search.
+        """
+        head, tail = self.rows[:_TABLE_HEAD], self.rows[_TABLE_HEAD:]
+        # int64: a lane the search takes past the table can count beyond 255.
+        k = np.add.reduce(head < u, axis=0, dtype=np.uint8).astype(np.int64)
+        past = (k == len(head)).nonzero()[0]
+        if len(tail) and past.size:
+            more = np.add.reduce(tail[:, past] < u[past], axis=0, dtype=np.uint8)
+            k[past] += more
+            past = past[more == len(tail)]
+        if past.size:
+            _sequential_search(k, past, self.lam_small[past], u[past], self.prob[past],
+                               self.rows[-1, past], len(self.rows) - 1)
+        return k
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One count per intensity; the inversion lanes take the generator first."""
         out = np.zeros(self.small.size, dtype=np.int64)
         if self.lam_small.size:
-            if self.drawn and self.table is None:
-                self.table = _InversionTable(self.lam_small)
-            if self.table is None:
-                out[self.small] = _poisson_inversion(self.lam_small, rng)
-            else:
-                out[self.small] = self.table.counts(rng.random(self.lam_small.size))
+            if self.draws == 1:
+                self._deepen()
+            out[self.small] = self.lookup(rng.random(self.lam_small.size))
         if self.lam_large.size:
             out[self.large] = _poisson_transformed_rejection(self.lam_large, rng, self.ptrs)
-        self.drawn = True
+        self.draws += 1
         return out
 
 

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -139,6 +140,44 @@ def test_check_exit_three_on_failed_constant(tmp_path):
     assert code == 3
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     assert payload["conditions"]["passes"]["eigen_active"] is False
+
+
+# Each bound of AssumptionConstants: the statistic it bounds in report.json,
+# its key in "passes", and the direction in which a value is beyond it.
+CONSTANT_BOUNDS = {
+    "max_row_norm": ("row_norm_max", "row_norms", -math.inf),
+    "max_col_norm": ("col_norm_max", "col_norms", -math.inf),
+    "min_eigen_active": ("lambda_min_C11", "eigen_active", math.inf),
+    "max_eigen_cross12": ("lambda_max_C12", "eigen_cross12", -math.inf),
+    "max_eigen_cross21": ("lambda_max_C21", "eigen_cross21", -math.inf),
+    "max_eigen_inactive": ("lambda_max_C22", "eigen_inactive", -math.inf),
+    "min_beta_scaled": ("beta_min_scaled", "beta_min", math.inf),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(CONSTANT_BOUNDS))
+def test_check_bound_passes_at_its_statistic_and_fails_one_ulp_beyond(bound, tmp_path,
+                                                                       small_dataset):
+    statistic, key, beyond = CONSTANT_BOUNDS[bound]
+
+    def check(name, *extra):
+        out = tmp_path / name
+        code = main([*_check_argv(small_dataset), "--out", str(out), *extra])
+        return code, json.loads((out / "report.json").read_text())["conditions"]
+
+    code, observed = check("observed")
+    assert code == 0 and observed["all_passed"]
+    value = observed[statistic]
+    assert value > 0.0
+    for name, limit, expected_code in [
+        ("at", value, 0), ("beyond", float(np.nextafter(value, beyond)), 3),
+    ]:
+        path = tmp_path / f"constants_{name}.json"
+        path.write_text(json.dumps({bound: limit}))
+        code, conditions = check(name, "--constants", str(path))
+        assert code == expected_code
+        assert conditions[statistic] == value
+        assert conditions["passes"] == {"irrepresentable": True, key: expected_code == 0}
 
 
 def test_check_exactly_orthogonal_margin_one(tmp_path):
@@ -638,6 +677,44 @@ def test_out_of_range_input_exits_one_with_field_path(case, tmp_path, small_data
     assert err.startswith(f"error: {field_path}: "), err
     assert err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+# A finite alpha_coef whose penalty at the largest n overflows used to be
+# reported as "must be finite and nonnegative, got inf".
+OVERFLOWING_PENALTY = {
+    "config": lambda tmp: _simulate_argv(tmp, alpha_coef=1e308),
+    "flag": lambda tmp: [*_simulate_argv(tmp), "--alpha", "1e308"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_PENALTY))
+def test_overflowing_penalty_is_named(case, tmp_path, capsys):
+    code = main(OVERFLOWING_PENALTY[case](tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: alpha_coef: 1e+308 * n^((c2+1)/2) overflows the largest float at n=120\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_alpha_flag_gives_the_bytes_of_the_config_field(tmp_path):
+    outs = []
+    for name, config, extra in [
+        ("flag", {}, ["--alpha", "2.5"]),
+        ("field", {"alpha_coef": 2.5}, []),
+    ]:
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        assert main([*_simulate_argv(run_dir, **config), *extra]) == 0
+        outs.append(run_dir / "out")
+    for artifact in ("results.csv", "summary.csv", "report.json"):
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+    # The override is in effect: the field's default run differs.
+    default = tmp_path / "default"
+    default.mkdir()
+    assert main(_simulate_argv(default)) == 0
+    assert (default / "out" / "results.csv").read_bytes() != (
+        outs[0] / "results.csv").read_bytes()
 
 
 _FLOAT_FIELDS = (

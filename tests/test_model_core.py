@@ -27,8 +27,6 @@ from signlasso.model import (
     _SAMPLER_SPLIT,
     _TABLE_HEAD,
     _CountSampler,
-    _InversionTable,
-    _poisson_inversion,
     _poisson_transformed_rejection,
     _ptrs_constants,
     poisson_counts,
@@ -194,7 +192,7 @@ def test_compacted_inversion_matches_masked_loop(regime):
         size = int(shape.integers(1, 400))
         lam = _inversion_regime(regime, shape, size)
         ours, theirs = np.random.default_rng(1000 + seed), np.random.default_rng(1000 + seed)
-        np.testing.assert_array_equal(_poisson_inversion(lam, ours), _masked_inversion(lam, theirs))
+        np.testing.assert_array_equal(_CountSampler(lam).draw(ours), _masked_inversion(lam, theirs))
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -208,8 +206,9 @@ def _inversion_regime(regime, shape, size):
 
 @pytest.mark.parametrize("regime", ["near_zero", "near_ten", "mixed"])
 def test_inversion_table_matches_masked_loop(regime):
-    # The second draw of a sampler builds the table and every later draw
-    # looks its counts up there; each must be the masked loop's, bit for bit.
+    # The second draw of a sampler deepens its table past row 0 and every
+    # later draw looks its counts up there; each must be the masked loop's,
+    # bit for bit.
     for seed in range(40):
         shape = np.random.default_rng(seed)
         lam = _inversion_regime(regime, shape, int(shape.integers(1, 400)))
@@ -218,7 +217,16 @@ def test_inversion_table_matches_masked_loop(regime):
         for draw in range(3):
             np.testing.assert_array_equal(sampler.draw(ours), _masked_inversion(lam, theirs))
             assert ours.bit_generator.state == theirs.bit_generator.state
-            assert (sampler.table is None) == (draw == 0)
+            assert (len(sampler.rows) == 1) == (draw == 0)
+
+
+def _deepened(lam):
+    """A sampler of ``lam`` after two draws, so its table is at full depth."""
+    sampler = _CountSampler(lam)
+    rng = np.random.default_rng(0)
+    sampler.draw(rng)
+    sampler.draw(rng)
+    return sampler
 
 
 class _FixedUniforms:
@@ -243,7 +251,7 @@ def test_inversion_table_hands_lanes_past_it_to_the_search(u):
     reference = _masked_inversion(lam, _FixedUniforms(uniforms))
     for draw in range(2):
         np.testing.assert_array_equal(sampler.draw(_FixedUniforms(uniforms)), reference)
-    past = reference >= sampler.table.rows.shape[0]
+    past = reference >= sampler.rows.shape[0]
     assert past[5:].all()
     if u > 1.0:
         # lam = 1e-150: the third term underflows, so row 3 is +inf; the
@@ -256,19 +264,19 @@ def test_inversion_lookup_is_exact_at_the_head_boundary():
     # just above it goes on to the rest of the table.  Both must count as
     # the sequential search does, as must a table shallower than the head.
     lam = np.array([3.0, 3.0, 3.0, 9.5, 1e-3])
-    table = _InversionTable(lam)
-    last = table.rows[_TABLE_HEAD - 1]
+    sampler = _deepened(lam)
+    last = sampler.rows[_TABLE_HEAD - 1]
     uniforms = np.array([
         last[0], np.nextafter(last[1], 2.0), np.nextafter(last[2], 0.0), 0.999, 0.5,
     ])
-    counts = table.counts(uniforms)
+    counts = sampler.lookup(uniforms)
     np.testing.assert_array_equal(counts, _masked_inversion(lam, _FixedUniforms(uniforms)))
     assert counts[0] == _TABLE_HEAD - 1 and counts[1] == _TABLE_HEAD
-    shallow = _InversionTable(np.full(3, 1e-6))
+    shallow = _deepened(np.full(3, 1e-6))
     assert shallow.rows.shape[0] < _TABLE_HEAD
     u = np.array([0.1, 1.0 - 1e-7, np.nextafter(1.0, 0.0)])
     np.testing.assert_array_equal(
-        shallow.counts(u), _masked_inversion(np.full(3, 1e-6), _FixedUniforms(u))
+        shallow.lookup(u), _masked_inversion(np.full(3, 1e-6), _FixedUniforms(u))
     )
 
 
@@ -325,8 +333,8 @@ def test_ptrs_takes_each_branch_as_the_reference_does():
 def test_inversion_table_counts_fit_in_uint8():
     # A lookup counts rows in uint8, so the deepest table, just below the
     # split at 10, must have fewer than 256 rows.
-    table = _InversionTable(np.array([np.nextafter(_SAMPLER_SPLIT, 0.0)]))
-    assert table.rows.shape[0] < 256
+    sampler = _deepened(np.array([np.nextafter(_SAMPLER_SPLIT, 0.0)]))
+    assert sampler.rows.shape[0] < 256
 
 
 def test_poisson_counts_draws_as_before():
@@ -354,10 +362,10 @@ def test_simulate_keeps_one_sampler_per_design():
     beta = CoefVector([1.5, -1.0, 0.5])
     first = simulate(X, beta, 17)
     sampler = _kept_sampler(X)
-    # A design drawn once builds no table.
-    assert sampler is not None and sampler.table is None
+    # A design drawn once keeps its table at row 0 alone.
+    assert sampler is not None and len(sampler.rows) == 1
     second = simulate(X, beta, 17)
-    assert _kept_sampler(X) is sampler and sampler.table is not None
+    assert _kept_sampler(X) is sampler and len(sampler.rows) > 1
     np.testing.assert_array_equal(first, second)
     np.testing.assert_array_equal(simulate(X, beta, 17), first)
     # Another beta_star replaces the design's sampler; equal values share it.

@@ -266,6 +266,55 @@ def test_non_finite_newton_step_raises(monkeypatch):
         fit_mle(X, counts)
 
 
+def _large_count_case():
+    # From beta = 0 the first Newton step for counts of 10**6 puts the
+    # linear predictor far above the overflow guard.
+    X = DesignMatrix(np.column_stack([np.ones(30), np.linspace(-1.0, 1.0, 30)]))
+    return X, np.full(30, 10**6)
+
+
+def _overflows(monkeypatch):
+    """Patch fit_mle's guarded product to record each trial point it refuses."""
+    refused = []
+    real = prelim._guarded_product
+
+    def recorded(values, beta):
+        try:
+            return real(values, beta)
+        except OverflowError:
+            refused.append(beta.copy())
+            raise
+
+    monkeypatch.setattr(prelim, "_guarded_product", recorded)
+    return refused
+
+
+def _grad_norm_at(X, counts, beta):
+    return float(np.abs(X.values.T @ (counts - np.exp(X.values @ beta))).max())
+
+
+def test_fit_mle_halves_a_step_past_the_overflow_guard(monkeypatch):
+    X, counts = _large_count_case()
+    refused = _overflows(monkeypatch)
+    fit = fit_mle(X, counts)
+    assert len(refused) == 12
+    assert _outcome(fit_mle, X, counts) == _outcome(reference_fit_mle, X, counts)
+    # Unconverged, the gradient norm is recomputed at the returned iterate.
+    assert fit.grad_norm == _grad_norm_at(X, counts, fit.beta.values)
+
+
+def test_fit_mle_stops_when_no_halving_is_accepted(monkeypatch):
+    X, counts = _large_count_case()
+    monkeypatch.setattr(prelim, "_STEP_HALVING_MAX", 1)
+    refused = _overflows(monkeypatch)
+    fit = fit_mle(X, counts)
+    assert len(refused) == 1
+    assert fit.iterations == 1 and not fit.converged
+    np.testing.assert_array_equal(fit.beta.values, [0.0, 0.0])
+    # 30 * (10**6 - 1), the intercept's score at beta = 0.
+    assert fit.grad_norm == _grad_norm_at(X, counts, np.zeros(2)) == 29999970.0
+
+
 def test_int64_counts_are_checked_for_sign_and_kept():
     counts = np.array([0, 3, 2**63 - 1])
     assert _check_counts(counts, 3) is counts

@@ -352,6 +352,48 @@ def test_fit_keeps_its_numerical_guards():
     np.testing.assert_allclose(result.beta_hat.values, ref_beta, rtol=0.0, atol=1e-10)
 
 
+def _with_gram(problem, edit):
+    """A copy of ``problem`` whose cached ``xtx`` is ``edit`` applied to a copy of its own."""
+    G = problem.xtx.copy()
+    edit(G)
+    broken = replace(problem)
+    broken.__dict__["xtx"] = G
+    return broken
+
+
+def _set_cross_inf(G):
+    G[0, 1] = np.inf
+
+
+def _add_asymmetric(G):
+    G[0, 1] += 50.0
+
+
+def _set_cross_huge(G):
+    G[1, 2] = G[2, 1] = 1e308
+
+
+@pytest.mark.parametrize("edit, message", [
+    # A finite response with an infinite Gram entry: the Gram-form objective,
+    # not y^T y, is non-finite at the warm start.
+    (_set_cross_inf, "objective is non-finite at the warm start"),
+    # Row 0 updates the gradient with an entry column 0 does not have, so the
+    # sweep is no descent step.
+    (_add_asymmetric,
+     "objective increased from 16.502917745225574 to 26.862337835635334 at sweep 1"),
+    # Finite at the warm start; the first sweep's update overflows.
+    (_set_cross_huge, "objective became non-finite at sweep 1"),
+], ids=["warm_start", "increase", "non_finite_sweep"])
+def test_fit_raises_on_a_broken_gram(edit, message):
+    problem = make_instance(np.random.default_rng(313), n=20, p=3, q=1)["problem"]
+    assert np.all(problem.beta_tilde.values != 0.0)
+    assert math.isfinite(float(problem.y_work @ problem.y_work))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as raised:
+            fit(_with_gram(problem, edit), SolverConfig(alpha=1.0))
+    assert str(raised.value) == message
+
+
 @st.composite
 def _working_problems(draw):
     """A small working problem with zero columns, duplicate columns and near-floor weights.
