@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
@@ -77,11 +79,15 @@ def _setup_logging() -> None:
 
 @contextmanager
 def _input(name: str, errors=ValueError):
-    """Report an ``errors`` exception raised reading input ``name`` as a ConfigError on it."""
+    """Report an ``errors`` exception raised reading input ``name``, or making
+    artifact ``name``, as a ConfigError on it."""
     try:
         yield
     except errors as exc:
-        raise ConfigError(name, str(exc)) from exc
+        # An OSError's own text names its file, which for an artifact is the
+        # temporary one.
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+        raise ConfigError(name, reason) from exc
 
 
 def _read_coefficients(path: str, name: str, X: DesignMatrix) -> CoefVector:
@@ -93,21 +99,46 @@ def _read_coefficients(path: str, name: str, X: DesignMatrix) -> CoefVector:
         return CoefVector(values)
 
 
-def _out_dir(out: str) -> Path:
-    """--out, refused if it, or its nearest existing ancestor, is not a directory."""
+def _out_dir(out: str, *artifacts: str) -> Path:
+    """--out, refused if it, or its nearest existing ancestor, is not a directory.
+
+    So is one of the ``artifacts`` names in it that exists and is not a
+    regular file: the set could not be replaced whole.
+    """
     out_dir = Path(out)
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
     if not existing.is_dir():
         raise ConfigError(str(existing), "exists and is not a directory")
+    for name in artifacts:
+        path = out_dir / name
+        if path.exists() and not path.is_file():
+            raise ConfigError(str(path), "exists and is not a file")
     return out_dir
 
 
-def _save(out_dir: Path, name: str, write) -> None:
-    """Make ``out_dir``, write ``out_dir / name`` with ``write(path)`` and print the path."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    write(path)
-    print(path)
+def _save(out_dir: Path, artifacts: dict) -> None:
+    """Write every artifact ``name: write`` of a command as ``out_dir / name``, all or none.
+
+    Each ``write(path)`` writes into a temporary directory inside
+    ``out_dir``; the files take their names only once all are written, and
+    only then are their paths printed, in order.  A failure removes the
+    temporaries, prints nothing and names the artifact, so the previous set
+    stays whole.
+    """
+    with _input(str(out_dir), OSError):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".signlasso-", dir=out_dir))
+    try:
+        for name, write in artifacts.items():
+            with _input(str(out_dir / name), (OSError, ValueError)):
+                write(staging / name)
+        for name in artifacts:
+            with _input(str(out_dir / name), OSError):
+                os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    for name in artifacts:
+        print(out_dir / name)
 
 
 def _read_inputs(args):
@@ -176,7 +207,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def cmd_fit(args) -> int:
     solver = SolverConfig(alpha=args.alpha)
-    out_dir = _out_dir(args.out)
+    out_dir = _out_dir(args.out, "fit.json")
     problem = _working_problem(args, *_read_inputs(args))
     result = fit(problem, solver)
     # fit.json puts support and signs after beta_hat, and the KKT report last.
@@ -191,14 +222,14 @@ def cmd_fit(args) -> int:
         "alpha": args.alpha,
         "beta_tilde": problem.beta_tilde,
     }
-    _save(out_dir, "fit.json", partial(write_json, value=payload))
+    _save(out_dir, {"fit.json": partial(write_json, value=payload)})
     return 0 if result.converged else 2
 
 
 def cmd_check(args) -> int:
     # The events take fit's penalty, so alpha gets fit's check.
     SolverConfig(alpha=args.alpha)
-    out_dir = _out_dir(args.out)
+    out_dir = _out_dir(args.out, "report.json")
     constants = _load_constants(args.constants)
     X, counts, beta_star = _read_inputs(args)
     if beta_star.q == 0:
@@ -208,7 +239,7 @@ def cmd_check(args) -> int:
     report = check_assumptions(bg, beta_star, constants)
     diag = proposition_diagnostics(bg, beta_star, args.alpha)
     payload = {"alpha": args.alpha, "conditions": report, "events": diag, "constants": constants}
-    _save(out_dir, "report.json", partial(write_json, value=payload))
+    _save(out_dir, {"report.json": partial(write_json, value=payload)})
     return 0 if report.all_passed else 3
 
 
@@ -216,16 +247,18 @@ def cmd_simulate(args) -> int:
     # The sweep always runs on one thread; --threads is only checked.
     if args.threads < 1:
         raise ConfigError("threads", f"must be at least 1, got {args.threads}")
-    out_dir = _out_dir(args.out)
+    out_dir = _out_dir(args.out, "results.csv", "summary.csv", "report.json")
     config = load_experiment_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.alpha is not None:
         config = replace(config, alpha_coef=args.alpha)
     result = run_experiment(config)
-    _save(out_dir, "results.csv", partial(write_results_csv, result))
-    _save(out_dir, "summary.csv", partial(write_summary_csv, result.summary))
-    _save(out_dir, "report.json", partial(write_report_json, result))
+    _save(out_dir, {
+        "results.csv": partial(write_results_csv, result),
+        "summary.csv": partial(write_summary_csv, result.summary),
+        "report.json": partial(write_report_json, result),
+    })
     return 0
 
 

@@ -1,8 +1,9 @@
 """Headerless CSV I/O for matrices, coefficient vectors, and counts.
 
 Matrices are row-major with comma separators and '.' decimals; vectors are a
-single column; counts are a single column of integers.  Floats are written
-with 17 significant digits so every value round-trips exactly.
+single column; counts are a single column of integers, read as integers.
+Floats are written with 17 significant digits, so every value round-trips
+exactly; so does every count.
 """
 
 from __future__ import annotations
@@ -19,15 +20,20 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def read_matrix_csv(path) -> np.ndarray:
+def _read_table(path, dtype) -> np.ndarray:
+    """The nonempty 2-D ``dtype`` array in ``path``."""
     # Opened here, not by loadtxt, so a missing file's error carries its name.
     with open(path) as handle, warnings.catch_warnings():
         # An empty file is reported below, as an error that names it.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        values = np.loadtxt(handle, delimiter=",", ndmin=2, dtype=float)
+        values = np.loadtxt(handle, delimiter=",", ndmin=2, dtype=dtype)
     if values.size == 0:
         raise ValueError(f"{path}: contains no data")
     return values
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    return _read_table(path, float)
 
 
 def write_matrix_csv(path, values: np.ndarray) -> None:
@@ -36,11 +42,14 @@ def write_matrix_csv(path, values: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_vector_csv(path) -> np.ndarray:
-    values = read_matrix_csv(path)
+def _column(path, values: np.ndarray) -> np.ndarray:
     if values.shape[1] != 1:
         raise ValueError(f"{path}: must be a single column, got {values.shape[1]} columns")
     return values[:, 0]
+
+
+def read_vector_csv(path) -> np.ndarray:
+    return _column(path, read_matrix_csv(path))
 
 
 def write_vector_csv(path, values: np.ndarray) -> None:
@@ -49,7 +58,18 @@ def write_vector_csv(path, values: np.ndarray) -> None:
 
 
 def read_counts_csv(path) -> np.ndarray:
-    values = read_vector_csv(path)
+    """The counts in ``path`` as int64, each an integer in [0, 2**63).
+
+    Integer literals are read as integers, so every count keeps its value.
+    A file with any other literal (``3.0``, ``1e3``, ``nan``, or an integer
+    of 2**63 or more) is read as floats, which must then be integral and in
+    range.
+    """
+    try:
+        table = _read_table(path, np.int64)
+    except ValueError:
+        table = _read_table(path, float)
+    values = _column(path, table)
     try:
         return _check_counts(values, values.size)
     except ValueError as exc:

@@ -230,29 +230,41 @@ class DesignSpec:
             raise ConfigError("row_norm_cap", f"must be positive, got {self.row_norm_cap}")
 
 
-def make_design(spec: DesignSpec, n: int, p: int, seed) -> DesignMatrix:
+def _read_design_file(spec: DesignSpec) -> np.ndarray:
+    """A ``file`` design's matrix, parsed once for every n of a sweep.
+
+    A file that is not a finite matrix is a ConfigError on ``design.path``;
+    a missing file is an OSError and keeps its own message.
+    """
+    try:
+        return DesignMatrix(read_matrix_csv(spec.path)).values
+    except ValueError as exc:
+        raise ConfigError("design.path", str(exc)) from exc
+
+
+def make_design(spec: DesignSpec, n: int, p: int, seed, rows: np.ndarray | None = None
+                ) -> DesignMatrix:
     """Generate (or load) an n x p design, enforcing the row-norm cap.
 
     A generator draws from ``seed``, an int or a seed sequence as
-    ``np.random.default_rng`` takes them.  A file that is not a finite
-    matrix with at least n rows and exactly p columns is a ConfigError on
-    ``design.path``.  So is a file whose row norms overflow, and a
-    generator's ``design.scale`` that overflows the design or its row norms.
+    ``np.random.default_rng`` takes them.  A file design takes the first n
+    of ``rows``, the file's parsed matrix, which is read from ``spec.path``
+    when None.  A file that is not a finite matrix with at least n rows and
+    exactly p columns is a ConfigError on ``design.path``.  So is a file
+    whose row norms overflow, and a generator's ``design.scale`` that
+    overflows the design or its row norms.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     if spec.kind == "file":
-        # A missing file is an OSError and keeps its own message.
-        try:
-            values = DesignMatrix(read_matrix_csv(spec.path)).values
-            if values.shape[0] < n or values.shape[1] != p:
-                raise ValueError(
-                    f"design file {spec.path} has shape {values.shape}, "
-                    f"need at least {n} rows and exactly {p} columns"
-                )
-        except ValueError as exc:
-            raise ConfigError("design.path", str(exc)) from exc
-        values = values[:n].copy()
+        if rows is None:
+            rows = _read_design_file(spec)
+        if rows.shape[0] < n or rows.shape[1] != p:
+            raise ConfigError("design.path", (
+                f"design file {spec.path} has shape {rows.shape}, "
+                f"need at least {n} rows and exactly {p} columns"
+            ))
+        values = rows[:n].copy()
     cap = spec.row_norm_cap
     if cap is None and spec.kind != "file":
         cap = 2.0 * spec.scale * math.sqrt(p)
@@ -570,13 +582,15 @@ def _diagnosed(config: ExperimentConfig, per_n: _PerN, items: list) -> list[Repl
     return records
 
 
-def _reference(config: ExperimentConfig, n: int) -> tuple[DesignMatrix, ConditionReport]:
+def _reference(config: ExperimentConfig, n: int, rows: np.ndarray | None
+               ) -> tuple[DesignMatrix, ConditionReport]:
     """n's design and its condition report at beta_tilde = beta_star, the population Gram's.
 
-    Every reason the sweep cannot run at n is a ConfigError on ``design``.
+    ``rows`` is a file design's matrix, read once per sweep, or None.  Every
+    reason the sweep cannot run at n is a ConfigError on ``design``.
     """
     (state,) = _seed_states(_seeds(config.seed, _TAG_DESIGN, n))
-    design = make_design(config.design, n, config.p, state)
+    design = make_design(config.design, n, config.p, state, rows)
     constants = config.constants or AssumptionConstants(c1=config.c1, tau=config.tau)
     try:
         pg = population_gram(design, config.beta_star, config.beta_star.support)
@@ -601,7 +615,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Per-replicate errors are logged as failures without aborting; every n's
     reference design is checked before the first replicate.
     """
-    references = {n: _reference(config, n) for n in config.n_grid}
+    # A file design is parsed once; each n's design copies its first n rows,
+    # so the parsed matrix is not kept through the replicates.
+    rows = _read_design_file(config.design) if config.design.kind == "file" else None
+    references = {n: _reference(config, n, rows) for n in config.n_grid}
+    del rows
     condition_reports = {n: report for n, (_, report) in references.items()}
     records: list[ReplicateRecord] = []
     support, signs = blocking(config.beta_star.support, config.p), config.beta_star.signs()

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.special import gammaln
 
 # Linear predictors above this raise OverflowError.  Downstream code squares
 # and inverts the intensities, so guard at half the representable exponent.
@@ -54,8 +52,25 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-# The double-precision LAPACK routines behind scipy's cho_factor and cho_solve.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# scipy is imported on first use, and each name is resolved once and kept:
+# importing scipy.linalg takes most of a fresh process's start-up, and a
+# command that needs neither module (an oracle-mode fit) never imports it.
+
+
+@cache
+def _lapack() -> tuple:
+    """The float64 LAPACK ``potrf`` and ``potrs`` behind scipy's cho_factor and cho_solve."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+@cache
+def _gammaln():
+    """scipy's ``gammaln``, the ln Gamma of the log-likelihoods and of PTRS's log test."""
+    from scipy.special import gammaln
+
+    return gammaln
 
 
 def _cholesky_solver(a: np.ndarray, check_finite: bool = True):
@@ -68,8 +83,9 @@ def _cholesky_solver(a: np.ndarray, check_finite: bool = True):
     a caller that has checked a whole stack of them at once passes that.  A
     matrix that is not positive definite raises LinAlgError.
     """
-    factor, info = _POTRF(np.asarray_chkfinite(a) if check_finite else a,
-                          lower=True, overwrite_a=False, clean=False)
+    potrf, potrs = _lapack()
+    factor, info = potrf(np.asarray_chkfinite(a) if check_finite else a,
+                         lower=True, overwrite_a=False, clean=False)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite"
@@ -78,8 +94,8 @@ def _cholesky_solver(a: np.ndarray, check_finite: bool = True):
         raise ValueError(f"illegal value in {-info}th argument of internal potrf")
 
     def solve(rhs, check_finite: bool = True):
-        x, info = _POTRS(factor, np.asarray_chkfinite(rhs) if check_finite else rhs,
-                         lower=True, overwrite_b=False)
+        x, info = potrs(factor, np.asarray_chkfinite(rhs) if check_finite else rhs,
+                        lower=True, overwrite_b=False)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return x
@@ -239,7 +255,7 @@ def log_likelihood(X: DesignMatrix, beta: CoefVector, counts) -> float:
     """
     y = _check_counts(counts, X.n)
     eta = linear_predictor(X, beta)
-    return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
+    return float(np.sum(y * eta - np.exp(eta) - _gammaln()(y + 1.0)))
 
 
 def score_and_hessian(X: DesignMatrix, beta: CoefVector, counts):
@@ -305,6 +321,7 @@ def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator,
     those infinities are not raised.
     """
     log_lam, b, a, inv_alpha, v_r = constants
+    gammaln = _gammaln()
     out = np.zeros(lam.size, dtype=np.int64)
     todo = np.arange(lam.size)
     with np.errstate(divide="ignore", invalid="ignore"):

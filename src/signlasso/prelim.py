@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import RankDeficientError
 from .model import (
@@ -21,6 +20,7 @@ from .model import (
     DesignMatrix,
     _check_counts,
     _cholesky_solver,
+    _gammaln,
     _guarded_product,
     _kept,
 )
@@ -33,7 +33,8 @@ _NEWTON_RIDGE = 1e-10
 _MAX_ITER = 100
 _STEP_HALVING_MAX = 30
 _GRAD_TOL = 1e-8
-# A step may lower the log-likelihood by this many ulps of 1 + |ll|.
+# A step may lower the log-likelihood by this many ulps of 1 + |ll|, or of
+# 1 + the magnitude of its terms.
 _SLACK = 4.0 * np.finfo(float).eps
 
 
@@ -62,10 +63,16 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
 
     At most 100 Newton iterations, each with at most 30 step halvings;
     converged means a gradient sup-norm of at most 1e-8.  The log-likelihood
-    never decreases across accepted steps beyond float resolution (a 4-ulp
-    slack keeps full Newton steps acceptable at the plateau).  When no
+    never decreases across accepted steps beyond float resolution, so full
+    Newton steps stay acceptable at the plateau: a step may lower it by 4
+    ulp of 1 + |ll|, or, when that refuses it, by 4 ulp of 1 + the sum of
+    its terms' magnitudes, sum(|y_i eta_i| + lam_i + ln y_i!), which bounds
+    its rounding when the terms nearly cancel (large counts).  When no
     acceptable step exists or iterations run out, the last iterate is
-    returned flagged ``converged=False`` rather than raised.
+    returned rather than raised; it is flagged ``converged`` if its gradient
+    meets the tolerance or its Newton decrement ½ g^T H^-1 g, the gain a
+    full Newton step promises, is within that magnitude slack (the counts
+    cannot resolve a smaller gradient), and ``converged=False`` otherwise.
 
     Every fit starts at beta = 0, where eta = 0 and lam = 1 whatever the
     counts.  The Newton solver there is kept on ``X`` and shared by all fits
@@ -97,10 +104,15 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
     y_f = y.astype(float)
     # The table is no longer than the counts, however large a count is.
     top = int(y.max())
+    gammaln = _gammaln()
     if top < X.n:
         log_factorial = gammaln(np.arange(top + 1) + 1.0)[y]
     else:
         log_factorial = gammaln(y_f + 1.0)
+
+    def magnitude_slack(eta, lam) -> float:
+        """The slack by the magnitude of the log-likelihood's terms at ``eta``."""
+        return _SLACK * (1.0 + float((np.abs(y_f * eta) + lam + log_factorial).sum()))
 
     Xv = X.values
     # X 0 and exp(X 0) are exact for every finite X.
@@ -133,14 +145,16 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
             if not np.isfinite(candidate).all():
                 raise ValueError("coefficient entries must be finite")
             try:
-                eta = _guarded_product(Xv, candidate)
+                eta_new = _guarded_product(Xv, candidate)
             except OverflowError:
                 step *= 0.5
                 continue
-            lam_new = np.exp(eta)
-            ll_new = float((y_f * eta - lam_new - log_factorial).sum())
-            if ll_new >= ll - slack:
-                beta, ll, lam = candidate, ll_new, lam_new
+            lam_new = np.exp(eta_new)
+            ll_new = float((y_f * eta_new - lam_new - log_factorial).sum())
+            # At large counts the terms of ll nearly cancel, so a trial the
+            # |ll| slack refuses is judged again by their magnitude's slack.
+            if ll_new >= ll - slack or ll_new >= ll - magnitude_slack(eta, lam):
+                beta, eta, ll, lam = candidate, eta_new, ll_new, lam_new
                 accepted = True
                 break
             step *= 0.5
@@ -150,8 +164,11 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
     if not converged:
         # Recompute at the final iterate so the flag reflects where we stopped;
         # lam is always exp(eta) at the current beta.
-        grad_norm = float(np.abs(Xv.T @ (y_f - lam)).max())
-        converged = grad_norm <= _GRAD_TOL
+        grad = Xv.T @ (y_f - lam)
+        grad_norm = float(np.abs(grad).max())
+        converged = (grad_norm <= _GRAD_TOL
+                     or 0.5 * float(grad @ _newton_solver(Xv, lam)(grad))
+                     <= magnitude_slack(eta, lam))
 
     return MleFit(
         beta=CoefVector(beta),

@@ -249,6 +249,15 @@ def fd_gradient(X, beta: CoefVector, counts, h: float = 1e-6) -> np.ndarray:
     return out
 
 
+def _newton_solve(X: DesignMatrix, lam, grad):
+    neg_hess = (X.values.T * lam) @ X.values
+    try:
+        solve = _cholesky_solver(neg_hess)
+    except LinAlgError:
+        solve = _cholesky_solver(neg_hess + _NEWTON_RIDGE * np.eye(X.p))
+    return solve(grad)
+
+
 def reference_fit_mle(X: DesignMatrix, counts) -> MleFit:
     """Damped Newton for the Poisson MLE, one library call per step.
 
@@ -269,13 +278,17 @@ def reference_fit_mle(X: DesignMatrix, counts) -> MleFit:
 
     log_factorial = gammaln(y + 1.0)
 
-    def loglik_and_lam(beta_values):
+    def loglik_eta_lam(beta_values):
         eta = linear_predictor(X, CoefVector(beta_values))
         lam = np.exp(eta)
-        return float(np.sum(y * eta - lam - log_factorial)), lam
+        return float(np.sum(y * eta - lam - log_factorial)), eta, lam
+
+    def magnitude_slack(eta, lam):
+        return 4.0 * np.finfo(float).eps * (1.0 + float(np.sum(np.abs(y * eta) + lam
+                                                                + log_factorial)))
 
     beta = np.zeros(X.p)
-    ll, lam = loglik_and_lam(beta)
+    ll, eta, lam = loglik_eta_lam(beta)
     grad_norm = np.inf
     iterations = 0
     converged = False
@@ -286,25 +299,21 @@ def reference_fit_mle(X: DesignMatrix, counts) -> MleFit:
             converged = True
             break
 
-        neg_hess = (X.values.T * lam) @ X.values
-        try:
-            solve = _cholesky_solver(neg_hess)
-        except LinAlgError:
-            solve = _cholesky_solver(neg_hess + _NEWTON_RIDGE * np.eye(X.p))
-        direction = solve(grad)
-
+        direction = _newton_solve(X, lam, grad)
         slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll))
         step = 1.0
         accepted = False
         for _ in range(_STEP_HALVING_MAX):
             candidate = beta + step * direction
             try:
-                ll_new, lam_new = loglik_and_lam(candidate)
+                ll_new, eta_new, lam_new = loglik_eta_lam(candidate)
             except OverflowError:
                 step *= 0.5
                 continue
-            if ll_new >= ll - slack:
-                beta, ll, lam = candidate, ll_new, lam_new
+            # Refused under the |ll| slack, a trial is judged again under the
+            # slack of the terms' magnitude at the current point.
+            if ll_new >= ll - slack or ll_new >= ll - magnitude_slack(eta, lam):
+                beta, ll, eta, lam = candidate, ll_new, eta_new, lam_new
                 accepted = True
                 break
             step *= 0.5
@@ -312,8 +321,13 @@ def reference_fit_mle(X: DesignMatrix, counts) -> MleFit:
             break
 
     if not converged:
-        grad_norm = float(np.max(np.abs(X.values.T @ (y - lam))))
-        converged = grad_norm <= _GRAD_TOL
+        grad = X.values.T @ (y - lam)
+        grad_norm = float(np.max(np.abs(grad)))
+        # Else the stop is certified by a Newton decrement within the
+        # magnitude slack.
+        converged = (grad_norm <= _GRAD_TOL
+                     or 0.5 * float(grad @ _newton_solve(X, lam, grad))
+                     <= magnitude_slack(eta, lam))
 
     return MleFit(
         beta=CoefVector(beta),

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import argparse
+import errno
 import hashlib
 import json
 import logging
@@ -857,6 +858,64 @@ def test_bad_simulate_config_is_one_field_path_line(case):
         assert not (Path(tmp) / "out").exists()
 
 
+_CONSTANTS_FIELDS = tuple(AssumptionConstants.__dataclass_fields__)
+
+
+@st.composite
+def _bad_constants(draw):
+    """A valid ``check --constants`` object with one mutation, and the field it is reported on.
+
+    Every field has a default, so a dropped key alone is valid: a dropped
+    key comes back under a name the schema does not know.
+    """
+    constants = draw(st.fixed_dictionaries({}, optional={
+        **{name: st.one_of(st.none(), st.floats(-10.0, 10.0)) for name in _CONSTANTS_FIELDS},
+        "c1": st.floats(0.01, 1.0), "tau": st.floats(0.0, 1.0),
+    }))
+    kind = draw(st.sampled_from(
+        ["dropped", "unknown", "type", "non_finite", "beyond_float", "range"]
+    ))
+    # No field of AssumptionConstants starts with "x_".
+    unknown = "x_" + draw(st.text("abcdefghijklmnopqrstuvwxyz_", max_size=12))
+    if kind == "dropped":
+        field = draw(st.sampled_from(_CONSTANTS_FIELDS))
+        constants[unknown] = constants.pop(field, 1.0)
+        return constants, unknown
+    if kind == "unknown":
+        constants[unknown] = draw(st.one_of(st.none(), st.floats(allow_nan=False)))
+        return constants, unknown
+    field = draw(st.sampled_from(("c1", "tau") if kind == "range" else _CONSTANTS_FIELDS))
+    constants[field] = draw({
+        "type": st.one_of(st.text(max_size=5), st.booleans(), st.lists(st.integers(), max_size=2),
+                          st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)),
+        "non_finite": _NON_FINITE,
+        "beyond_float": _BEYOND_FLOAT,
+        "range": _OUT_OF_RANGE[field] if field == "tau" else _OUT_OF_RANGE["c1"],
+    }[kind])
+    return constants, field
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_bad_constants())
+def test_bad_constants_file_is_one_field_path_line(case):
+    constants, field = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signlasso.cli, "expansion_point", _no_work)
+        data = {"x": Path(tmp) / "X.csv", "y": Path(tmp) / "Y.csv",
+                "beta_star": Path(tmp) / "b.csv", "out": Path(tmp) / "out"}
+        write_matrix_csv(data["x"], np.eye(3))
+        write_counts_csv(data["y"], np.array([1, 2, 3]))
+        write_vector_csv(data["beta_star"], np.array([1.0, 0.0, 0.0]))
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(_check_argv(data, "--constants", _constants_file(Path(tmp), constants)))
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: constants.{field}: "), lines
+        assert out.getvalue() == ""
+        assert not data["out"].exists()
+
+
 def test_empty_input_file_is_one_stderr_line(small_dataset, tmp_path, capsys):
     # numpy's "input contained no data" warning used to precede the error.
     code = main(_fit_argv(small_dataset, "--x", _text_file(tmp_path, "empty.csv", "")))
@@ -938,6 +997,104 @@ def test_simulate_refuses_an_out_file_before_the_sweep(
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {file}: exists and is not a directory"]
     assert file.read_text() == "keep me\n"
+
+
+def _argv(command, data, tmp_path):
+    """``command``'s arguments on the small dataset or the small config, into data's out."""
+    if command == "simulate":
+        config = str(_experiment_config(tmp_path))
+        return ["simulate", "--config", config, "--out", str(data["out"])]
+    return {"fit": _fit_argv, "check": _check_argv}[command](data)
+
+
+def _entries(out):
+    """The bytes of every entry in ``out``, by name; a directory maps to None."""
+    return {path.name: None if path.is_dir() else path.read_bytes() for path in out.iterdir()}
+
+
+def test_a_failed_simulate_keeps_the_previous_set_whole(tmp_path, monkeypatch, capsys):
+    # simulate used to write seed 2's results.csv, print its path and fail on
+    # summary.csv, leaving it beside seed 1's report.json.
+    config, out = str(_experiment_config(tmp_path)), tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out), "--seed", "1"]) == 0
+    (out / "summary.csv").unlink()
+    (out / "summary.csv").mkdir()
+    before = _entries(out)
+    capsys.readouterr()
+    monkeypatch.setattr(signlasso.cli, "run_experiment", _no_work)
+    code = main(["simulate", "--config", config, "--out", str(out), "--seed", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {out / 'summary.csv'}: exists and is not a file"]
+    assert _entries(out) == before
+
+
+@pytest.mark.parametrize("command, name", [
+    ("fit", "fit.json"), ("check", "report.json"), ("simulate", "results.csv"),
+    ("simulate", "report.json"),
+])
+def test_an_artifact_path_that_is_not_a_file_is_refused_before_any_work(
+    command, name, small_dataset, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(signlasso.cli, "run_experiment", _no_work)
+    monkeypatch.setattr(signlasso.cli, "expansion_point", _no_work)
+    out = small_dataset["out"]
+    (out / name).mkdir(parents=True)
+    code = main(_argv(command, small_dataset, tmp_path))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {out / name}: exists and is not a file"]
+    assert _entries(out) == {name: None}
+
+
+def _full_disk(*args, **kwargs):
+    # Part of the file is written before the disk fills up.
+    (path,) = [arg for arg in args if isinstance(arg, Path)]
+    path.write_text('{"trunc')
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+@pytest.mark.parametrize("command, writer, name", [
+    ("simulate", "write_report_json", "report.json"),
+    ("simulate", "write_results_csv", "results.csv"),
+    ("fit", "write_json", "fit.json"),
+    ("check", "write_json", "report.json"),
+])
+def test_a_writer_that_fails_leaves_the_previous_set_and_no_temporary(
+    command, writer, name, small_dataset, tmp_path, monkeypatch, capsys
+):
+    out, argv = small_dataset["out"], _argv(command, small_dataset, tmp_path)
+    main(argv)
+    before = _entries(out)
+    capsys.readouterr()
+    monkeypatch.setattr(signlasso.cli, writer, _full_disk)
+    code = main([*argv, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {out / name}: No space left on device"]
+    assert _entries(out) == before
+
+
+def test_simulate_prints_the_set_only_once_it_is_in_place(tmp_path, monkeypatch, capsys):
+    config, out = str(_experiment_config(tmp_path)), tmp_path / "out"
+    real = signlasso.cli.write_report_json
+    seen = []
+
+    def write(result, path):
+        # The last writer runs before any artifact takes its name or is printed.
+        seen.append((sorted(p.name for p in out.iterdir() if not p.name.startswith(".")),
+                     capsys.readouterr().out))
+        real(result, path)
+
+    monkeypatch.setattr(signlasso.cli, "write_report_json", write)
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    names = ["results.csv", "summary.csv", "report.json"]
+    assert seen == [([], "")]
+    assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("field_path, argv", [

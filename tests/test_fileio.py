@@ -1,7 +1,13 @@
 """CSV helpers round-trip exactly."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from signlasso.fileio import (
     format_float,
@@ -68,6 +74,75 @@ def test_bad_file_is_a_value_error_naming_it(reader, text, tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match="bad.csv"):
         reader(path)
+
+
+def test_counts_beyond_a_float_are_read_exactly(tmp_path):
+    # Parsed as floats, 12345678901234567 read as ...568, 2**53 + 1 as 2**53,
+    # and 2**63 - 1 was refused as 2**63.
+    path = tmp_path / "y.csv"
+    counts = [12345678901234567, 2**53 + 1, 2**63 - 1, 0]
+    write_counts_csv(path, np.array(counts))
+    assert read_counts_csv(path).tolist() == counts
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.5\n2\n", "counts must be nonnegative integers"),
+    ("-1\n2\n", "counts must be nonnegative integers"),
+    ("1\nnan\n", "counts must be finite"),
+    ("1\n-inf\n", "counts must be finite"),
+    ("1\n1e19\n", "counts must be below 2**63, got 10000000000000000000"),
+    ("9223372036854775808\n", "counts must be below 2**63, got 9223372036854775808"),
+])
+def test_bad_counts_keep_their_message(text, message, tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_counts_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_integral_float_literals_are_counts(tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_text("3.0\n1e3\n0\n")
+    assert read_counts_csv(path).tolist() == [3, 1000, 0]
+
+
+# Every float64 bit pattern but NaN: -0.0, subnormals and both extremes among them.
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+def _round_trip(write, read, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "values.csv"
+        write(path, values)
+        return read(path)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=_FLOATS))
+def test_matrix_csv_round_trip_is_bit_exact(values):
+    back = _round_trip(write_matrix_csv, read_matrix_csv, values)
+    assert back.tobytes() == values.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(arrays(np.float64, st.integers(1, 6), elements=_FLOATS))
+def test_vector_csv_round_trip_is_bit_exact(values):
+    back = _round_trip(write_vector_csv, read_vector_csv, values)
+    assert back.tobytes() == values.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(arrays(np.int64, st.integers(1, 6), elements=st.one_of(
+    st.integers(0, 2**63 - 1), st.sampled_from([0, 2**53 + 1, 2**63 - 1]),
+)))
+def test_counts_csv_round_trip_is_exact(counts):
+    back = _round_trip(write_counts_csv, read_counts_csv, counts)
+    assert back.dtype == np.int64 and back.tolist() == counts.tolist()
 
 
 def test_format_float_round_trips():

@@ -331,7 +331,7 @@ def test_reference_report_factorises_the_active_block_once(cho_factor_calls):
     config = _small_config()
     for n in config.n_grid:
         before = len(cho_factor_calls)
-        _reference(config, n)
+        _reference(config, n, None)
         assert len(cho_factor_calls) - before == 1
 
 
@@ -590,7 +590,8 @@ def test_reduced_canonical_sweeps_keep_their_golden_digest(name, tmp_path):
 
 def test_a_file_design_is_read_once_per_n_also_under_redraw_design(tmp_path, monkeypatch):
     # A file design ignores its seed, so redraw_design leaves its sweep's
-    # bytes as they are, and its file is parsed once per n, not per replicate.
+    # bytes as they are, and its file is parsed once per sweep, not per n or
+    # per replicate.
     parsed = []
 
     def read(path):
@@ -599,5 +600,32 @@ def test_a_file_design_is_read_once_per_n_also_under_redraw_design(tmp_path, mon
 
     monkeypatch.setattr(harness, "read_matrix_csv", read)
     result, digest = _golden_sweep("file_10", tmp_path, redraw_design=True)
-    assert len(parsed) == len(result.config.n_grid)
+    assert len(result.config.n_grid) == 3 and len(parsed) == 1
     assert digest == GOLDEN_DIGESTS["file_10"][3]
+
+
+def test_a_file_design_names_the_first_n_it_cannot_serve(tmp_path, monkeypatch):
+    # Parsed once, a 100-row file serves n=60 and is refused at n=120, with
+    # the message of a parse per n, before any replicate runs.
+    parsed = []
+
+    def read(path):
+        parsed.append(path)
+        return read_matrix_csv(path)
+
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    path = tmp_path / "X.csv"
+    write_matrix_csv(path, np.random.default_rng(3).standard_normal((100, 4)))
+    monkeypatch.setattr(harness, "read_matrix_csv", read)
+    monkeypatch.setattr(harness, "simulate", no_replicate)
+    config = _small_config(design=DesignSpec(kind="file", path=str(path)),
+                           n_grid=(60, 120, 240), tau=0.0)
+    with pytest.raises(ConfigError) as info:
+        run_experiment(config)
+    assert str(info.value) == (
+        f"design.path: design file {path} has shape (100, 4), "
+        "need at least 120 rows and exactly 4 columns"
+    )
+    assert parsed == [str(path)]

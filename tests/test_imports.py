@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private name of the package is read somewhere in it.
+"""Every name a module of the package imports is used in that module,
+every module-level private name of the package is read somewhere in it, and
+no module imports scipy on import.
 
 No linter ships with the test dependencies, so these are small ``ast``
 checks.  ``__init__.py`` re-exports its imports through ``__all__`` and is
@@ -7,8 +8,12 @@ exempt from the first.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "signlasso"
@@ -80,3 +85,59 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def module_level_imports(source: str) -> list[str]:
+    """The modules that ``source`` imports outside any function or class body."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append(node.module or "")
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            # The bodies of a module-level if, try or with still run on import.
+            pending += [child for child in ast.iter_child_nodes(node)
+                        if isinstance(child, ast.stmt)]
+    return found
+
+
+def test_the_check_finds_a_module_level_import():
+    source = (
+        "import numpy as np\nfrom scipy.special import gammaln\n"
+        "try:\n    import scipy.linalg\nexcept ImportError:\n    pass\n"
+        "def f():\n    from scipy import stats\n"
+    )
+    assert module_level_imports(source) == ["numpy", "scipy.special", "scipy.linalg"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_scipy_on_import(module):
+    # scipy.linalg is most of a fresh process's start-up; each user imports
+    # scipy on first use.
+    imported = module_level_imports((PACKAGE / module).read_text())
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == [], module
+
+
+def test_an_oracle_fit_imports_no_scipy(tmp_path):
+    rng = np.random.default_rng(5)
+    x = 0.5 * rng.standard_normal((300, 4))
+    beta = np.array([1.0, -1.0, 0.0, 0.0])
+    np.savetxt(tmp_path / "X.csv", x, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "Y.csv", rng.poisson(np.exp(x @ beta)), fmt="%d")
+    np.savetxt(tmp_path / "b.csv", beta, fmt="%.17g")
+    script = (
+        "import sys\nfrom signlasso.cli import main\n"
+        "code = main(['fit', '--x', 'X.csv', '--y', 'Y.csv', '--beta-star', 'b.csv', "
+        "'--beta-tilde', 'oracle:1.0', '--alpha', '5', '--out', 'out'])\n"
+        "print(code, [m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
+    assert (tmp_path / "out" / "fit.json").is_file()

@@ -299,7 +299,8 @@ def test_fit_mle_halves_a_step_past_the_overflow_guard(monkeypatch):
     fit = fit_mle(X, counts)
     assert len(refused) == 12
     assert _outcome(fit_mle, X, counts) == _outcome(reference_fit_mle, X, counts)
-    # Unconverged, the gradient norm is recomputed at the returned iterate.
+    # Stopped with the gradient above its tolerance, the gradient norm is
+    # recomputed at the returned iterate.
     assert fit.grad_norm == _grad_norm_at(X, counts, fit.beta.values)
 
 
@@ -313,6 +314,46 @@ def test_fit_mle_stops_when_no_halving_is_accepted(monkeypatch):
     np.testing.assert_array_equal(fit.beta.values, [0.0, 0.0])
     # 30 * (10**6 - 1), the intercept's score at beta = 0.
     assert fit.grad_norm == _grad_norm_at(X, counts, np.zeros(2)) == 29999970.0
+
+
+def _long_double_newton(X: DesignMatrix, counts) -> np.ndarray:
+    """The MLE of a two-column design by Newton with long-double residuals and solves.
+
+    In float64 the terms of the log-likelihood and of its score nearly
+    cancel at large counts; 64-bit-mantissa arithmetic resolves the MLE to
+    float64 precision.
+    """
+    Xl = X.values.astype(np.longdouble)
+    y = np.asarray(counts, dtype=np.longdouble)
+    beta = np.array([np.log(y.mean()), 0.0], dtype=np.longdouble)
+    for _ in range(50):
+        lam = np.exp(Xl @ beta)
+        g = Xl.T @ (y - lam)
+        (a, b), (c, d) = (Xl.T * lam) @ Xl
+        beta = beta + np.array([d * g[0] - b * g[1], a * g[1] - c * g[0]]) / (a * d - b * c)
+    return beta.astype(float)
+
+
+# Within this much of the largest coefficient: a gradient of 1e-8 leaves
+# the MLE up to about 4e-14 of it at scales 1e2 and 1e3, while a stop with
+# no acceptable step under the |ll| slack alone is off by 4e-11 (scale 1e4,
+# n=30), and 100 such iterations by 5e-10 (scale 1e6, n=30).
+_LARGE_COUNT_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("n", [30, 1000])
+@pytest.mark.parametrize("scale", [1e2, 1e3, 1e4, 1e5, 1e6])
+def test_fit_mle_converges_at_large_counts(n, scale):
+    # Before the magnitude slack and the stop certificate, scale 1e4 at n=30
+    # stopped with no acceptable step and scale 1e6 at both n ran unconverged.
+    X = DesignMatrix(np.column_stack([np.ones(n), np.linspace(-1.0, 1.0, n)]))
+    counts = np.random.default_rng(0).poisson(scale, n)
+    fit = fit_mle(X, counts)
+    reference = _long_double_newton(X, counts)
+    assert fit.converged, (fit.iterations, fit.grad_norm)
+    gap = np.abs(fit.beta.values - reference).max()
+    assert gap <= _LARGE_COUNT_RTOL * np.abs(reference).max()
+    assert _outcome(fit_mle, X, counts) == _outcome(reference_fit_mle, X, counts)
 
 
 def test_int64_counts_are_checked_for_sign_and_kept():
