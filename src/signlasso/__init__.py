@@ -47,6 +47,7 @@ from .harness import (
     SummaryRow,
     derive_seed,
     make_design,
+    read_design_file,
     run_experiment,
 )
 from .model import (
@@ -113,6 +114,7 @@ __all__ = [
     "poisson_raw_moment",
     "population_gram",
     "proposition_diagnostics",
+    "read_design_file",
     "run_experiment",
     "score_and_hessian",
     "simulate",

@@ -117,13 +117,14 @@ def _out_dir(out: str, *artifacts: str) -> Path:
 
 
 def _save(out_dir: Path, artifacts: dict) -> None:
-    """Write every artifact ``name: write`` of a command as ``out_dir / name``, all or none.
+    """Write every artifact ``name: write`` of a command as ``out_dir / name``, as one set.
 
     Each ``write(path)`` writes into a temporary directory inside
-    ``out_dir``; the files take their names only once all are written, and
-    only then are their paths printed, in order.  A failure removes the
-    temporaries, prints nothing and names the artifact, so the previous set
-    stays whole.
+    ``out_dir``; the files take their names, one ``os.replace`` each, only
+    once all are written, and only then are their paths printed, in order.
+    A failure removes the temporaries, prints nothing and names the
+    artifact; a failed write leaves the previous set whole, but a rename
+    that fails after an earlier one leaves it part replaced.
     """
     with _input(str(out_dir), OSError):
         out_dir.mkdir(parents=True, exist_ok=True)

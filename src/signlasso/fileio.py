@@ -26,6 +26,10 @@ def _read_table(path, dtype) -> np.ndarray:
     with open(path) as handle, warnings.catch_warnings():
         # An empty file is reported below, as an error that names it.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy before 2.x reads a literal such as 1.5 or nan as an integer
+        # through a float, warning only; as an error it fails the int64
+        # parse, as it does on later numpy, whatever the caller's filters.
+        warnings.simplefilter("error", DeprecationWarning)
         values = np.loadtxt(handle, delimiter=",", ndmin=2, dtype=dtype)
     if values.size == 0:
         raise ValueError(f"{path}: contains no data")
@@ -67,7 +71,7 @@ def read_counts_csv(path) -> np.ndarray:
     """
     try:
         table = _read_table(path, np.int64)
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         table = _read_table(path, float)
     values = _column(path, table)
     try:

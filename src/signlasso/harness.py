@@ -230,7 +230,7 @@ class DesignSpec:
             raise ConfigError("row_norm_cap", f"must be positive, got {self.row_norm_cap}")
 
 
-def _read_design_file(spec: DesignSpec) -> np.ndarray:
+def read_design_file(spec: DesignSpec) -> np.ndarray:
     """A ``file`` design's matrix, parsed once for every n of a sweep.
 
     A file that is not a finite matrix is a ConfigError on ``design.path``;
@@ -244,21 +244,20 @@ def _read_design_file(spec: DesignSpec) -> np.ndarray:
 
 def make_design(spec: DesignSpec, n: int, p: int, seed, rows: np.ndarray | None = None
                 ) -> DesignMatrix:
-    """Generate (or load) an n x p design, enforcing the row-norm cap.
+    """Generate an n x p design, or take a file's first n rows, enforcing the row-norm cap.
 
     A generator draws from ``seed``, an int or a seed sequence as
     ``np.random.default_rng`` takes them.  A file design takes the first n
-    of ``rows``, the file's parsed matrix, which is read from ``spec.path``
-    when None.  A file that is not a finite matrix with at least n rows and
-    exactly p columns is a ConfigError on ``design.path``.  So is a file
-    whose row norms overflow, and a generator's ``design.scale`` that
-    overflows the design or its row norms.
+    of ``rows``, its file's matrix from ``read_design_file(spec)``; one with
+    fewer than n rows or other than p columns is a ConfigError on
+    ``design.path``.  So is a file whose row norms overflow, and a
+    generator's ``design.scale`` that overflows the design or its row norms.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     if spec.kind == "file":
         if rows is None:
-            rows = _read_design_file(spec)
+            raise ValueError("a file design needs its rows, from read_design_file(spec)")
         if rows.shape[0] < n or rows.shape[1] != p:
             raise ConfigError("design.path", (
                 f"design file {spec.path} has shape {rows.shape}, "
@@ -582,15 +581,12 @@ def _diagnosed(config: ExperimentConfig, per_n: _PerN, items: list) -> list[Repl
     return records
 
 
-def _reference(config: ExperimentConfig, n: int, rows: np.ndarray | None
-               ) -> tuple[DesignMatrix, ConditionReport]:
-    """n's design and its condition report at beta_tilde = beta_star, the population Gram's.
+def _reference(config: ExperimentConfig, design: DesignMatrix) -> ConditionReport:
+    """The condition report of an n's design at beta_tilde = beta_star, the population Gram's.
 
-    ``rows`` is a file design's matrix, read once per sweep, or None.  Every
-    reason the sweep cannot run at n is a ConfigError on ``design``.
+    Every reason the sweep cannot run at n is a ConfigError on ``design``.
     """
-    (state,) = _seed_states(_seeds(config.seed, _TAG_DESIGN, n))
-    design = make_design(config.design, n, config.p, state, rows)
+    n = design.n
     constants = config.constants or AssumptionConstants(c1=config.c1, tau=config.tau)
     try:
         pg = population_gram(design, config.beta_star, config.beta_star.support)
@@ -606,7 +602,7 @@ def _reference(config: ExperimentConfig, n: int, rows: np.ndarray | None
             f"is below tau={config.tau}; the scheduled penalty cannot "
             "be expected to recover signs",
         )
-    return design, report
+    return report
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -617,8 +613,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     # A file design is parsed once; each n's design copies its first n rows,
     # so the parsed matrix is not kept through the replicates.
-    rows = _read_design_file(config.design) if config.design.kind == "file" else None
-    references = {n: _reference(config, n, rows) for n in config.n_grid}
+    rows = read_design_file(config.design) if config.design.kind == "file" else None
+    references = {}
+    for n in config.n_grid:
+        (state,) = _seed_states(_seeds(config.seed, _TAG_DESIGN, n))
+        design = make_design(config.design, n, config.p, state, rows)
+        references[n] = design, _reference(config, design)
     del rows
     condition_reports = {n: report for n, (_, report) in references.items()}
     records: list[ReplicateRecord] = []

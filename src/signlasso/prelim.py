@@ -33,8 +33,8 @@ _NEWTON_RIDGE = 1e-10
 _MAX_ITER = 100
 _STEP_HALVING_MAX = 30
 _GRAD_TOL = 1e-8
-# A step may lower the log-likelihood by this many ulps of 1 + |ll|, or of
-# 1 + the magnitude of its terms.
+# A step may lower the log-likelihood by this many ulps of 1 + the
+# magnitude of its terms.
 _SLACK = 4.0 * np.finfo(float).eps
 
 
@@ -65,14 +65,16 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
     converged means a gradient sup-norm of at most 1e-8.  The log-likelihood
     never decreases across accepted steps beyond float resolution, so full
     Newton steps stay acceptable at the plateau: a step may lower it by 4
-    ulp of 1 + |ll|, or, when that refuses it, by 4 ulp of 1 + the sum of
-    its terms' magnitudes, sum(|y_i eta_i| + lam_i + ln y_i!), which bounds
-    its rounding when the terms nearly cancel (large counts).  When no
+    ulp of 1 + the sum of its terms' magnitudes, sum(|y_i eta_i| + lam_i +
+    ln y_i!), which bounds its rounding even when the terms nearly cancel
+    (large counts) and is never below 4 ulp of 1 + |ll|.  When no
     acceptable step exists or iterations run out, the last iterate is
     returned rather than raised; it is flagged ``converged`` if its gradient
     meets the tolerance or its Newton decrement ½ g^T H^-1 g, the gain a
-    full Newton step promises, is within that magnitude slack (the counts
-    cannot resolve a smaller gradient), and ``converged=False`` otherwise.
+    full Newton step promises, is within that slack (the counts cannot
+    resolve a smaller gradient), and ``converged=False`` otherwise, also
+    when the negated Hessian at the last iterate is not positive definite
+    even ridged.
 
     Every fit starts at beta = 0, where eta = 0 and lam = 1 whatever the
     counts.  The Newton solver there is kept on ``X`` and shared by all fits
@@ -88,7 +90,8 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
     ValueError
         If a Newton step leaves the finite coefficients.
     numpy.linalg.LinAlgError
-        If a negated Hessian is not positive definite, even ridged.
+        If a Newton step's negated Hessian is not positive definite, even
+        ridged.
     """
     y = _check_counts(counts, X.n)
     if X.n < X.p:
@@ -134,10 +137,6 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
             solve = _newton_solver(Xv, lam)
         direction = solve(grad)
 
-        # Near the optimum the true improvement drops below the float
-        # resolution of the log-likelihood; the slack keeps the full Newton
-        # step acceptable there so convergence stays quadratic.
-        slack = _SLACK * (1.0 + abs(ll))
         step = 1.0
         accepted = False
         for _ in range(_STEP_HALVING_MAX):
@@ -151,9 +150,12 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
                 continue
             lam_new = np.exp(eta_new)
             ll_new = float((y_f * eta_new - lam_new - log_factorial).sum())
-            # At large counts the terms of ll nearly cancel, so a trial the
-            # |ll| slack refuses is judged again by their magnitude's slack.
-            if ll_new >= ll - slack or ll_new >= ll - magnitude_slack(eta, lam):
+            # Near the optimum the true improvement drops below the float
+            # resolution of the log-likelihood; the slack keeps the full
+            # Newton step acceptable there so convergence stays quadratic.
+            # Only a trial that lowers ll needs it, and it costs a pass over
+            # the terms, so it is formed only then.
+            if ll_new >= ll or ll_new >= ll - magnitude_slack(eta, lam):
                 beta, eta, ll, lam = candidate, eta_new, ll_new, lam_new
                 accepted = True
                 break
@@ -162,13 +164,19 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
             break
 
     if not converged:
-        # Recompute at the final iterate so the flag reflects where we stopped;
-        # lam is always exp(eta) at the current beta.
-        grad = Xv.T @ (y_f - lam)
-        grad_norm = float(np.abs(grad).max())
-        converged = (grad_norm <= _GRAD_TOL
-                     or 0.5 * float(grad @ _newton_solver(Xv, lam)(grad))
-                     <= magnitude_slack(eta, lam))
+        if accepted:
+            # Iterations ran out: the flag reflects where we stopped; lam is
+            # always exp(eta) at the current beta.
+            grad = Xv.T @ (y_f - lam)
+            grad_norm = float(np.abs(grad).max())
+            try:
+                decrement = 0.5 * float(grad @ _newton_solver(Xv, lam)(grad))
+            except np.linalg.LinAlgError:
+                decrement = np.inf
+        else:
+            # No step was taken from the iterate whose direction solved grad.
+            decrement = 0.5 * float(grad @ direction)
+        converged = grad_norm <= _GRAD_TOL or decrement <= magnitude_slack(eta, lam)
 
     return MleFit(
         beta=CoefVector(beta),

@@ -31,6 +31,7 @@ from signlasso import (
     make_design,
     oracle_perturbation,
     proposition_diagnostics,
+    read_design_file,
     simulate,
 )
 from signlasso.conditions import irrepresentable_margin
@@ -300,7 +301,7 @@ def reference_fit_mle(X: DesignMatrix, counts) -> MleFit:
             break
 
         direction = _newton_solve(X, lam, grad)
-        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll))
+        slack = magnitude_slack(eta, lam)
         step = 1.0
         accepted = False
         for _ in range(_STEP_HALVING_MAX):
@@ -310,9 +311,7 @@ def reference_fit_mle(X: DesignMatrix, counts) -> MleFit:
             except OverflowError:
                 step *= 0.5
                 continue
-            # Refused under the |ll| slack, a trial is judged again under the
-            # slack of the terms' magnitude at the current point.
-            if ll_new >= ll - slack or ll_new >= ll - magnitude_slack(eta, lam):
+            if ll_new >= ll - slack:
                 beta, ll, eta, lam = candidate, ll_new, eta_new, lam_new
                 accepted = True
                 break
@@ -324,10 +323,12 @@ def reference_fit_mle(X: DesignMatrix, counts) -> MleFit:
         grad = X.values.T @ (y - lam)
         grad_norm = float(np.max(np.abs(grad)))
         # Else the stop is certified by a Newton decrement within the
-        # magnitude slack.
-        converged = (grad_norm <= _GRAD_TOL
-                     or 0.5 * float(grad @ _newton_solve(X, lam, grad))
-                     <= magnitude_slack(eta, lam))
+        # magnitude slack, if the negated Hessian can be factored.
+        try:
+            decrement = 0.5 * float(grad @ _newton_solve(X, lam, grad))
+        except LinAlgError:
+            decrement = np.inf
+        converged = grad_norm <= _GRAD_TOL or decrement <= magnitude_slack(eta, lam)
 
     return MleFit(
         beta=CoefVector(beta),
@@ -379,8 +380,10 @@ def reference_records(config) -> list:
     """
     records = []
     signs = config.beta_star.signs()
+    rows = read_design_file(config.design) if config.design.kind == "file" else None
     for n in config.n_grid:
-        design = make_design(config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n))
+        design = make_design(config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n),
+                             rows)
         solver = config.solver_config(n)
         for r in range(config.replicates):
             if config.redraw_design:

@@ -1,6 +1,7 @@
 """CSV helpers round-trip exactly."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,47 @@ def test_bad_counts_keep_their_message(text, message, tmp_path):
     with pytest.raises(ValueError) as info:
         read_counts_csv(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+_BAD_LITERALS = [
+    ("1.5\n", "counts must be nonnegative integers"),
+    ("-0.5\n", "counts must be nonnegative integers"),
+    ("nan\n", "counts must be finite"),
+    ("1e19\n", "counts must be below 2**63, got 10000000000000000000"),
+]
+
+
+def _old_numpy_loadtxt(real):
+    """loadtxt as numpy before 2.x reads integers: a literal such as 1.5 or
+    nan goes through a float, with only a DeprecationWarning."""
+    def loadtxt(handle, *, dtype=float, **kwargs):
+        if dtype is not np.int64:
+            return real(handle, dtype=dtype, **kwargs)
+        values = real(handle, dtype=float, **kwargs)
+        if not (np.isfinite(values) & (values == np.round(values))).all() or (
+                np.abs(values) >= 2.0**63).any():
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        with np.errstate(invalid="ignore"):
+            return values.astype(np.int64)
+    return loadtxt
+
+
+@pytest.mark.parametrize("old_numpy", [False, True])
+def test_bad_counts_keep_their_message_whatever_the_warning_filters(
+        old_numpy, tmp_path, monkeypatch):
+    # Outside pytest a DeprecationWarning is ignored, so a parse that only
+    # warns would read 1.5 as 1 and nan as INT64_MIN.
+    if old_numpy:
+        monkeypatch.setattr(np, "loadtxt", _old_numpy_loadtxt(np.loadtxt))
+    for k, (text, message) in enumerate(_BAD_LITERALS):
+        path = tmp_path / f"y{k}.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError) as info:
+                read_counts_csv(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 def test_integral_float_literals_are_counts(tmp_path):

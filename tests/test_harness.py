@@ -24,12 +24,14 @@ from signlasso import (
     make_design,
     oracle_perturbation,
     proposition_diagnostics,
+    read_design_file,
     run_experiment,
     simulate,
 )
 from signlasso.fileio import read_matrix_csv, write_matrix_csv
 from signlasso.harness import (
     _SEED_BLOCK,
+    _TAG_DESIGN,
     ReplicateRecord,
     _SeedState,
     _diagnosed,
@@ -124,10 +126,14 @@ def test_file_design_roundtrip(tmp_path):
     path = tmp_path / "X.csv"
     write_matrix_csv(path, values)
     spec = DesignSpec(kind="file", path=str(path))
-    X = make_design(spec, 20, 3, seed=0)
+    rows = read_design_file(spec)
+    X = make_design(spec, 20, 3, 0, rows)
     np.testing.assert_array_equal(X.values, values[:20])
     with pytest.raises(ValueError):
-        make_design(spec, 40, 3, seed=0)
+        make_design(spec, 40, 3, 0, rows)
+    # The file is read by read_design_file alone.
+    with pytest.raises(ValueError, match="needs its rows"):
+        make_design(spec, 20, 3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +336,9 @@ def test_orthogonal_design_recovery_trend():
 def test_reference_report_factorises_the_active_block_once(cho_factor_calls):
     config = _small_config()
     for n in config.n_grid:
+        design = make_design(config.design, n, config.p, derive_seed(config.seed, _TAG_DESIGN, n))
         before = len(cho_factor_calls)
-        _reference(config, n, None)
+        _reference(config, design)
         assert len(cho_factor_calls) - before == 1
 
 

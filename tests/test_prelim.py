@@ -363,3 +363,27 @@ def test_int64_counts_are_checked_for_sign_and_kept():
         _check_counts(np.array([1, -1, 2]), 3)
     with pytest.raises(ValueError, match=r"below 2\*\*63"):
         _check_counts(np.array([1, 2**63], dtype=np.uint64), 2)
+
+
+@pytest.mark.parametrize("halvings, solves", [(0, 1), (prelim._STEP_HALVING_MAX, 2)])
+def test_stop_certificate_solves_only_when_the_iterate_moved(halvings, solves, monkeypatch):
+    # With no halving allowed no step is taken, and the certificate reuses
+    # the direction already solved; after an accepted last step it forms the
+    # Hessian at the new iterate, and one that cannot be factored even
+    # ridged makes the fit unconverged rather than raising.
+    X = DesignMatrix(np.column_stack([np.ones(40), np.linspace(-1.0, 1.0, 40)]))
+    counts = np.random.default_rng(3).poisson(5.0, 40)
+    real, calls = prelim._newton_solver, []
+
+    def newton_solver(Xv, lam):
+        calls.append(lam)
+        if len(calls) > 1:
+            raise LinAlgError("not positive definite")
+        return real(Xv, lam)
+
+    monkeypatch.setattr(prelim, "_MAX_ITER", 1)
+    monkeypatch.setattr(prelim, "_STEP_HALVING_MAX", halvings)
+    monkeypatch.setattr(prelim, "_newton_solver", newton_solver)
+    fit = fit_mle(X, counts)
+    assert (fit.converged, fit.iterations, len(calls)) == (False, 1, solves)
+    assert (fit.beta.values == 0.0).all() == (halvings == 0)
