@@ -3,6 +3,8 @@
 stdout carries only the paths of written artifacts, one per line; all logging
 goes to stderr at the level set by SIGNLASSO_LOG (error, warning, info, or
 debug; the default is warning, and an unknown name says so and uses it).
+Each command runs with numpy's and scipy's OpenBLAS on one thread
+(``blas.one_thread``), so its artifacts do not depend on the BLAS thread count.
 
 Exit codes
 ----------
@@ -26,6 +28,7 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+from .blas import one_thread
 from .conditions import (
     AssumptionConstants,
     blocked_gram,
@@ -237,7 +240,7 @@ def cmd_check(args) -> int:
         raise ConfigError("beta-star", "needs at least one nonzero coefficient")
     problem = _working_problem(args, X, counts, beta_star)
     bg = blocked_gram(problem, beta_star.support)
-    report = check_assumptions(bg, beta_star, constants)
+    report = check_assumptions(X, bg, beta_star, constants)
     diag = proposition_diagnostics(bg, beta_star, args.alpha)
     payload = {"alpha": args.alpha, "conditions": report, "events": diag, "constants": constants}
     _save(out_dir, {"report.json": partial(write_json, value=payload)})
@@ -312,7 +315,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with one_thread():
+            return args.func(args)
     except SingularBlockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -28,10 +28,10 @@ class BlockedGram:
 
     ``C`` is the full p x p Gram and ``W`` the noise vector, both in the order
     ``perm``: ``perm[:q]`` are the active and ``perm[q:]`` the inactive
-    coordinates.  ``n``, ``beta_tilde`` and ``design`` are the sample size,
-    expansion point and design of the working problem the Gram was built
-    from; the problem itself is not kept, so a blocked Gram that waits for
-    its design's diagnostics pass holds p^2 + 2p floats and a shared design.
+    coordinates.  ``n`` and ``beta_tilde`` are the sample size and expansion
+    point of the working problem the Gram was built from; neither the
+    problem nor its design is kept, so a blocked Gram that waits for its
+    sample size's diagnostics pass holds p^2 + 2p floats and no n x p array.
     The blocks ``C11``, ``C12``, ``C21``, ``C22`` (with C12 == C21.T
     exactly), ``W1``, ``W2``, ``active_idx`` and ``inactive_idx`` are
     read-only views derived on access.  ``active_solver`` factorises C11 on
@@ -45,7 +45,6 @@ class BlockedGram:
     q: int
     n: int
     beta_tilde: CoefVector
-    design: DesignMatrix
 
     def __post_init__(self):
         object.__setattr__(self, "C", _as_readonly(self.C))
@@ -145,7 +144,7 @@ def blocked_gram(problem: WorkingProblem, support) -> BlockedGram:
     W = problem.noise()[perm]
     _freeze(C, W)
     return BlockedGram(C=C, W=W, perm=perm, q=support.q, n=problem.n,
-                       beta_tilde=problem.beta_tilde, design=problem.design)
+                       beta_tilde=problem.beta_tilde)
 
 
 @dataclass(frozen=True)
@@ -295,24 +294,27 @@ def irrepresentable_vector(bg: BlockedGram, beta_star: CoefVector) -> np.ndarray
 
 
 def check_assumptions(
-    bg: BlockedGram, beta_star: CoefVector, constants: AssumptionConstants | None = None
+    X: DesignMatrix, bg: BlockedGram, beta_star: CoefVector,
+    constants: AssumptionConstants | None = None,
 ) -> ConditionReport:
     """Evaluate the recovery conditions of the weighted design at beta_star's support.
 
-    ``bg`` is the blocked Gram at that support; the row and column norms are
-    those of ``bg.design``.
+    ``bg`` is the blocked Gram at that support of a working problem on the
+    design ``X``, whose row and column norms the report gives.
 
     Raises
     ------
     SingularBlockError
         If the active-block Gram has an eigenvalue at or below 1e-12.
     ValueError
-        If ``bg``'s active set is not beta_star's support.
+        If ``bg``'s active set is not beta_star's support, or ``bg`` was built
+        from a design of another shape than X.
     """
     bg._check_truth(beta_star)
+    if (X.n, X.p) != (bg.n, bg.p):
+        raise ValueError(f"X is {X.n} x {X.p}, but bg was built from an {bg.n} x {bg.p} design")
     constants = constants or AssumptionConstants()
     _, eigmin = bg.active_solver
-    X, n = bg.design, bg.n
 
     row_norm_max = float(np.max(X.row_norms()))
     col_norm_max = float(np.max(X.col_norms()))
@@ -322,7 +324,7 @@ def check_assumptions(
         float(np.linalg.eigvalsh(bg.C22)[-1]) if bg.C22.size else 0.0
     )
     beta_min = float(np.min(np.abs(beta_star.values[bg.active_idx])))
-    beta_min_scaled = float(n ** ((1.0 - constants.c1) / 2.0) * beta_min)
+    beta_min_scaled = float(bg.n ** ((1.0 - constants.c1) / 2.0) * beta_min)
     d = irrepresentable_vector(bg, beta_star)
     irrep_margin = irrepresentable_margin(d)
 
@@ -343,7 +345,7 @@ def check_assumptions(
         passes["beta_min"] = beta_min_scaled >= constants.min_beta_scaled
 
     return ConditionReport(
-        n=n,
+        n=bg.n,
         q=bg.q,
         lambda_min_C11=eigmin,
         lambda_max_C12=lambda_max_c12,
@@ -410,7 +412,7 @@ def proposition_diagnostics(bg, beta_star: CoefVector, alpha: float) -> Proposit
     """Evaluate the sufficient sign-recovery events at penalty ``alpha``.
 
     ``bg`` is one blocked Gram, or a sequence of blocked Grams of one sample
-    size and one permutation (the replicates of one design), which are
+    size and one permutation (the replicates of one n, on any designs), which are
     evaluated in one pass with a leading replicate axis.  One blocked Gram is
     the pass over a stack of one, so each lane of a stack gets the bits of
     its own call.  The expansion point and the sample size are each blocked

@@ -5,13 +5,13 @@ form the preliminary estimate, build the working problem, solve with the
 scheduled penalty alpha_n = alpha_coef * n^{(c2+1)/2}, and compare the
 recovered sign pattern against the truth.  Every replicate also logs the
 sufficient-event diagnostics so recovery rates can be checked against event
-rates: each replicate queues its blocked Gram, and one diagnostics pass per
-design evaluates the queue with a leading replicate axis, with the bits of
-one pass per replicate.  Each replicate draws its counts and then takes its
-expansion point, each from a seed of its own; one pass per block of
-replicates derives their seeds and generator states.  Everything is
-deterministic in the master seed; replicates run serially in (n, replicate)
-order.
+rates: each replicate queues its blocked Gram, which holds no design, and
+one diagnostics pass per n, redrawn designs or not, evaluates the queue
+with a leading replicate axis, with the bits of one pass per replicate.
+Each replicate draws its counts and then its expansion point, each from a
+seed of its own; one pass per block of replicates derives their seeds and
+generator states.  Everything is deterministic in the master seed;
+replicates run serially in (n, replicate) order.
 """
 
 from __future__ import annotations
@@ -496,7 +496,7 @@ class _PerN(NamedTuple):
 
 
 class _Queued(NamedTuple):
-    """A replicate whose fit converged, waiting for its design's diagnostics pass."""
+    """A replicate whose fit converged, waiting for its n's diagnostics pass."""
 
     record: partial
     bg: BlockedGram
@@ -552,11 +552,12 @@ def _run_replicate(config: ExperimentConfig, per_n: _PerN, design: DesignMatrix,
 
 
 def _diagnosed(config: ExperimentConfig, per_n: _PerN, items: list) -> list[ReplicateRecord]:
-    """The records of ``items``, in order: the queued ones get one diagnostics pass.
+    """The records of one n's ``items``, in order: the queued ones get one diagnostics pass.
 
-    A pass that raises (a singular active block, a non-finite entry) is
-    redone one replicate at a time, so each failing replicate gets the record
-    of its own pass and the others their outcomes.
+    The replicates share a design or each drew its own; a lane of the pass
+    has the bits of its own pass.  A pass that raises (a singular active
+    block, a non-finite entry) is redone one replicate at a time, so each
+    failing replicate gets the record of its own pass.
     """
     queued = [item for item in items if isinstance(item, _Queued)]
     if not queued:
@@ -592,7 +593,7 @@ def _reference(config: ExperimentConfig, design: DesignMatrix) -> ConditionRepor
         pg = population_gram(design, config.beta_star, config.beta_star.support)
         # Kept on the design: its first replicate draws from this sampler.
         _count_sampler(design, config.beta_star)
-        report = check_assumptions(pg.gram, config.beta_star, constants)
+        report = check_assumptions(design, pg.gram, config.beta_star, constants)
     except (SingularBlockError, DegenerateWeightError, OverflowError, ValueError) as exc:
         raise ConfigError("design", f"reference design at n={n}: {exc}") from exc
     if report.irrep_margin < config.tau:
@@ -635,17 +636,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             n, report.irrep_margin, report.lambda_min_C11, solver.alpha,
         )
         per_n = _PerN(n, solver, support, signs)
-        batch, items = [], []
+        items = []
         replicate_seeds = _replicate_seeds(config.seed, tags, n, config.replicates)
         for r, (seed_used, states) in enumerate(replicate_seeds):
             if redraw:
                 design = make_design(config.design, n, config.p, states[2])
             items.append(_run_replicate(config, per_n, design, r, seed_used, states))
-            # One diagnostics pass per design: at the end of the n, or after
-            # each replicate when every replicate draws its own design.
-            if redraw or r == config.replicates - 1:
-                batch.extend(_diagnosed(config, per_n, items))
-                items = []
+        batch = _diagnosed(config, per_n, items)
         records.extend(batch)
         done = sum(1 for rec in batch if rec.ok)
         logger.info("n=%d: %d/%d replicates ok", n, done, len(batch))

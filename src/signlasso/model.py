@@ -14,6 +14,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from . import blas
+
 # Linear predictors above this raise OverflowError.  Downstream code squares
 # and inverts the intensities, so guard at half the representable exponent.
 MAX_LINEAR_PREDICTOR = 0.5 * math.log(np.finfo(float).max)
@@ -59,9 +61,13 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 @cache
 def _lapack() -> tuple:
-    """The float64 LAPACK ``potrf`` and ``potrs`` behind scipy's cho_factor and cho_solve."""
+    """The float64 LAPACK ``potrf`` and ``potrs`` behind scipy's cho_factor and cho_solve.
+
+    Loading them loads scipy's OpenBLAS, which a running command pins to one thread.
+    """
     from scipy.linalg import get_lapack_funcs
 
+    blas.pin("scipy")
     return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 

@@ -241,7 +241,7 @@ def test_acceptance_conditions_engine():
         DesignMatrix(H), CoefVector([0.0, 0.0]), np.zeros(4, dtype=int)
     )
     beta_star = CoefVector([1.0, 0.0])
-    report = check_assumptions(blocked_gram(problem, [0]), beta_star, None)
+    report = check_assumptions(DesignMatrix(H), blocked_gram(problem, [0]), beta_star, None)
     assert report.irrep_margin == 1.0
     d = irrepresentable_vector(blocked_gram(problem, [0]), beta_star)
     assert np.all(d == 0.0)
@@ -256,7 +256,7 @@ def test_acceptance_conditions_engine():
     problem = build_working_problem(X, beta_star, rng.integers(0, 4, n))
     lam = problem.lambda_tilde
     expected = 1.0 - abs(float(np.sum(lam * x2 * x1)) / float(np.sum(lam * x1 * x1)))
-    report = check_assumptions(blocked_gram(problem, [0]), beta_star, None)
+    report = check_assumptions(X, blocked_gram(problem, [0]), beta_star, None)
     assert report.irrep_margin == pytest.approx(expected, abs=1e-10)
 
     # Exact reassembly of the blocks.

@@ -19,12 +19,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401 - loads scipy's OpenBLAS, whose thread count a test sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signlasso
+import signlasso.cli as cli
 import signlasso.harness as harness
-from signlasso import AssumptionConstants, CoefVector, DesignSpec, ExperimentConfig
+from signlasso import AssumptionConstants, CoefVector, DesignSpec, ExperimentConfig, blas
 from signlasso.cli import build_parser, main
 from signlasso.schema import from_json, jsonable
 from signlasso.fileio import (
@@ -1403,3 +1405,219 @@ def test_unknown_log_level_is_named_on_one_stderr_line(tmp_path, monkeypatch, ca
     assert warning.startswith("WARNING signlasso: unknown SIGNLASSO_LOG level 'verbose'")
     assert error.startswith("error: ")
     assert logging.getLogger("signlasso").level == logging.WARNING
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+# p = 198, so a BLAS-threaded Gram product sums in another order, and in mle
+# mode scipy's OpenBLAS factors the 198 x 198 Newton Hessian.
+WIDE = {
+    "design": {"kind": "correlated_gaussian", "rho": 0.2, "scale": 1.0},
+    "beta_star": [1.0, -1.0] + [0.0] * 196,
+    "n_grid": [1000],
+    "c1": 1.0,
+    "c2": 0.5,
+    "alpha_coef": 1.0,
+    "replicates": 4,
+    "seed": 20260811,
+    "beta_tilde_mode": "oracle:1.0",
+    "tau": 0.0,
+}
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    configs = {"oracle": WIDE, "mle": {**WIDE, "replicates": 3, "beta_tilde_mode": "mle"}}
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    script = (
+        "import sys\nfrom signlasso.cli import main\n"
+        "for name in ('oracle', 'mle'):\n"
+        "    argv = ['simulate', '--config', name + '.json', '--out', sys.argv[1] + '/' + name]\n"
+        "    assert main(argv) == 0\n"
+    )
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, f"threads{threads}"], cwd=tmp_path,
+            env=_child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    for name in configs:
+        for artifact in ("results.csv", "summary.csv", "report.json"):
+            one = (tmp_path / "threads1" / name / artifact).read_bytes()
+            assert (tmp_path / "threads2" / name / artifact).read_bytes() == one, (name, artifact)
+
+
+def test_a_command_pins_both_libraries_and_restores_their_counts(small_dataset, monkeypatch):
+    libraries = {package: blas._threads(package) for package in ("numpy", "scipy")}
+    before = {package: get() for package, (get, _) in libraries.items()}
+    seen = []
+
+    def fit(*args):
+        seen.append({package: get() for package, (get, _) in libraries.items()})
+        return real_fit(*args)
+
+    real_fit = cli.fit
+    monkeypatch.setattr(cli, "fit", fit)
+    try:
+        for _, set_ in libraries.values():
+            set_(2)
+        assert main(_fit_argv(small_dataset, "--beta-tilde", "mle")) == 0
+        assert seen == [{"numpy": 1, "scipy": 1}]
+        assert {package: get() for package, (get, _) in libraries.items()} == {
+            "numpy": 2, "scipy": 2}
+    finally:
+        for package, (_, set_) in libraries.items():
+            set_(before[package])
+
+
+def test_a_library_not_found_is_one_warning_and_the_command_runs(
+        small_dataset, monkeypatch, capsys):
+    # scipy.linalg is loaded in this process, so both libraries are looked
+    # up on entry, and each one not found is one warning however often the
+    # command's LAPACK calls ask for it.
+    monkeypatch.setattr(blas, "_threads", lambda package: None)
+    assert main(_fit_argv(small_dataset, "--beta-tilde", "mle")) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == str(small_dataset["out"] / "fit.json")
+    assert captured.err.splitlines() == [
+        f"WARNING signlasso.blas: {package}'s OpenBLAS not found; it keeps its thread "
+        "count, and results may depend on it" for package in ("numpy", "scipy")
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Exit codes
+# ---------------------------------------------------------------------------
+
+# The exit codes of cli.py's table, by command.
+_EXIT_CODES = {"fit": {0, 1, 2}, "check": {0, 1, 3, 4}, "simulate": {0, 1}}
+_BAD_CELLS = st.sampled_from(["abc", "nan", "inf", "-inf", "1e999", "", "0x1"])
+_BAD_COUNTS = st.sampled_from(["-1", "-7", "0.5", "2.5", "-3.25"])
+
+
+def _exit_code_inputs(tmp: Path) -> dict:
+    """A small valid fit/check input set, and a simulate config on the same design file."""
+    rng = np.random.default_rng(401)
+    X = 0.6 * rng.standard_normal((60, 3))
+    beta_star = np.array([0.9, -0.7, 0.0])
+    paths = {name: tmp / f"{name}.csv" for name in ("x", "y", "beta_star")}
+    write_matrix_csv(paths["x"], X)
+    write_counts_csv(paths["y"], rng.poisson(np.exp(X @ beta_star)))
+    write_vector_csv(paths["beta_star"], beta_star)
+    config = {**SMALL_CONFIG, "design": {"kind": "file", "path": str(paths["x"])},
+              "beta_star": beta_star.tolist(), "n_grid": [60], "replicates": 2, "tau": 0.0}
+    paths["config"] = tmp / "experiment.json"
+    paths["config"].write_text(json.dumps(config))
+    return paths
+
+
+def _rewrite(path: Path, edit) -> None:
+    """Replace the lines of a CSV file by ``edit(lines)``."""
+    path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+
+
+@st.composite
+def _mutations(draw):
+    """A command, one mutation of its valid inputs, and what the mutation draws."""
+    command = draw(st.sampled_from(sorted(_EXIT_CODES)))
+    mutation = draw(st.sampled_from([
+        "bad_cell", "column_count", "missing_file", "bad_count", "bad_alpha", "duplicate_column",
+    ]))
+    files = ["x"] if command == "simulate" else ["x", "y", "beta_star"]
+    drawn = {
+        "mode": draw(st.sampled_from(["mle", "oracle:1.0"])),
+        "file": draw(st.sampled_from(files)),
+        "row": draw(st.integers(0, 59)),
+        "col": draw(st.integers(0, 2)),
+        "cell": draw(_BAD_CELLS),
+        "count": draw(_BAD_COUNTS),
+        "alpha": draw(st.sampled_from(["nan", "inf", "-inf", "-1", "-1e-300"])),
+        "every_row": draw(st.booleans()),
+        "missing": draw(st.sampled_from({
+            "fit": ["--x", "--y", "--beta-star"],
+            "check": ["--x", "--y", "--beta-star", "--constants"],
+            "simulate": ["--config", "design"],
+        }[command])),
+    }
+    return command, mutation, drawn
+
+
+def _mutate(paths: dict, command: str, mutation: str, drawn: dict) -> list:
+    """Apply ``mutation`` to the inputs in ``paths``; the argv that runs ``command`` on them."""
+    if command == "simulate":
+        options = {"--config": paths["config"]}
+    else:
+        options = {"--x": paths["x"], "--y": paths["y"], "--beta-star": paths["beta_star"],
+                   "--beta-tilde": drawn["mode"], "--alpha": 5}
+    path = paths[drawn["file"]]
+    # A coefficient file has 3 rows.
+    row = drawn["row"] % 3 if drawn["file"] == "beta_star" else drawn["row"]
+
+    def at_row(line_edit):
+        return lambda lines: [line_edit(line) if k == row else line for k, line in enumerate(lines)]
+
+    if mutation == "bad_cell":
+        def put(line):
+            cells = line.split(",")
+            cells[drawn["col"] % len(cells)] = drawn["cell"]
+            return ",".join(cells)
+        _rewrite(path, at_row(put))
+    elif mutation == "column_count":
+        # One row, or every row of a design, with a column too many.
+        every_row = drawn["every_row"] and drawn["file"] == "x"
+        _rewrite(path, lambda lines: [line + ",1" for line in lines] if every_row
+                 else at_row(lambda line: line + ",1")(lines))
+    elif mutation == "bad_count" and command == "simulate":
+        config = json.loads(paths["config"].read_text())
+        config["replicates"] = json.loads(drawn["count"])
+        paths["config"].write_text(json.dumps(config))
+    elif mutation == "bad_count":
+        _rewrite(paths["y"], at_row(lambda line: drawn["count"]))
+    elif mutation == "bad_alpha":
+        options["--alpha"] = drawn["alpha"]
+    elif mutation == "duplicate_column":
+        # Columns 0 and 1 carry beta*'s two nonzero coefficients.
+        _rewrite(paths["x"], lambda lines: [
+            ",".join(line.split(",")[:1] * 2 + line.split(",")[2:]) for line in lines])
+    elif drawn["missing"] == "design":
+        paths["x"].unlink()
+    else:
+        options[drawn["missing"]] = paths["out"].parent / "missing.csv"
+    # One token per option, so a negative --alpha is not read as a flag.
+    return [command, *(f"{key}={value}" for key, value in options.items()),
+            f"--out={paths['out']}"]
+
+
+def _tree(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_mutations())
+def test_a_mutated_input_gets_an_exit_code_of_the_table(case):
+    command, mutation, drawn = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _exit_code_inputs(Path(tmp))
+        paths["out"] = Path(tmp) / "out"
+        paths["out"].mkdir()
+        (paths["out"] / "fit.json").write_text("an earlier fit\n")
+        before = _tree(paths["out"])
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(_mutate(paths, command, mutation, drawn))
+        assert code in _EXIT_CODES[command]
+        expected = {1}
+        if mutation == "duplicate_column" and drawn["mode"] == "oracle:1.0":
+            # mle refuses the rank-deficient design, oracle mode fits it, and
+            # check's two equal active columns are its singular-block exit.
+            expected = {"fit": {0, 2}, "check": {4}, "simulate": {1}}[command]
+        assert code in expected, (code, err.getvalue())
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert out.getvalue() == ""
+            assert _tree(paths["out"]) == before

@@ -96,7 +96,8 @@ def test_check_assumptions_orthogonal_design():
     problem = _unweighted_problem(H)
     beta_star = CoefVector([1.0, 0.0])
     report = check_assumptions(
-        blocked_gram(problem, [0]), beta_star, AssumptionConstants(min_eigen_active=1.0)
+        DesignMatrix(H), blocked_gram(problem, [0]), beta_star,
+        AssumptionConstants(min_eigen_active=1.0),
     )
     assert report.irrep_margin == 1.0
     assert report.lambda_min_C11 == pytest.approx(1.0)
@@ -110,7 +111,7 @@ def test_check_assumptions_full_support_conventions():
     rng = np.random.default_rng(223)
     inst = make_instance(rng, n=25, p=3, q=3)
     report = check_assumptions(
-        blocked_gram(inst["problem"], inst["beta_star"].support),
+        inst["X"], blocked_gram(inst["problem"], inst["beta_star"].support),
         inst["beta_star"], AssumptionConstants(),
     )
     assert report.irrep_margin == 1.0
@@ -133,7 +134,7 @@ def test_check_assumptions_two_predictor_closed_form():
     c11 = float(np.sum(lam * x1 * x1) / n)
     c21 = float(np.sum(lam * x2 * x1) / n)
     expected_margin = 1.0 - abs(c21 / c11)
-    report = check_assumptions(blocked_gram(problem, [0]), beta_star, AssumptionConstants())
+    report = check_assumptions(X, blocked_gram(problem, [0]), beta_star, AssumptionConstants())
     assert report.irrep_margin == pytest.approx(expected_margin, abs=1e-10)
 
 
@@ -142,7 +143,7 @@ def test_check_assumptions_reports_observed_constants():
     inst = make_instance(rng, n=50, p=4, q=2)
     X = inst["X"]
     bg = blocked_gram(inst["problem"], inst["beta_star"].support)
-    report = check_assumptions(bg, inst["beta_star"], None)
+    report = check_assumptions(X, bg, inst["beta_star"], None)
     assert report.row_norm_max == pytest.approx(float(np.max(X.row_norms())))
     assert report.col_norm_max == pytest.approx(float(np.max(X.col_norms())))
     # beta_min statistic with default c1 = 1 is just min |active beta|.
@@ -154,7 +155,7 @@ def test_beta_min_scaling_with_c1():
     rng = np.random.default_rng(233)
     inst = make_instance(rng, n=100, p=3, q=1)
     report = check_assumptions(
-        blocked_gram(inst["problem"], inst["beta_star"].support),
+        inst["X"], blocked_gram(inst["problem"], inst["beta_star"].support),
         inst["beta_star"], AssumptionConstants(c1=0.5),
     )
     expected = 100 ** 0.25 * float(np.abs(inst["beta_star"].values[0]))
@@ -166,11 +167,11 @@ def test_singular_active_block_raises():
     problem = _unweighted_problem(X)
     beta_star = CoefVector([1.0, 1.0, 0.0])
     with pytest.raises(SingularBlockError):
-        check_assumptions(blocked_gram(problem, [0, 1]), beta_star, None)
+        check_assumptions(problem.design, blocked_gram(problem, [0, 1]), beta_star, None)
 
 
 @pytest.mark.parametrize("consumer", [
-    lambda bg, beta: check_assumptions(bg, beta),
+    lambda bg, beta: check_assumptions(DesignMatrix(np.ones((bg.n, bg.p))), bg, beta),
     lambda bg, beta: irrepresentable_vector(bg, beta),
     lambda bg, beta: proposition_diagnostics(bg, beta, 1.0),
 ], ids=["check_assumptions", "irrepresentable_vector", "proposition_diagnostics"])
@@ -188,11 +189,12 @@ def test_consumers_reject_a_gram_blocked_off_the_support(consumer):
 def test_blocked_gram_keeps_its_problem():
     rng = np.random.default_rng(241)
     inst = make_instance(rng, n=40, p=5, q=2)
-    # It keeps its problem's sample size, expansion point and design, not the problem.
+    # It keeps its problem's sample size and expansion point, not the problem
+    # or its design.
     bg = blocked_gram(inst["problem"], inst["beta_star"].support)
     assert bg.n == inst["problem"].n
     assert bg.beta_tilde is inst["problem"].beta_tilde
-    assert bg.design is inst["X"]
+    assert "design" not in {f.name for f in fields(bg)}
 
 
 def test_blocked_gram_takes_a_blocking_taken_once_for_many_problems():
@@ -409,3 +411,13 @@ def test_stacked_diagnostics_need_one_sample_size():
            for problem in (inst["problem"], other["problem"])]
     with pytest.raises(ValueError, match="share n"):
         proposition_diagnostics(bgs, inst["beta_star"], 1.0)
+
+
+def test_check_assumptions_rejects_a_design_of_another_shape():
+    # The norms come from X and the Gram from bg: they must be one design's.
+    rng = np.random.default_rng(251)
+    inst = make_instance(rng, n=50, p=4, q=2)
+    bg = blocked_gram(inst["problem"], inst["beta_star"].support)
+    for shape in ((49, 4), (50, 5)):
+        with pytest.raises(ValueError, match="50 x 4 design"):
+            check_assumptions(DesignMatrix(np.ones(shape)), bg, inst["beta_star"])

@@ -1,8 +1,12 @@
 """Design generation, experiment sweeps, determinism, and serialization."""
 
+import csv
 import hashlib
+import math
+import tempfile
 import weakref
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,6 +490,43 @@ def test_a_queued_replicate_keeps_no_working_problem(monkeypatch):
     assert passes == [10, 10]
 
 
+@pytest.mark.parametrize("mode", ["oracle:1.0", "mle"])
+@pytest.mark.parametrize("kind", ["fixed", "file", "redraw"])
+def test_one_diagnostics_pass_per_n_in_every_design_mode(kind, mode, tmp_path, monkeypatch):
+    # Every replicate of an n is queued and its events are evaluated in one
+    # pass at the end of that n, on one design or on a redrawn design per
+    # replicate.  A redrawn design is freed when its replicate ends, so when
+    # the pass runs at most one of that n's designs is still alive.
+    designs, passes = [], []
+
+    def make(*args):
+        design = make_design(*args)
+        designs.append((args[1], weakref.ref(design)))
+        return design
+
+    def diagnose(bgs, *args):
+        n = bgs[0].n
+        passes.append((n, len(bgs), sum(m == n and ref() is not None for m, ref in designs)))
+        return proposition_diagnostics(bgs, *args)
+
+    monkeypatch.setattr(harness, "make_design", make)
+    monkeypatch.setattr(harness, "proposition_diagnostics", diagnose)
+    overrides = {"redraw": {"redraw_design": True}, "fixed": {}}.get(kind)
+    if overrides is None:
+        path = tmp_path / "X.csv"
+        write_matrix_csv(path, 0.6 * np.random.default_rng(5).standard_normal((120, 4)))
+        overrides = {"design": DesignSpec(kind="file", path=str(path)), "tau": 0.0}
+    config = _small_config(replicates=6, beta_tilde_mode=mode, **overrides)
+    records = run_experiment(config).records
+    assert [n for n, _, _ in passes] == list(config.n_grid)
+    for n, lanes, alive in passes:
+        assert lanes == sum(rec.ok for rec in records if rec.n == n) > 0
+        assert alive <= 1
+    # Each n's reference design, and under redraw_design one per replicate.
+    drawn = 1 + config.replicates if kind == "redraw" else 1
+    assert sorted(n for n, _ in designs) == [n for n in config.n_grid for _ in range(drawn)]
+
+
 def test_condition_reports_attached_per_n():
     config = _small_config(replicates=5)
     result = run_experiment(config)
@@ -518,6 +559,36 @@ def test_results_csv_has_one_row_per_replicate(tmp_path):
     write_results_csv(result, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + len(config.n_grid) * config.replicates
+
+
+_RATE_COLUMNS = ("recovery_rate", "event_rate", "mean_irrep_margin")
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(max_sweeps=st.sampled_from([1, 2, 3, 1000]), replicates=st.integers(1, 4),
+       seed=st.integers(0, 2**32), mode=st.sampled_from(["oracle:1.0", "mle"]),
+       alpha_coef=st.sampled_from([1.0, 3.0, 4.0]))
+def test_summary_writes_nan_only_where_every_replicate_failed(
+        max_sweeps, replicates, seed, mode, alpha_coef):
+    # The NaN rule: a summary rate or mean margin is nan exactly at an n whose
+    # replicates all failed, and no other results.csv or summary.csv cell is
+    # nan or infinite.  One solver sweep fails every replicate; two or three
+    # fail some of them at the larger penalties, which converge sooner.
+    config = _small_config(max_sweeps=max_sweeps, replicates=replicates, seed=seed,
+                           beta_tilde_mode=mode, alpha_coef=alpha_coef, tau=0.0)
+    result = run_experiment(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_results_csv(result, Path(tmp) / "results.csv")
+        write_summary_csv(result.summary, Path(tmp) / "summary.csv")
+        tables = {name: list(csv.DictReader((Path(tmp) / name).read_text().splitlines()))
+                  for name in ("results.csv", "summary.csv")}
+    for row in tables["summary.csv"]:
+        all_failed = row["failures"] == row["replicates"]
+        for name, cell in row.items():
+            assert math.isnan(float(cell)) == (all_failed and name in _RATE_COLUMNS), (name, row)
+    for row in tables["results.csv"]:
+        # A failed replicate's outcome cells are empty.
+        assert all(math.isfinite(float(cell)) for cell in row.values() if cell != ""), row
 
 
 def _seeded_file_design(tmp_path):
