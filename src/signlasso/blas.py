@@ -1,19 +1,25 @@
-"""One BLAS thread while a command runs.
+"""The OpenBLAS libraries that numpy and scipy bundle: found, opened and pinned here.
 
-numpy and scipy each bundle an OpenBLAS.  A threaded BLAS splits a product
-among its threads and sums the parts in another order, so at p=200 the last
-bits of a Gram, and with them the artifacts, would depend on the thread
-count.  ``cli.main`` runs each command in ``one_thread()``: numpy's library
-is pinned to one thread on entry, scipy's once ``model._lapack`` has loaded
-it, and both get their thread counts back on exit.  A library that cannot
-be found is left as it is, with one warning.
+numpy and scipy each bundle an OpenBLAS in ``<package>.libs`` beside the
+package.  numpy's runs numpy's products.  scipy's holds the LAPACK that
+``model._lapack`` calls through ctypes, found with ``importlib.util.find_spec``
+so that scipy itself is not imported.
+
+A threaded BLAS splits a product among its threads and sums the parts in
+another order, so at p=200 the last bits of a Gram, and with them the
+artifacts, would depend on the thread count.  ``cli.main`` runs each command
+in ``one_thread()``: numpy's library is pinned to one thread on entry,
+scipy's too if it is already loaded in the process (a probe with
+RTLD_NOLOAD), else when ``scipy_openblas`` loads it; both get their thread
+counts back on exit.  A library that cannot be found is left as it is, with
+one warning.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import logging
 import os
-import sys
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
@@ -33,25 +39,55 @@ _saved: dict | None = None
 
 
 @cache
-def _threads(package: str):
-    """The ``(get, set)`` thread-count functions of ``package``'s loaded OpenBLAS, or None.
+def _path(package: str) -> str | None:
+    """The file of ``package``'s bundled OpenBLAS, or None; ``package`` is not imported."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return None
+    libs = Path(spec.origin).parent.parent / f"{package}.libs"
+    return next((str(path) for path in sorted(libs.glob(_OPENBLAS[package][0]))), None)
 
-    ``package`` is imported, so its library is loaded: opened with
-    RTLD_NOLOAD, a file that is not the loaded library is skipped.
+
+def _open(package: str, mode: int):
+    """``package``'s bundled OpenBLAS opened with dlopen ``mode``, or None.
+
+    None also when the mode has RTLD_NOLOAD and the library is not loaded.
     """
     import ctypes
 
-    pattern, symbol = _OPENBLAS[package]
-    libs = Path(sys.modules[package].__file__).parent.parent / f"{package}.libs"
-    for path in sorted(libs.glob(pattern)):
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            get, set_ = (getattr(lib, symbol.format(verb)) for verb in ("get", "set"))
-        except (OSError, AttributeError):
-            continue
-        get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
-        return get, set_
-    return None
+    path = _path(package)
+    if path is None:
+        return None
+    try:
+        return ctypes.CDLL(path, mode=mode)
+    except OSError:
+        return None
+
+
+@cache
+def _threads(package: str):
+    """The ``(get, set)`` thread-count functions of ``package``'s loaded OpenBLAS, or None."""
+    import ctypes
+
+    lib = _open(package, os.RTLD_NOLOAD)
+    if lib is None:
+        return None
+    try:
+        get, set_ = (getattr(lib, _OPENBLAS[package][1].format(verb)) for verb in ("get", "set"))
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@cache
+def scipy_openblas():
+    """scipy's bundled OpenBLAS, loaded and pinned for the running command; None if not found."""
+    lib = _open("scipy", os.RTLD_NOW)
+    if lib is not None:
+        pin("scipy")
+    return lib
 
 
 def pin(package: str) -> None:
@@ -74,12 +110,12 @@ def pin(package: str) -> None:
 
 @contextmanager
 def one_thread():
-    """Run the body with numpy's and scipy's OpenBLAS on one thread each."""
+    """Run the body with numpy's OpenBLAS, and scipy's once loaded, on one thread each."""
     global _saved
     _saved = {}
     try:
         pin("numpy")
-        if "scipy.linalg" in sys.modules:
+        if _open("scipy", os.RTLD_NOLOAD) is not None:
             pin("scipy")
         yield
     finally:

@@ -23,7 +23,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -123,26 +123,55 @@ def _save(out_dir: Path, artifacts: dict) -> None:
     """Write every artifact ``name: write`` of a command as ``out_dir / name``, as one set.
 
     Each ``write(path)`` writes into a temporary directory inside
-    ``out_dir``; the files take their names, one ``os.replace`` each, only
-    once all are written, and only then are their paths printed, in order.
-    A failure removes the temporaries, prints nothing and names the
-    artifact; a failed write leaves the previous set whole, but a rename
-    that fails after an earlier one leaves it part replaced.
+    ``out_dir``.  Once all are written, each artifact takes its name with
+    ``os.replace``, after the file it replaces has been moved into the
+    temporary directory; if a rename fails, every file already moved goes
+    back, so the previous set stays whole.  Only then are the paths
+    printed, in order.  A failure removes the temporaries, prints nothing
+    and names the artifact.
     """
     with _input(str(out_dir), OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=".signlasso-", dir=out_dir))
+    previous = staging / "previous"
     try:
+        with _input(str(out_dir), OSError):
+            previous.mkdir()
         for name, write in artifacts.items():
             with _input(str(out_dir / name), (OSError, ValueError)):
                 write(staging / name)
-        for name in artifacts:
-            with _input(str(out_dir / name), OSError):
-                os.replace(staging / name, out_dir / name)
+        swapped = []
+        try:
+            for name in artifacts:
+                with _input(str(out_dir / name), OSError):
+                    try:
+                        os.replace(out_dir / name, previous / name)
+                    except FileNotFoundError:
+                        pass
+                    swapped.append(name)
+                    os.replace(staging / name, out_dir / name)
+        except ConfigError:
+            _swap_back(out_dir, staging, swapped)
+            raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     for name in artifacts:
         print(out_dir / name)
+
+
+def _swap_back(out_dir: Path, staging: Path, names: list) -> None:
+    """Undo ``_save``'s renames of ``names``, last first, as far as the file system lets it.
+
+    A name whose previous file is in ``staging / "previous"`` gets it back;
+    one that had none loses the artifact that took it.
+    """
+    for name in reversed(names):
+        with suppress(OSError):
+            previous = staging / "previous" / name
+            if previous.exists():
+                os.replace(previous, out_dir / name)
+            elif not (staging / name).exists():
+                (out_dir / name).unlink()
 
 
 def _read_inputs(args):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -54,44 +54,159 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-# scipy is imported on first use, and each name is resolved once and kept:
-# importing scipy.linalg takes most of a fresh process's start-up, and a
-# command that needs neither module (an oracle-mode fit) never imports it.
-
-
 @cache
 def _lapack() -> tuple:
-    """The float64 LAPACK ``potrf`` and ``potrs`` behind scipy's cho_factor and cho_solve.
+    """``(potrf, potrs)``: the float64 Cholesky factor and solve of scipy's LAPACK.
 
-    Loading them loads scipy's OpenBLAS, which a running command pins to one thread.
+    ``potrf(a)`` returns ``(factor, info)``, ``factor`` holding the lower
+    factor of a copy of the square ``a`` in Fortran order; ``potrs(factor,
+    b)`` returns ``(x, info)``, ``x`` the Fortran-ordered solution of the
+    factored system for the 1-D or 2-D ``b``.  They call ``scipy_dpotrf_``
+    and ``scipy_dpotrs_`` through ctypes in the OpenBLAS that scipy
+    bundles: the library that ``scipy.linalg``'s own ``potrf`` and
+    ``potrs`` call, so the factors and solutions have their bits, and scipy
+    is not imported.  numpy's bundled OpenBLAS has a LAPACK too, whose bits
+    differ; it is not used.  Where scipy's library is not found, they are
+    ``scipy.linalg``'s functions.  Either way the library is pinned to one
+    thread for the running command.
     """
-    from scipy.linalg import get_lapack_funcs
+    lib = blas.scipy_openblas()
+    if lib is None:
+        from scipy.linalg import get_lapack_funcs
 
-    blas.pin("scipy")
-    return get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+        blas.pin("scipy")
+        potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+        return (partial(potrf, lower=True, overwrite_a=False, clean=False),
+                partial(potrs, lower=True, overwrite_b=False))
+
+    import ctypes
+
+    # LP64 Fortran arguments, each by reference: ('L', n, a, lda, info) and
+    # ('L', n, nrhs, a, lda, b, ldb, info), then the hidden length of 'L'.
+    # Every argument is a ctypes object of its C type, which ctypes passes as
+    # it is; declared argtypes would convert each one on every call, about
+    # half the cost of a call.  A factor is held with the references its
+    # solves pass, and the references of a size are made once.
+    c_int, byref = ctypes.c_int, ctypes.byref
+    dpotrf, dpotrs = lib.scipy_dpotrf_, lib.scipy_dpotrs_
+    dpotrf.restype = dpotrs.restype = None
+    uplo, uplo_len = ctypes.c_char_p(b"L"), ctypes.c_size_t(1)
+    info = c_int()
+    info_ref, refs = byref(info), {}
+
+    def sizes(n: int) -> tuple:
+        """``n`` and the leading dimension ``max(n, 1)``, by reference."""
+        found = refs.get(n)
+        if found is None:
+            found = refs[n] = (byref(c_int(n)), byref(c_int(max(n, 1))))
+        return found
+
+    one = sizes(1)[0]
+    # An array's buffer as a pointer argument.  ``.T`` of a Fortran-ordered
+    # array is the C-contiguous view that from_buffer takes.
+    buffer = (ctypes.c_char * 0).from_buffer
+
+    def potrf(a):
+        factor = np.array(a, dtype=np.float64, order="F")
+        shape = factor.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {shape}")
+        (n_ref, ld), at = sizes(shape[0]), buffer(factor.T)
+        dpotrf(uplo, n_ref, at, ld, info_ref, uplo_len)
+        return (factor, at, n_ref, ld), info.value
+
+    def potrs(held, b):
+        factor, at, n_ref, ld = held
+        x = np.array(b, dtype=np.float64, order="F")
+        shape = x.shape
+        if not 1 <= len(shape) <= 2 or shape[0] != factor.shape[0]:
+            raise ValueError(f"expected {factor.shape[0]} rows in the right-hand side, "
+                             f"got shape {shape}")
+        if len(shape) == 1:
+            dpotrs(uplo, n_ref, one, at, ld, buffer(x), ld, info_ref, uplo_len)
+        else:
+            dpotrs(uplo, n_ref, sizes(shape[1])[0], at, ld, buffer(x.T), ld, info_ref,
+                   uplo_len)
+        return x, info.value
+
+    return potrf, potrs
 
 
-@cache
-def _gammaln():
-    """scipy's ``gammaln``, the ln Gamma of the log-likelihoods and of PTRS's log test."""
-    from scipy.special import gammaln
+# cephes' lgam, the code behind scipy.special.gammaln, at x >= 1: the log of
+# an exact product below 13, then Stirling's series with these constants.
+_LS2PI = 0.91893853320467274178
+_MAXLGM = 2.556348e305
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+# ln k! for k = 0..11, the log of the exact product lgam forms below 13.
+_LN_SMALL_FACTORIALS = np.array([math.log(float(math.factorial(k))) for k in range(12)])
+# The table of ln k! grows on demand to a power of two up to this length;
+# a larger k is computed on each call.
+_LN_FACTORIAL_CAP = 1 << 16
 
-    return gammaln
+
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """cephes' ``lgam`` at the integer-valued floats ``x >= 1``, bit for bit.
+
+    Its arithmetic in its order, with glibc's ``log`` (``math.log``):
+    numpy's vectorised ``np.log`` rounds some arguments the other way.
+    """
+    log_x = np.array([math.log(v) for v in x.tolist()])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        q = (x - 0.5) * log_x - x + _LS2PI
+        p = 1.0 / (x * x)
+        a0, a1, a2, a3, a4 = _LGAM_A
+        series = np.where(
+            x >= 1000.0,
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333,
+            (((a0 * p + a1) * p + a2) * p + a3) * p + a4,
+        )
+        out = np.where(x > 1.0e8, q, q + series / x)
+    out[x > _MAXLGM] = math.inf
+    small = x < 13.0
+    out[small] = _LN_SMALL_FACTORIALS[(x[small] - 1.0).astype(np.intp)]
+    return out
+
+
+# ln k! for every k below its length, grown by ``_ln_factorial``.  Its
+# entries are fixed numbers, so every caller may share it.
+_ln_factorials = [_LN_SMALL_FACTORIALS]
+
+
+def _ln_factorial(k: np.ndarray) -> np.ndarray:
+    """ln k! for the nonnegative integer-valued int64 or float ``k``: ``gammaln(k + 1)``'s bits.
+
+    Looked up in a table of ``_lgam(k + 1)`` grown on demand, one ``take``
+    when every ``k`` is inside it; if the largest is past the table's cap,
+    ``_lgam`` is evaluated for them all instead.  A float ``k`` is cast to
+    an integer only when the table holds it.
+    """
+    table = _ln_factorials[0]
+    top = k.max()
+    if top >= table.size:
+        if top >= _LN_FACTORIAL_CAP:
+            return _lgam(k + 1.0)
+        size = min(1 << int(top).bit_length(), _LN_FACTORIAL_CAP)
+        table = np.concatenate([table, _lgam(np.arange(table.size, size) + 1.0)])
+        _ln_factorials[0] = table
+    return table.take(k if k.dtype.kind == "i" else k.astype(np.int64))
 
 
 def _cholesky_solver(a: np.ndarray, check_finite: bool = True):
     """``solve(rhs)`` for the symmetric positive-definite ``a``, by its lower Cholesky factor.
 
-    The same LAPACK calls as ``cho_solve(cho_factor(a, lower=True), rhs)``,
-    so the same bits, without those functions' per-call argument handling.
+    The LAPACK calls of ``cho_solve(cho_factor(a, lower=True), rhs)``, in
+    the same library (``_lapack``), so the same bits, without those
+    functions' per-call argument handling or scipy's import.
     A non-finite entry of ``a`` or of ``rhs`` raises ValueError, unless
     ``check_finite`` is false (for ``a`` here, for ``rhs`` in ``solve``):
     a caller that has checked a whole stack of them at once passes that.  A
     matrix that is not positive definite raises LinAlgError.
     """
     potrf, potrs = _lapack()
-    factor, info = potrf(np.asarray_chkfinite(a) if check_finite else a,
-                         lower=True, overwrite_a=False, clean=False)
+    factor, info = potrf(np.asarray_chkfinite(a) if check_finite else a)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite"
@@ -100,8 +215,7 @@ def _cholesky_solver(a: np.ndarray, check_finite: bool = True):
         raise ValueError(f"illegal value in {-info}th argument of internal potrf")
 
     def solve(rhs, check_finite: bool = True):
-        x, info = potrs(factor, np.asarray_chkfinite(rhs) if check_finite else rhs,
-                        lower=True, overwrite_b=False)
+        x, info = potrs(factor, np.asarray_chkfinite(rhs) if check_finite else rhs)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return x
@@ -256,12 +370,13 @@ def intensities(X: DesignMatrix, beta: CoefVector) -> np.ndarray:
 def log_likelihood(X: DesignMatrix, beta: CoefVector, counts) -> float:
     """Poisson log-likelihood sum_i [y_i eta_i - exp(eta_i) - ln(y_i!)].
 
-    The factorial constant is kept (via log-gamma) so the value is the full
-    log-density; it does not affect maximization over beta.
+    The factorial constant is kept (``_ln_factorial``, the bits of scipy's
+    ``gammaln(y + 1)``) so the value is the full log-density; it does not
+    affect maximization over beta.
     """
     y = _check_counts(counts, X.n)
     eta = linear_predictor(X, beta)
-    return float(np.sum(y * eta - np.exp(eta) - _gammaln()(y + 1.0)))
+    return float(np.sum(y * eta - np.exp(eta) - _ln_factorial(y)))
 
 
 def score_and_hessian(X: DesignMatrix, beta: CoefVector, counts):
@@ -324,10 +439,12 @@ def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator,
     rejects, which get the bits of evaluating it for those lanes alone.  A
     uniform of exactly 0.0 makes ``us`` = 0 (k = -inf, rejected) or v = 0
     (the log test's left side is -inf); the divide and invalid warnings of
-    those infinities are not raised.
+    those infinities are not raised.  The log test's ln k! is
+    ``_ln_factorial`` of k clipped at 0: a lane with k < 0, -inf included,
+    is rejected whatever its right side, and a huge k (from a tiny ``us``,
+    up to about 1e24) is evaluated in floats, never cast to an integer.
     """
     log_lam, b, a, inv_alpha, v_r = constants
-    gammaln = _gammaln()
     out = np.zeros(lam.size, dtype=np.int64)
     todo = np.arange(lam.size)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -340,7 +457,7 @@ def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator,
             a_t, b_t, lam_t = a[todo], b[todo], lam[todo]
             k = np.floor((2.0 * a_t / us + b_t) * u + lam_t + 0.43)
             lhs = np.log(v * inv_alpha[todo] / (a_t / us ** 2 + b_t))
-            rhs = k * log_lam[todo] - lam_t - gammaln(k + 1.0)
+            rhs = k * log_lam[todo] - lam_t - _ln_factorial(np.maximum(k, 0.0))
             # Accepted by the squeeze, or rejected neither by it nor by the log test.
             accept = ((us >= 0.07) & (v <= v_r[todo])) | (
                 (k >= 0) & ((us >= 0.013) | (v <= us)) & (lhs <= rhs)

@@ -20,9 +20,9 @@ from .model import (
     DesignMatrix,
     _check_counts,
     _cholesky_solver,
-    _gammaln,
     _guarded_product,
     _kept,
+    _ln_factorial,
 )
 
 # Relative singular-value cutoff for the full-column-rank precondition.
@@ -78,9 +78,8 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
 
     Every fit starts at beta = 0, where eta = 0 and lam = 1 whatever the
     counts.  The Newton solver there is kept on ``X`` and shared by all fits
-    on it; one that fails to form is not kept.  ln(y!) is looked up in a
-    table of ln(k!) for k up to the largest count when that count is below
-    n, and computed per count otherwise; both give the same floats.
+    on it; one that fails to form is not kept.  ln(y!) is ``model._ln_factorial``,
+    the bits of scipy's ``gammaln(y + 1)``.
 
     Raises
     ------
@@ -105,13 +104,7 @@ def fit_mle(X: DesignMatrix, counts) -> MleFit:
 
     # numpy casts int64 counts to these floats inside each ufunc anyway.
     y_f = y.astype(float)
-    # The table is no longer than the counts, however large a count is.
-    top = int(y.max())
-    gammaln = _gammaln()
-    if top < X.n:
-        log_factorial = gammaln(np.arange(top + 1) + 1.0)[y]
-    else:
-        log_factorial = gammaln(y_f + 1.0)
+    log_factorial = _ln_factorial(y)
 
     def magnitude_slack(eta, lam) -> float:
         """The slack by the magnitude of the log-likelihood's terms at ``eta``."""

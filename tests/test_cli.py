@@ -1080,6 +1080,35 @@ def test_a_writer_that_fails_leaves_the_previous_set_and_no_temporary(
     assert _entries(out) == before
 
 
+@pytest.mark.parametrize("failing_call", [1, 2, 3])
+def test_a_rename_that_fails_leaves_the_previous_set_whole(
+    failing_call, tmp_path, monkeypatch, capsys
+):
+    # Into an existing set, the renames go: the old results.csv out, the new
+    # one in, the old summary.csv out, ...  Before, a failure after the
+    # first new file was in left it beside the old summary and report.
+    config, out = str(_experiment_config(tmp_path)), tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out), "--seed", "1"]) == 0
+    before = _entries(out)
+    capsys.readouterr()
+    real, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == failing_call:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(signlasso.cli.os, "replace", replace)
+    code = main(["simulate", "--config", config, "--out", str(out), "--seed", "2"])
+    captured = capsys.readouterr()
+    failed = "summary.csv" if failing_call == 3 else "results.csv"
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {out / failed}: No space left on device"]
+    assert _entries(out) == before
+
+
 def test_simulate_prints_the_set_only_once_it_is_in_place(tmp_path, monkeypatch, capsys):
     config, out = str(_experiment_config(tmp_path)), tmp_path / "out"
     real = signlasso.cli.write_report_json
@@ -1473,11 +1502,40 @@ def test_a_command_pins_both_libraries_and_restores_their_counts(small_dataset, 
             set_(before[package])
 
 
+def test_each_command_pins_scipys_library_loaded_without_scipy_linalg(small_dataset):
+    # The first fit loads scipy's OpenBLAS through ctypes and pins it then;
+    # the second finds it loaded on entry.  Between them both libraries are
+    # set to 2 threads, and each command must give that count back.
+    script = (
+        "import json, sys\nimport signlasso.cli as cli\nfrom signlasso import blas\n"
+        "seen, after = [], []\nreal_fit = cli.fit\n"
+        "def threads():\n"
+        "    return [blas._threads(package)[0]() for package in ('numpy', 'scipy')]\n"
+        "def fit(*args):\n    seen.append(threads())\n    return real_fit(*args)\n"
+        "cli.fit = fit\n"
+        "for _ in range(2):\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "    after.append(threads())\n"
+        "    for package in ('numpy', 'scipy'):\n        blas._threads(package)[1](2)\n"
+        "print(json.dumps([seen, after, 'scipy.linalg' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *_fit_argv(small_dataset, "--beta-tilde", "mle")],
+        env=_child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    seen, after, linalg = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [[1, 1], [1, 1]]
+    assert after == [[1, 1], [2, 2]]
+    assert not linalg
+
+
 def test_a_library_not_found_is_one_warning_and_the_command_runs(
         small_dataset, monkeypatch, capsys):
-    # scipy.linalg is loaded in this process, so both libraries are looked
-    # up on entry, and each one not found is one warning however often the
-    # command's LAPACK calls ask for it.
+    # scipy's OpenBLAS is loaded in this process (this module imports
+    # scipy.linalg), so both libraries are looked up on entry, and each one
+    # not found is one warning however often the command's LAPACK calls ask
+    # for it.
     monkeypatch.setattr(blas, "_threads", lambda package: None)
     assert main(_fit_argv(small_dataset, "--beta-tilde", "mle")) == 0
     captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every module-level private name of the package is read somewhere in it, and
-no module imports scipy on import.
+every module-level private name of the package is read somewhere in it, no
+module imports scipy on import, and no command imports the scipy modules
+that compute: ln k! and the Cholesky solves have scipy's bits without them.
 
 No linter ships with the test dependencies, so these are small ``ast``
 checks.  ``__init__.py`` re-exports its imports through ``__all__`` and is
@@ -8,6 +9,7 @@ exempt from the first.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -115,29 +117,94 @@ def test_the_check_finds_a_module_level_import():
 
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_no_module_imports_scipy_on_import(module):
-    # scipy.linalg is most of a fresh process's start-up; each user imports
-    # scipy on first use.
+    # scipy.linalg is most of a fresh process's start-up; report.json's
+    # version import and the LAPACK fallback import on first use.
     imported = module_level_imports((PACKAGE / module).read_text())
     assert [name for name in imported if name.split(".")[0] == "scipy"] == [], module
 
 
-def test_an_oracle_fit_imports_no_scipy(tmp_path):
-    rng = np.random.default_rng(5)
-    x = 0.5 * rng.standard_normal((300, 4))
+def scipy_submodule_imports(source: str) -> list[str]:
+    """Every ``scipy.`` submodule that ``source`` imports, function bodies included.
+
+    ``from scipy import name`` counts as importing ``scipy.name``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.startswith("scipy.")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy."):
+                found.append(node.module)
+            elif node.module == "scipy":
+                found += [f"scipy.{alias.name}" for alias in node.names]
+    return found
+
+
+def test_the_check_finds_a_scipy_submodule_import():
+    source = (
+        "import scipy\nimport scipy.linalg as la\n"
+        "def f():\n    from scipy.special import gammaln\n    from scipy import stats\n"
+    )
+    assert scipy_submodule_imports(source) == ["scipy.linalg", "scipy.special", "scipy.stats"]
+
+
+def test_no_module_imports_a_scipy_submodule_but_the_lapack_fallback():
+    # The top-level ``import scipy`` of report.json's version string loads
+    # none of scipy's submodules that compute; scipy.linalg stands in for
+    # scipy's bundled OpenBLAS only where that library is not found.
+    found = {module: scipy_submodule_imports((PACKAGE / module).read_text())
+             for module in MODULES + ["__init__.py"]}
+    assert {module: names for module, names in found.items() if names} == {
+        "model.py": ["scipy.linalg"]}
+
+
+@pytest.fixture(scope="module")
+def bare_scipy_modules():
+    """The scipy modules that ``import scipy`` alone loads in a fresh process."""
+    script = "import sys, scipy\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120)
+    return set(ast.literal_eval(result.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("command", ["simulate-oracle", "simulate-mle", "check", "fit-mle",
+                                     "fit-oracle"])
+def test_a_command_imports_no_scipy_module_that_computes(command, tmp_path, bare_scipy_modules):
+    rng = np.random.default_rng(8)
+    x = 0.5 * rng.standard_normal((200, 4))
     beta = np.array([1.0, -1.0, 0.0, 0.0])
     np.savetxt(tmp_path / "X.csv", x, delimiter=",", fmt="%.17g")
     np.savetxt(tmp_path / "Y.csv", rng.poisson(np.exp(x @ beta)), fmt="%d")
     np.savetxt(tmp_path / "b.csv", beta, fmt="%.17g")
+    mode = "oracle:1.0" if command == "simulate-oracle" else "mle"
+    (tmp_path / "config.json").write_text(json.dumps({
+        "design": {"kind": "correlated_gaussian", "rho": 0.2}, "beta_star": [1.0, -1.0, 0.0],
+        "n_grid": [100, 400], "c1": 1.0, "c2": 0.5, "alpha_coef": 1.0, "replicates": 3,
+        "seed": 1, "beta_tilde_mode": mode,
+    }))
+    data = ["--x", "X.csv", "--y", "Y.csv", "--beta-star", "b.csv", "--out", "out"]
+    argv = {
+        "simulate-oracle": ["simulate", "--config", "config.json", "--out", "out"],
+        "simulate-mle": ["simulate", "--config", "config.json", "--out", "out"],
+        "check": ["check", *data],
+        "fit-mle": ["fit", *data, "--beta-tilde", "mle", "--alpha", "5"],
+        "fit-oracle": ["fit", *data, "--beta-tilde", "oracle:1.0", "--alpha", "5"],
+    }[command]
     script = (
         "import sys\nfrom signlasso.cli import main\n"
-        "code = main(['fit', '--x', 'X.csv', '--y', 'Y.csv', '--beta-star', 'b.csv', "
-        "'--beta-tilde', 'oracle:1.0', '--alpha', '5', '--out', 'out'])\n"
-        "print(code, [m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])\n"
+        f"code = main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
-    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
-    assert (tmp_path / "out" / "fit.json").is_file()
+    code, loaded = result.stdout.splitlines()[-1].split(" ", 1)
+    loaded = set(ast.literal_eval(loaded))
+    assert code == "0", result.stderr
+    assert not loaded & {"scipy.special", "scipy.linalg"}
+    # simulate imports scipy for report.json's version string, and with it
+    # the scipy._lib modules that scipy/__init__.py imports; fit and check
+    # import nothing of scipy.
+    assert loaded <= (bare_scipy_modules if command.startswith("simulate") else set())
