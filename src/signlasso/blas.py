@@ -8,11 +8,13 @@ so that scipy itself is not imported.
 A threaded BLAS splits a product among its threads and sums the parts in
 another order, so at p=200 the last bits of a Gram, and with them the
 artifacts, would depend on the thread count.  ``cli.main`` runs each command
-in ``one_thread()``: numpy's library is pinned to one thread on entry,
-scipy's too if it is already loaded in the process (a probe with
-RTLD_NOLOAD), else when ``scipy_openblas`` loads it; both get their thread
-counts back on exit.  A library that cannot be found is left as it is, with
-one warning.
+in ``one_thread()``, which opens both libraries on entry, pins each to one
+thread and gives each its thread count back on exit.  Commands that overlap
+in one process share the pin: the first to enter sets it and the last to
+leave restores it.  A library that cannot be found is left as it is, with
+one warning.  Python-API calls such as ``harness.run_experiment`` are not
+pinned; run them in ``one_thread()`` for artifacts that do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import importlib.util
 import logging
 import os
+import threading
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
@@ -33,43 +36,37 @@ _OPENBLAS = {
     "scipy": ("libscipy_openblas-*.so", "scipy_openblas_{}_num_threads"),
 }
 
-# While a command runs: each package's library setter and its thread count
-# before the pin, or None for a library not found.  None outside a command.
-_saved: dict | None = None
+# How many ``one_thread`` bodies are running, and the setter and earlier
+# thread count of each library they pinned; both are changed under _lock.
+_lock = threading.Lock()
+_depth = 0
+_saved: list = []
 
 
 @cache
-def _path(package: str) -> str | None:
-    """The file of ``package``'s bundled OpenBLAS, or None; ``package`` is not imported."""
+def _library(package: str):
+    """``package``'s bundled OpenBLAS, opened, or None; ``package`` is not imported."""
+    import ctypes
+
     spec = importlib.util.find_spec(package)
     if spec is None or spec.origin is None:
         return None
     libs = Path(spec.origin).parent.parent / f"{package}.libs"
-    return next((str(path) for path in sorted(libs.glob(_OPENBLAS[package][0]))), None)
-
-
-def _open(package: str, mode: int):
-    """``package``'s bundled OpenBLAS opened with dlopen ``mode``, or None.
-
-    None also when the mode has RTLD_NOLOAD and the library is not loaded.
-    """
-    import ctypes
-
-    path = _path(package)
+    path = next((str(path) for path in sorted(libs.glob(_OPENBLAS[package][0]))), None)
     if path is None:
         return None
     try:
-        return ctypes.CDLL(path, mode=mode)
+        return ctypes.CDLL(path, mode=os.RTLD_NOW)
     except OSError:
         return None
 
 
 @cache
 def _threads(package: str):
-    """The ``(get, set)`` thread-count functions of ``package``'s loaded OpenBLAS, or None."""
+    """The ``(get, set)`` thread-count functions of ``package``'s OpenBLAS, or None."""
     import ctypes
 
-    lib = _open(package, os.RTLD_NOLOAD)
+    lib = _library(package)
     if lib is None:
         return None
     try:
@@ -81,45 +78,33 @@ def _threads(package: str):
     return get, set_
 
 
-@cache
 def scipy_openblas():
-    """scipy's bundled OpenBLAS, loaded and pinned for the running command; None if not found."""
-    lib = _open("scipy", os.RTLD_NOW)
-    if lib is not None:
-        pin("scipy")
-    return lib
-
-
-def pin(package: str) -> None:
-    """Pin ``package``'s OpenBLAS to one thread until the running command ends.
-
-    Does nothing outside a command, or if the library is already pinned.
-    """
-    if _saved is None or package in _saved:
-        return
-    found = _threads(package)
-    if found is None:
-        logger.warning("%s's OpenBLAS not found; it keeps its thread count, and "
-                       "results may depend on it", package)
-        _saved[package] = None
-        return
-    get, set_ = found
-    _saved[package] = set_, get()
-    set_(1)
+    """scipy's bundled OpenBLAS, opened; None if not found."""
+    return _library("scipy")
 
 
 @contextmanager
 def one_thread():
-    """Run the body with numpy's OpenBLAS, and scipy's once loaded, on one thread each."""
-    global _saved
-    _saved = {}
+    """Run the body with numpy's and scipy's OpenBLAS on one thread each."""
+    global _depth
+    with _lock:
+        if _depth == 0:
+            for package in _OPENBLAS:
+                found = _threads(package)
+                if found is None:
+                    logger.warning("%s's OpenBLAS not found; it keeps its thread count, "
+                                   "and results may depend on it", package)
+                    continue
+                get, set_ = found
+                _saved.append((set_, get()))
+                set_(1)
+        _depth += 1
     try:
-        pin("numpy")
-        if _open("scipy", os.RTLD_NOLOAD) is not None:
-            pin("scipy")
         yield
     finally:
-        for entry in filter(None, _saved.values()):
-            set_, count = entry
-            set_(count)
-        _saved = None
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                for set_, count in _saved:
+                    set_(count)
+                _saved.clear()

@@ -3,8 +3,9 @@
 stdout carries only the paths of written artifacts, one per line; all logging
 goes to stderr at the level set by SIGNLASSO_LOG (error, warning, info, or
 debug; the default is warning, and an unknown name says so and uses it).
-Each command runs with numpy's and scipy's OpenBLAS on one thread
-(``blas.one_thread``), so its artifacts do not depend on the BLAS thread count.
+Each command loads numpy's and scipy's bundled OpenBLAS on entry and runs
+with each on one thread (``blas.one_thread``), so its artifacts do not depend
+on the BLAS thread count.
 
 Exit codes
 ----------

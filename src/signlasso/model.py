@@ -67,14 +67,12 @@ def _lapack() -> tuple:
     ``potrs`` call, so the factors and solutions have their bits, and scipy
     is not imported.  numpy's bundled OpenBLAS has a LAPACK too, whose bits
     differ; it is not used.  Where scipy's library is not found, they are
-    ``scipy.linalg``'s functions.  Either way the library is pinned to one
-    thread for the running command.
+    ``scipy.linalg``'s functions.
     """
     lib = blas.scipy_openblas()
     if lib is None:
         from scipy.linalg import get_lapack_funcs
 
-        blas.pin("scipy")
         potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
         return (partial(potrf, lower=True, overwrite_a=False, clean=False),
                 partial(potrs, lower=True, overwrite_b=False))

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg  # noqa: F401 - loads scipy's OpenBLAS, whose thread count a test sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1479,33 +1478,121 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
             assert (tmp_path / "threads2" / name / artifact).read_bytes() == one, (name, artifact)
 
 
-def test_a_command_pins_both_libraries_and_restores_their_counts(small_dataset, monkeypatch):
-    libraries = {package: blas._threads(package) for package in ("numpy", "scipy")}
-    before = {package: get() for package, (get, _) in libraries.items()}
-    seen = []
+# Runs ``cli.main`` on ``sys.argv[2:]`` and prints its exit code, what each
+# command saw on entry (whether scipy's OpenBLAS was mapped, and both
+# libraries' thread counts) and the counts before and after it.  "warm" first
+# loads scipy's library, as an earlier command would, and sets both libraries
+# to 2 threads; "fresh" sets numpy's alone, so only the command can load scipy's.
+_PIN_SCRIPT = """
+import json, sys
+import signlasso.cli as cli
+from signlasso import blas
 
-    def fit(*args):
-        seen.append({package: get() for package, (get, _) in libraries.items()})
-        return real_fit(*args)
+packages = ["numpy"]
+if sys.argv[1] == "warm":
+    blas.scipy_openblas()
+    packages.append("scipy")
 
-    real_fit = cli.fit
-    monkeypatch.setattr(cli, "fit", fit)
+def threads(packages):
+    return {package: blas._threads(package)[0]() for package in packages}
+
+def entered(command):
+    def run(args):
+        with open("/proc/self/maps") as maps:
+            loaded = "/libscipy_openblas-" in maps.read()
+        seen.append([loaded, threads(["numpy", "scipy"])])
+        return command(args)
+    return run
+
+for package in packages:
+    blas._threads(package)[1](2)
+seen, before = [], threads(packages)
+for name in ("cmd_fit", "cmd_check", "cmd_simulate"):
+    setattr(cli, name, entered(getattr(cli, name)))
+code = cli.main(sys.argv[2:])
+print(json.dumps([code, seen, before, threads(packages)]))
+"""
+
+
+def _pin_case(case: str, tmp: Path) -> tuple:
+    """``(mode, argv, exit code)`` of one input of the pin test, made in ``tmp``."""
+    paths = _exit_code_inputs(tmp)
+
+    def data(x):
+        return ["--x", str(x), "--y", str(paths["y"]), "--beta-star", str(paths["beta_star"])]
+
+    out = ["--out", str(tmp / "out")]
+    oracle, mle = ["--beta-tilde", "oracle:1.0"], ["--beta-tilde", "mle", "--alpha", "5"]
+    simulate = ["simulate", "--config", str(paths["config"]), *out]
+    cases = {
+        "fit_oracle": (["fit", *data(paths["x"]), *oracle, "--alpha", "5", *out], 0),
+        "fit_oracle_bad_alpha": (["fit", *data(paths["x"]), *oracle, "--alpha", "nan", *out], 1),
+        "fit_mle": (["fit", *data(paths["x"]), *mle, *out], 0),
+        "fit_mle_bad_out": (["fit", *data(paths["x"]), *mle, "--out", str(paths["x"] / "out")], 1),
+        # These data's irrepresentable margin, about 0.65, is below the default tau.
+        "check": (["check", *data(paths["x"]), "--constants",
+                   _constants_file(tmp, {"tau": 0.3}), *out], 0),
+        "check_singular_block": (["check", *data(_duplicate_column_design(tmp)), *oracle, *out], 4),
+        "simulate": (simulate, 0),
+        "simulate_bad_alpha": ([*simulate, "--alpha", "nan"], 1),
+    }
+    argv, code = cases[case.removesuffix("_fresh")]
+    return "fresh" if case.endswith("_fresh") else "warm", argv, code
+
+
+@pytest.mark.parametrize("case", [
+    "fit_oracle", "fit_oracle_bad_alpha", "fit_oracle_fresh", "fit_mle", "fit_mle_bad_out",
+    "check", "check_singular_block", "simulate", "simulate_bad_alpha",
+])
+def test_a_command_pins_both_libraries_and_restores_their_counts(case, tmp_path):
+    # An oracle fit calls no LAPACK, so in a fresh process only the pin on
+    # entry can have loaded scipy's OpenBLAS by the time the command runs.
+    mode, argv, code = _pin_case(case, tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PIN_SCRIPT, mode, *argv], cwd=tmp_path, env=_child_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, seen, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == code, proc.stderr
+    assert seen == [[True, {"numpy": 1, "scipy": 1}]]
+    assert before == dict.fromkeys(before, 2) and after == before
+
+
+def test_overlapping_commands_share_one_pin():
+    # Two commands at once in one process, say on two threads, enter in the
+    # order A, B and leave in the same order: the first entry pins both
+    # libraries and the last exit gives back their counts from before it.
+    libraries = [blas._threads(package) for package in ("numpy", "scipy")]
+    earlier = [get() for get, _ in libraries]
+
+    def threads():
+        return [get() for get, _ in libraries]
+
+    a, b = blas.one_thread(), blas.one_thread()
     try:
-        for _, set_ in libraries.values():
+        for _, set_ in libraries:
             set_(2)
-        assert main(_fit_argv(small_dataset, "--beta-tilde", "mle")) == 0
-        assert seen == [{"numpy": 1, "scipy": 1}]
-        assert {package: get() for package, (get, _) in libraries.items()} == {
-            "numpy": 2, "scipy": 2}
+        seen = []
+        a.__enter__()
+        seen.append(threads())
+        b.__enter__()
+        seen.append(threads())
+        a.__exit__(None, None, None)
+        seen.append(threads())
+        b.__exit__(None, None, None)
+        assert seen == [[1, 1]] * 3
+        assert threads() == [2, 2]
     finally:
-        for package, (_, set_) in libraries.items():
-            set_(before[package])
+        for (_, set_), count in zip(libraries, earlier):
+            set_(count)
 
 
 def test_each_command_pins_scipys_library_loaded_without_scipy_linalg(small_dataset):
-    # The first fit loads scipy's OpenBLAS through ctypes and pins it then;
-    # the second finds it loaded on entry.  Between them both libraries are
-    # set to 2 threads, and each command must give that count back.
+    # Each fit opens scipy's OpenBLAS through ctypes on entry, the first
+    # loading it, and pins it without importing scipy.linalg.  Between them
+    # both libraries are set to 2 threads, and each command must give that
+    # count back.
     script = (
         "import json, sys\nimport signlasso.cli as cli\nfrom signlasso import blas\n"
         "seen, after = [], []\nreal_fit = cli.fit\n"
@@ -1532,10 +1619,8 @@ def test_each_command_pins_scipys_library_loaded_without_scipy_linalg(small_data
 
 def test_a_library_not_found_is_one_warning_and_the_command_runs(
         small_dataset, monkeypatch, capsys):
-    # scipy's OpenBLAS is loaded in this process (this module imports
-    # scipy.linalg), so both libraries are looked up on entry, and each one
-    # not found is one warning however often the command's LAPACK calls ask
-    # for it.
+    # Both libraries are looked up once, on entry, and each one not found is
+    # one warning however often the command's LAPACK calls run.
     monkeypatch.setattr(blas, "_threads", lambda package: None)
     assert main(_fit_argv(small_dataset, "--beta-tilde", "mle")) == 0
     captured = capsys.readouterr()

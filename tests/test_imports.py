@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every module-level private name of the package is read somewhere in it, no
-module imports scipy on import, and no command imports the scipy modules
-that compute: ln k! and the Cholesky solves have scipy's bits without them.
+module imports scipy on import, no command imports the scipy modules that
+compute (ln k! and the Cholesky solves have scipy's bits without them), and
+only ``blas.py`` loads a shared library or names a thread-count function.
 
 No linter ships with the test dependencies, so these are small ``ast``
 checks.  ``__init__.py`` re-exports its imports through ``__all__`` and is
@@ -156,6 +157,47 @@ def test_no_module_imports_a_scipy_submodule_but_the_lapack_fallback():
              for module in MODULES + ["__init__.py"]}
     assert {module: names for module, names in found.items() if names} == {
         "model.py": ["scipy.linalg"]}
+
+
+def library_loads_and_thread_counts(source: str) -> list[str]:
+    """The shared-library loads and ``*_num_threads*`` names in ``source``.
+
+    A load is a ``CDLL``, ``cdll``, ``PyDLL`` or ``pydll`` of ctypes; a name
+    is an attribute or a string that contains ``_num_threads``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in {"CDLL", "cdll", "PyDLL", "pydll"} or "_num_threads" in name:
+            found.append(name)
+    return sorted(found)
+
+
+def test_the_check_finds_a_library_load_and_a_thread_count_name():
+    source = (
+        "import ctypes\nfrom ctypes import CDLL\n"
+        "lib = CDLL('libx.so')\nother = ctypes.cdll.LoadLibrary('liby.so')\n"
+        "lib.openblas_set_num_threads(1)\nname = 'goto_get_num_threads'\n"
+        "def f():\n    return ctypes.c_int(1), lib.dpotrf_\n"
+    )
+    assert library_loads_and_thread_counts(source) == [
+        "CDLL", "cdll", "goto_get_num_threads", "openblas_set_num_threads"]
+
+
+def test_only_blas_loads_a_library_or_names_a_thread_count():
+    # One module opens the bundled OpenBLAS libraries and sets their thread
+    # counts, so no second load site or pin site can slip in elsewhere.
+    found = {module: library_loads_and_thread_counts((PACKAGE / module).read_text())
+             for module in MODULES + ["__init__.py"]}
+    assert {module: names for module, names in found.items() if names} == {"blas.py": [
+        "CDLL", "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"]}
 
 
 @pytest.fixture(scope="module")
