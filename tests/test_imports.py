@@ -160,10 +160,11 @@ def test_no_module_imports_a_scipy_submodule_but_the_lapack_fallback():
 
 
 def library_loads_and_thread_counts(source: str) -> list[str]:
-    """The shared-library loads and ``*_num_threads*`` names in ``source``.
+    """The shared-library loads and thread-count names in ``source``.
 
-    A load is a ``CDLL``, ``cdll``, ``PyDLL`` or ``pydll`` of ctypes; a name
-    is an attribute or a string that contains ``_num_threads``.
+    A load is a ``CDLL``, ``cdll``, ``PyDLL`` or ``pydll`` of ctypes; a
+    thread-count name is ``blas._threads`` or an attribute or a string that
+    contains ``_num_threads``.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -175,7 +176,7 @@ def library_loads_and_thread_counts(source: str) -> list[str]:
             name = node.value
         else:
             continue
-        if name in {"CDLL", "cdll", "PyDLL", "pydll"} or "_num_threads" in name:
+        if name in {"CDLL", "cdll", "PyDLL", "pydll", "_threads"} or "_num_threads" in name:
             found.append(name)
     return sorted(found)
 
@@ -185,10 +186,10 @@ def test_the_check_finds_a_library_load_and_a_thread_count_name():
         "import ctypes\nfrom ctypes import CDLL\n"
         "lib = CDLL('libx.so')\nother = ctypes.cdll.LoadLibrary('liby.so')\n"
         "lib.openblas_set_num_threads(1)\nname = 'goto_get_num_threads'\n"
-        "def f():\n    return ctypes.c_int(1), lib.dpotrf_\n"
+        "def f():\n    blas._threads('scipy')[1](1)\n    return ctypes.c_int(1), lib.dpotrf_\n"
     )
     assert library_loads_and_thread_counts(source) == [
-        "CDLL", "cdll", "goto_get_num_threads", "openblas_set_num_threads"]
+        "CDLL", "_threads", "cdll", "goto_get_num_threads", "openblas_set_num_threads"]
 
 
 def test_only_blas_loads_a_library_or_names_a_thread_count():
@@ -197,7 +198,7 @@ def test_only_blas_loads_a_library_or_names_a_thread_count():
     found = {module: library_loads_and_thread_counts((PACKAGE / module).read_text())
              for module in MODULES + ["__init__.py"]}
     assert {module: names for module, names in found.items() if names} == {"blas.py": [
-        "CDLL", "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"]}
+        "CDLL", "_threads", "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"]}
 
 
 @pytest.fixture(scope="module")
