@@ -422,6 +422,9 @@ _TABLE_TAIL = 1e-12
 # Rows of the inversion table compared for every lane; the rest are compared
 # only for the lanes whose uniform lies beyond all of these.
 _TABLE_HEAD = 8
+# Rows the deepest table needs: an intensity just below 10 takes 40 (9.5
+# takes 39, 5 takes 28 and 1 takes 15), so a count fits in uint8.
+_TABLE_DEPTH = 40
 
 
 def _poisson_transformed_rejection(lam: np.ndarray, rng: np.random.Generator,
@@ -493,9 +496,10 @@ class _CountSampler:
     the sequential search itself.  The second draw deepens it until no lane
     has both a tail ``1 - cum`` of at least ``_TABLE_TAIL`` and a live term,
     and every later draw looks its counts up there.  Intensities below 10
-    need at most 40 rows, so a count fits in uint8; at n=4000 the canonical
-    design's table holds about 154k entries (1.2 MB).  The counts and the
-    generator's use are those of the search on every draw.
+    need at most ``_TABLE_DEPTH`` (40) rows, so a count fits in uint8; at
+    n=4000 the canonical design's table is 40 rows of 3,852 lanes (1.23 MB).
+    The counts and the generator's use are those of the search on every
+    draw.
     """
 
     def __init__(self, lam):
@@ -512,17 +516,23 @@ class _CountSampler:
         self.draws = 0
 
     def _deepen(self) -> None:
-        """Add the table's rows past row 0, until every lane's tail is below ``_TABLE_TAIL``."""
+        """Add the table's rows past row 0, until every lane's tail is below ``_TABLE_TAIL``.
+
+        The rows are written into one array of ``_TABLE_DEPTH`` rows, and
+        ``rows`` becomes a view of those written, so the build holds the
+        table once.
+        """
         lam, prob = self.lam_small, self.prob.copy()
         cum = prob.copy()
-        rows = [self.rows[0]]
+        table = np.empty((_TABLE_DEPTH, lam.size))
+        table[0] = self.rows[0]
         step = 0
         while np.any((1.0 - cum >= _TABLE_TAIL) & (prob > 0.0)):
             step += 1
             prob *= lam / step
             cum += prob
-            rows.append(np.where(prob > 0.0, cum, np.inf))
-        self.rows, self.prob = np.array(rows), prob
+            table[step] = np.where(prob > 0.0, cum, np.inf)
+        self.rows, self.prob = table[:step + 1], prob
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """The sequential search's counts for uniforms ``u``, one per inversion lane.

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from signlasso.model import (
     _guarded_product,
     linear_predictor,
     _SAMPLER_SPLIT,
+    _TABLE_DEPTH,
     _TABLE_HEAD,
     _CountSampler,
     _poisson_transformed_rejection,
@@ -332,9 +334,38 @@ def test_ptrs_takes_each_branch_as_the_reference_does():
 
 def test_inversion_table_counts_fit_in_uint8():
     # A lookup counts rows in uint8, so the deepest table, just below the
-    # split at 10, must have fewer than 256 rows.
+    # split at 10, must have fewer than 256 rows.  It fills the rows the
+    # table is allocated with, and no intensity below 10 needs more: the
+    # sweep is densest near 10, where the tables are deepest.
     sampler = _deepened(np.array([np.nextafter(_SAMPLER_SPLIT, 0.0)]))
-    assert sampler.rows.shape[0] < 256
+    assert sampler.rows.shape[0] == _TABLE_DEPTH < 256
+    t = np.linspace(0.0, 1.0, 4001)[1:-1]
+    sweep = np.concatenate([_SAMPLER_SPLIT * (1.0 - t ** 3), np.logspace(-300, 0, 301)])
+    assert _deepened(sweep).rows.shape[0] <= _TABLE_DEPTH
+    # The two-level lookup slices the table by rows.
+    assert sampler.rows.flags.c_contiguous
+
+
+def test_second_draw_holds_the_inversion_table_once():
+    # The second draw builds the table; it must not hold a second copy of
+    # it.  Intensities as on the canonical design at n=4000, whose linear
+    # predictor x1 - x2 has variance 1.6; numpy reports its buffers to
+    # tracemalloc.
+    lam = np.exp(np.random.default_rng(4).normal(0.0, math.sqrt(1.6), 4000))
+    sampler = _CountSampler(lam)
+    rng = np.random.default_rng(0)
+    sampler.draw(rng)
+    tracemalloc.start()
+    try:
+        # Relative to what is traced already, in case tracing was on before.
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sampler.draw(rng)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sampler.rows.shape[0] == _TABLE_DEPTH
+    assert peak <= 1.25 * sampler.rows.nbytes
 
 
 def test_poisson_counts_draws_as_before():
